@@ -6,8 +6,9 @@ Two numbers the pluggable-backend refactor must defend:
   engine on a rate sweep over one circuit structure — the density
   engine replays every Pauli label per rate, while PTM folds the
   channel into a cached diagonal and re-binds only the rate-dependent
-  weights.  (Acceptance bar: >= 2x at paper scale; see
-  ``BENCH_backend.json``.)
+  weights.  (Acceptance bar: >= 2x at paper scale; the last
+  standalone measurement, on the 8-qubit QFA 2q rate sweep, was 143x:
+  0.10 s PTM vs 14.5 s density, see ``docs/backends.md``.)
 * The ``numpy32`` tier actually halves state memory (and keeps a
   statevector run in the same speed class) — headroom, not a tax.
 

@@ -15,8 +15,8 @@ Three claims need numbers (DESIGN.md row E22):
   what they say.
 
 Timings honour ``REPRO_SCALE``; a summary artifact lands in
-``results/bench/``.  ``scripts/bench_cut.py`` runs the wide-register
-workload standalone and writes the committed ``BENCH_cut.json``.
+``results/bench/``.  ``python3 bench/run.py --workload cut-16q`` times
+16-qubit cut cells end to end as part of the repository benchmark.
 """
 
 import time

@@ -5,12 +5,10 @@ Runs the same workload through execution tiers that the determinism
 contract promises are interchangeable, with ``REPRO_SANITIZER``
 tracing on, and cross-compares the portable trace stages
 (``counts``/``task``/``point`` — see :mod:`repro.runtime.sanitizer`):
-
-1. sweep batching ``cell`` vs ``group`` — fused scheduling layouts
-   must leave the portable event multiset bit-identical;
-2. service executor thread tier (``workers=0``) vs process tier
-   (``workers=2``) — worker events ride home on the result payload and
-   must match the in-process trace exactly.
+the service executor thread tier (``workers=0``) vs process tier
+(``workers=2``) — worker events ride home on the result payload and
+must match the in-process trace exactly.  (Local and fabric-coordinated
+sweeps are compared point for point by ``tests/test_fabric.py``.)
 
 Exits non-zero on any divergence — this is the ``sanitizer-parity``
 CI lane (the dynamic complement of ``repro-arith audit``'s DET rules).
@@ -26,24 +24,6 @@ from typing import List, Tuple
 def fail(message: str) -> None:
     print(f"FAIL: {message}", file=sys.stderr)
     sys.exit(1)
-
-
-def _sweep_trace(batching: str) -> Tuple[str, int]:
-    """Portable-trace digest of one small sweep under ``batching``."""
-    from repro.experiments.config import SweepConfig
-    from repro.experiments.sweep import run_sweep
-    from repro.runtime import sanitizer
-
-    config = SweepConfig(
-        operation="add", n=3, m=3, orders=(2, 2),
-        error_axis="2q", error_rates=(0.0, 0.004),
-        depths=(None, 3), instances=3, shots=96, trajectories=12,
-        seed=7, batching=batching,
-    )
-    sanitizer.clear_trace()
-    run_sweep(config, workers=0)
-    events = sanitizer.trace_events()
-    return sanitizer.trace_digest(events), len(events)
 
 
 def _executor_trace(workers: int) -> Tuple[str, List[object]]:
@@ -81,13 +61,6 @@ def main() -> int:
 
     sanitizer.force(True)
     try:
-        cell_digest, cell_events = _sweep_trace("cell")
-        group_digest, group_events = _sweep_trace("group")
-        if cell_digest != group_digest:
-            fail("sweep batching cell vs group traces diverge")
-        print(f"[parity] sweep cell({cell_events} ev) == "
-              f"group({group_events} ev): digest {cell_digest[:16]}")
-
         thread_digest, thread_results = _executor_trace(0)
         process_digest, process_results = _executor_trace(2)
         if thread_digest != process_digest:

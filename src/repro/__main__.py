@@ -128,7 +128,6 @@ def _cmd_sweep(args) -> int:
         seed=args.seed,
         method=args.method,
         backend=args.backend,
-        batching=args.batching,
         label=args.label,
         max_fragment_qubits=args.max_fragment_qubits,
     )
@@ -364,9 +363,7 @@ def main(argv=None) -> int:
     p.add_argument("--shots", type=int, default=64)
     p.add_argument("--trajectories", type=int, default=4)
     p.add_argument("--seed", type=int, default=1234)
-    p.add_argument(
-        "--batching", choices=("off", "cell", "group"), default="off"
-    )
+    from repro.sim.backend import BACKEND_NAMES
     from repro.sim.methods import METHODS, method_help
 
     p.add_argument(
@@ -384,10 +381,10 @@ def main(argv=None) -> int:
     )
     p.add_argument(
         "--backend",
-        choices=("numpy64", "numpy32", "cupy64", "cupy32"),
+        choices=BACKEND_NAMES,
         default="",
         help="array backend / precision tier (default: REPRO_BACKEND "
-        "or numpy64; GPU tiers degrade gracefully to NumPy)",
+        "or numpy64)",
     )
     p.add_argument("--label", default="sweep")
     p.add_argument(

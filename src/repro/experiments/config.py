@@ -115,31 +115,8 @@ class SweepConfig:
     convention: str = "qiskit"
     label: str = ""
     #: Array backend for every engine in the sweep ("" = the process
-    #: default from ``REPRO_BACKEND``).  GPU names degrade gracefully
-    #: to the matching NumPy tier when CuPy/device are absent.
+    #: default from ``REPRO_BACKEND``).
     backend: str = ""
-    #: Batched-scheduler mode: "off" routes every cell through the
-    #: legacy per-cell runner (seed-exact with earlier releases);
-    #: "cell" fuses the instances of one sweep cell into shared
-    #: trajectory batches; "group" additionally fuses compatible cells
-    #: (same circuit skeleton — e.g. a rate-only sweep) into one batch
-    #: per worker task.  "cell" and "group" are bit-identical to each
-    #: other but use the scheduler's own RNG discipline, which differs
-    #: from (and is as exact as) the "off" path's stream.
-    batching: str = "off"
-    #: Simulate each distinct error configuration once per batch round
-    #: (exact; no statistical effect).  Only read when batching != off.
-    dedup: bool = True
-    #: Adaptive shot allocation: split budgets over ``adaptive_rounds``
-    #: and stop a cell-instance early once its success verdict cannot
-    #: change (exact rule) — or, with ``adaptive_delta`` > 0, once a
-    #: Hoeffding bound at confidence 1-delta is met (bounded error).
-    adaptive: bool = False
-    adaptive_rounds: int = 4
-    adaptive_delta: float = 0.0
-    #: Max rows per fused state-buffer chunk; 0 = auto from the
-    #: REPRO_BATCH_MB memory budget.
-    batch_rows: int = 0
     #: method="cut": fragment-width budget for the cut searcher
     #: (0 = the subsystem default).  Ignored by other methods.
     max_fragment_qubits: int = 0
@@ -168,17 +145,6 @@ class SweepConfig:
             )
         if self.instances < 1 or self.shots < 1:
             raise ValueError("instances and shots must be >= 1")
-        if self.batching not in ("off", "cell", "group"):
-            raise ValueError(
-                f"batching must be 'off', 'cell' or 'group', "
-                f"got {self.batching!r}"
-            )
-        if self.adaptive_rounds < 1:
-            raise ValueError("adaptive_rounds must be >= 1")
-        if not 0.0 <= self.adaptive_delta < 1.0:
-            raise ValueError("adaptive_delta must be in [0, 1)")
-        if self.batch_rows < 0:
-            raise ValueError("batch_rows must be >= 0")
         if self.max_fragment_qubits < 0:
             raise ValueError("max_fragment_qubits must be >= 0")
         cap = _dense_width_cap(self.method)

@@ -62,12 +62,6 @@ def sweep_to_dict(result: SweepResult) -> dict:
             "method": cfg.method,
             "convention": cfg.convention,
             "label": cfg.label,
-            "batching": cfg.batching,
-            "dedup": cfg.dedup,
-            "adaptive": cfg.adaptive,
-            "adaptive_rounds": cfg.adaptive_rounds,
-            "adaptive_delta": cfg.adaptive_delta,
-            "batch_rows": cfg.batch_rows,
         },
         "elapsed_seconds": result.elapsed_seconds,
         "instances": [
@@ -111,14 +105,6 @@ def sweep_from_dict(data: dict) -> SweepResult:
             method=c["method"],
             convention=c["convention"],
             label=c.get("label", ""),
-            # Scheduler knobs postdate schema 2's introduction; absent
-            # keys mean the legacy (non-batched) execution path.
-            batching=c.get("batching", "off"),
-            dedup=bool(c.get("dedup", True)),
-            adaptive=bool(c.get("adaptive", False)),
-            adaptive_rounds=int(c.get("adaptive_rounds", 4)),
-            adaptive_delta=float(c.get("adaptive_delta", 0.0)),
-            batch_rows=int(c.get("batch_rows", 0)),
         )
         from ..core.qint import QInteger
         from .instances import ArithmeticInstance

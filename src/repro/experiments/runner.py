@@ -31,7 +31,6 @@ from ..metrics.success import (
 from ..noise.model import NoiseModel
 from ..runtime.errors import NumericalHealthError
 from ..sim.backend import get_backend
-from ..sim.batch import FusedTrajectoryScheduler, TrajectoryTask
 from ..sim.engines import simulate_counts
 from ..sim.program import CompiledProgram, compile_circuit
 from ..transpile.passes import transpile
@@ -45,7 +44,6 @@ __all__ = [
     "config_dtype",
     "run_instance",
     "run_point",
-    "run_cells_fused",
     "run_unit",
     "poison_point",
     "check_point_health",
@@ -177,16 +175,6 @@ class PointResult:
     #: ("" for results predating program compilation, e.g. restored
     #: checkpoints from older journals).
     program_fingerprint: str = ""
-    #: sampled trajectories per simulated erred row, >= 1 when the
-    #: batched scheduler ran (its dedup savings factor); 1.0 otherwise.
-    dedup_ratio: float = 1.0
-    #: mean fused-chunk height this point's rows rode in (0.0 when the
-    #: batched scheduler was not used).
-    batch_occupancy: float = 0.0
-    #: erred trajectory rows sampled across instances and rounds; with
-    #: adaptive allocation, decided-early instances spend fewer.  0 when
-    #: unknown (legacy / non-batched results).
-    trajectories_spent: int = 0
     #: method="cut": fragments in the cut plan (0 = point not cut).
     num_fragments: int = 0
     #: method="cut": wire/register cuts the plan made.
@@ -305,135 +293,29 @@ def _run_point_cut(
     )
 
 
-def run_cells_fused(
-    config: SweepConfig,
-    instances: List[ArithmeticInstance],
-    cells: Sequence[Tuple[float, Optional[int]]],
-    programs: Optional[Sequence[Optional[CompiledProgram]]] = None,
-) -> Dict[Tuple[float, Optional[int]], PointResult]:
-    """Evaluate several (rate, depth) cells through the batched scheduler.
-
-    Every (cell, instance) pair becomes one
-    :class:`~repro.sim.batch.TrajectoryTask` with its own deterministic
-    RNG stream ``(seed, rate, depth, 777, instance)`` — so results are
-    independent of which cells share a call, and ``batching="cell"``
-    (one cell per call) and ``batching="group"`` (many) are
-    bit-identical.  Cells the scheduler cannot take (ideal rows,
-    non-trajectory methods, non-Pauli programs) fall back to
-    :func:`run_point` unchanged.
-
-    Note the per-instance streams differ from :func:`run_point`'s single
-    per-cell stream: ``batching != "off"`` is statistically equivalent
-    to, but not bit-identical with, the legacy path.
-    """
-    cells = list(cells)
-    if programs is None:
-        programs = [None] * len(cells)
-    results: Dict[Tuple[float, Optional[int]], PointResult] = {}
-    tasks: List[TrajectoryTask] = []
-    fused: Dict[Tuple[float, Optional[int]], CompiledProgram] = {}
-    for (rate, depth), program in zip(cells, programs):
-        if config.method == "cut":
-            # Fragments re-lower individually; never build (or ship)
-            # the full-width program for a cut cell.
-            results[(rate, depth)] = run_point(
-                config, instances, rate, depth
-            )
-            continue
-        if program is None:
-            program = build_compiled_program(
-                config.operation, config.n, config.m, depth,
-                config.error_axis, rate, config.convention,
-            )
-        if (
-            config.method != "trajectory"
-            or rate <= 0.0
-            or not program.pauli_only
-            or program.num_noise_sites == 0
-        ):
-            results[(rate, depth)] = run_point(
-                config, instances, rate, depth, program=program
-            )
-            continue
-        fused[(rate, depth)] = program
-        for i, inst in enumerate(instances):
-            tasks.append(
-                TrajectoryTask(
-                    key=(rate, depth, i),
-                    program=program,
-                    shots=config.shots,
-                    trajectories=config.trajectories,
-                    rng=np.random.default_rng(
-                        (config.seed, int(rate * 1e7), depth or 0, 777, i)
-                    ),
-                    initial_state=inst.initial_statevector(),
-                    correct=inst.correct_outcomes(),
-                )
-            )
-    if tasks:
-        scheduler = FusedTrajectoryScheduler(
-            fuse=True,
-            dtype=config_dtype(config),
-            dedup=config.dedup,
-            adaptive=config.adaptive,
-            rounds=config.adaptive_rounds,
-            delta=config.adaptive_delta,
-            max_batch_rows=config.batch_rows or None,
-        )
-        task_results = scheduler.run(tasks)
-        for (rate, depth), program in fused.items():
-            outcomes = []
-            sampled = rows = 0
-            occupancy = 0.0
-            for i, inst in enumerate(instances):
-                tr = task_results[(rate, depth, i)]
-                outcomes.append(
-                    evaluate_instance(tr.counts, inst.correct_outcomes())
-                )
-                sampled += tr.trajectories_sampled
-                rows += tr.rows_simulated
-                occupancy += tr.batch_occupancy
-            results[(rate, depth)] = PointResult(
-                error_rate=rate,
-                depth=depth,
-                depth_label=config.depth_label(depth),
-                summary=summarize(outcomes),
-                outcomes=tuple(outcomes),
-                program_fingerprint=program.fingerprint,
-                dedup_ratio=(sampled / rows) if rows else 1.0,
-                batch_occupancy=occupancy / max(1, len(instances)),
-                trajectories_spent=sampled,
-            )
-    return results
-
-
 def run_unit(
     config: SweepConfig,
     instances: List[ArithmeticInstance],
     cells: Sequence[Tuple[float, Optional[int]]],
     programs: Optional[Sequence[Optional[CompiledProgram]]] = None,
 ) -> Dict[Tuple[float, Optional[int]], PointResult]:
-    """Execute one work unit of cells under the config's batching mode.
+    """Execute one work unit of cells, one :func:`run_point` per cell.
 
     This is the single entry point shared by every execution venue —
     local supervisor workers, the arithmetic service, and fabric
     workers — so a unit's results are bit-identical no matter where it
-    runs: ``batching="off"`` uses the legacy per-cell stream of
-    :func:`run_point`, ``"cell"``/``"group"`` the per-instance streams
-    of :func:`run_cells_fused` (those two are bit-identical to each
-    other; see the sweep docs for the off/fused distinction).
+    runs: every cell draws from its own deterministic per-cell stream,
+    independent of which other cells share the unit.
     """
     cells = list(cells)
-    if config.batching == "off":
-        if programs is None:
-            programs = [None] * len(cells)
-        return {
-            (rate, depth): run_point(
-                config, instances, rate, depth, program=program
-            )
-            for (rate, depth), program in zip(cells, programs)
-        }
-    return run_cells_fused(config, instances, cells, programs)
+    if programs is None:
+        programs = [None] * len(cells)
+    return {
+        (rate, depth): run_point(
+            config, instances, rate, depth, program=program
+        )
+        for (rate, depth), program in zip(cells, programs)
+    }
 
 
 def poison_point(point: PointResult) -> PointResult:

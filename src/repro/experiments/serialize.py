@@ -55,9 +55,6 @@ def point_to_dict(pr: PointResult) -> dict:
             [int(o.success), o.min_diff, o.shots] for o in pr.outcomes
         ],
         "program_fingerprint": pr.program_fingerprint,
-        "dedup_ratio": pr.dedup_ratio,
-        "batch_occupancy": pr.batch_occupancy,
-        "trajectories_spent": pr.trajectories_spent,
         "num_fragments": pr.num_fragments,
         "cut_count": pr.cut_count,
         "variants_evaluated": pr.variants_evaluated,
@@ -85,10 +82,6 @@ def point_from_dict(p: dict) -> PointResult:
         outcomes=outcomes,
         # Absent in journals written before program compilation existed.
         program_fingerprint=p.get("program_fingerprint", ""),
-        # Absent before the batched scheduler; defaults mean "not used".
-        dedup_ratio=float(p.get("dedup_ratio", 1.0)),
-        batch_occupancy=float(p.get("batch_occupancy", 0.0)),
-        trajectories_spent=int(p.get("trajectories_spent", 0)),
         # Absent before circuit cutting; zeros mean "point not cut".
         num_fragments=int(p.get("num_fragments", 0)),
         cut_count=int(p.get("cut_count", 0)),

@@ -34,7 +34,6 @@ from ..runtime import (
     Supervisor,
     config_fingerprint,
     inject,
-    partition_weighted,
 )
 from ..runtime import sanitizer
 from .config import SweepConfig
@@ -44,7 +43,6 @@ from .runner import (
     build_compiled_program,
     check_point_health as _check_point_health,
     poison_point as _poison_point,
-    run_cells_fused,
     run_point,
 )
 from .serialize import depth_from_json, depth_to_json, point_from_dict, point_to_dict
@@ -58,12 +56,6 @@ __all__ = [
 ]
 
 CellKey = Tuple[float, Optional[int]]
-
-#: With ``batching="group"``, at most this many fusion-compatible cells
-#: share one supervisor work unit — bounding per-unit runtime (retry and
-#: timeout granularity) while still amortising kernels across cells.
-GROUP_MAX_CELLS = 8
-
 
 def default_workers() -> int:
     """Worker processes to use: cpu_count - 1, at least 1."""
@@ -164,48 +156,6 @@ def _execute_cell(payload, attempt: int) -> PointResult:
         point = _poison_point(point)
     _check_point_health(point)
     return point
-
-
-def _execute_cell_batched(payload, attempt: int) -> PointResult:
-    """Supervisor worker for ``batching="cell"``: one fused cell.
-
-    Same payload as :func:`_execute_cell`; the cell's instances run
-    through the batched trajectory scheduler instead of one-by-one.
-    """
-    config, instances, rate, depth, fault_spec, program = payload
-    poison = inject(fault_spec, (rate, depth), attempt)
-    point = run_cells_fused(
-        config, instances, [(rate, depth)], [program]
-    )[(rate, depth)]
-    if poison:
-        point = _poison_point(point)
-    _check_point_health(point)
-    return point
-
-
-def _execute_cell_group(payload, attempt: int) -> Dict[CellKey, PointResult]:
-    """Supervisor worker for ``batching="group"``: fused multi-cell unit.
-
-    The payload carries several fusion-compatible cells; the scheduler
-    packs their trajectory rows into shared batches.  Fault injection
-    stays per member cell (a crash/hang fault in any member retries the
-    whole unit; a nan fault poisons only its member's point).
-    """
-    config, instances, keys, fault_specs, programs = payload
-    poisoned = {
-        key
-        for key, spec in zip(keys, fault_specs)
-        if inject(spec, key, attempt)
-    }
-    ran = run_cells_fused(config, instances, keys, programs)
-    out: Dict[CellKey, PointResult] = {}
-    for key in keys:
-        point = ran[key]
-        if key in poisoned:
-            point = _poison_point(point)
-        _check_point_health(point)
-        out[key] = point
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -380,14 +330,6 @@ def run_sweep(
     (kill/partition/slow) for chaos runs; ``lease_timeout`` bounds how
     long a dispatched unit may stay un-acknowledged before it is
     reassigned.
-
-    ``config.batching`` selects the execution path: ``"off"`` (legacy
-    per-cell, per-instance runs, seed-exact with earlier releases),
-    ``"cell"`` (each cell's instances fused into batched trajectory
-    work), or ``"group"`` (fusion-compatible cells additionally share
-    supervisor work units and state buffers).  ``"cell"`` and
-    ``"group"`` are bit-identical to each other; see
-    :func:`~repro.experiments.runner.run_cells_fused`.
     """
     if instances is None:
         instances = generate_instances(
@@ -456,19 +398,10 @@ def run_sweep(
     def on_result(key: CellKey, point: PointResult, attempts: int) -> None:
         if sanitizer.enabled():
             # The single choke point every venue funnels through —
-            # local pool, batched/fused units, and fabric-coordinated
-            # cells all deliver fresh points here, so a local and a
-            # fabric run of one sweep produce comparable "point" traces.
-            # Scheduling-geometry metrics (batch occupancy, dedup
-            # ratio, trajectory spend) legitimately vary between
-            # batching layouts, so only the result-determining fields
-            # enter the portable trace.
-            doc = point_to_dict(point)
-            for geometry in (
-                "batch_occupancy", "dedup_ratio", "trajectories_spent"
-            ):
-                doc.pop(geometry, None)
-            sanitizer.record("point", doc, key=repr(key))
+            # local pool and fabric-coordinated cells both deliver
+            # fresh points here, so a local and a fabric run of one
+            # sweep produce comparable "point" traces.
+            sanitizer.record("point", point_to_dict(point), key=repr(key))
         if journal is not None:
             journal.record(_journal_key(key), point_to_dict(point))
         state["done"] += 1
@@ -496,48 +429,7 @@ def run_sweep(
         )
 
     cell_failures: List = []
-    if pending and config.batching == "group":
-        # Partition the pending cells into fusion-compatible work units:
-        # cells sharing a circuit skeleton (same fusion key — e.g. the
-        # rates of one depth row) chunk together, bounded in size so the
-        # supervisor's retry/timeout granularity stays per-unit-sane.
-        by_fusion: Dict[tuple, List[CellKey]] = {}
-        for key in pending:
-            by_fusion.setdefault(
-                _cell_fusion_key(config, programs, key), []
-            ).append(key)
-        group_cells = []
-        for keys in by_fusion.values():
-            for chunk in partition_weighted(
-                keys, [1.0] * len(keys), float(GROUP_MAX_CELLS)
-            ):
-                chunk = tuple(chunk)
-                payload = (
-                    config,
-                    instances,
-                    chunk,
-                    tuple(fault_plan.for_cell(k) for k in chunk),
-                    tuple(programs[k] for k in chunk),
-                )
-                group_cells.append((("group",) + chunk, payload))
-
-        def on_group(gkey, ran_points, attempts: int) -> None:
-            for key, point in ran_points.items():
-                on_result(key, point, attempts)
-
-        supervisor = Supervisor(
-            _execute_cell_group, workers=workers, retry=retry,
-            on_result=on_group,
-        )
-        ran, cell_failures = supervisor.run(group_cells)
-        for ran_points in ran.values():
-            points.update(ran_points)
-    elif pending:
-        worker_fn = (
-            _execute_cell_batched
-            if config.batching == "cell"
-            else _execute_cell
-        )
+    if pending:
         cells = [
             (
                 key,
@@ -553,7 +445,7 @@ def run_sweep(
             for key in pending
         ]
         supervisor = Supervisor(
-            worker_fn, workers=workers, retry=retry, on_result=on_result
+            _execute_cell, workers=workers, retry=retry, on_result=on_result
         )
         ran, cell_failures = supervisor.run(cells)
         points.update(ran)
@@ -567,24 +459,17 @@ def run_sweep(
     }
 
     for cf in cell_failures:
-        # A failed group unit expands into one record per member cell.
-        members = (
-            cf.key[1:]
-            if isinstance(cf.key, tuple) and cf.key[:1] == ("group",)
-            else [cf.key]
-        )
-        for k in members:
-            failures.append(
-                FailedCell(
-                    error_rate=k[0],
-                    depth=k[1],
-                    error_type=cf.error_type,
-                    message=cf.message,
-                    traceback=cf.traceback,
-                    attempts=cf.attempts,
-                    retryable=cf.retryable,
-                )
+        failures.append(
+            FailedCell(
+                error_rate=cf.key[0],
+                depth=cf.key[1],
+                error_type=cf.error_type,
+                message=cf.message,
+                traceback=cf.traceback,
+                attempts=cf.attempts,
+                retryable=cf.retryable,
             )
+        )
     if progress:
         for f in failures:
             progress(f"[FAILED] {f}")

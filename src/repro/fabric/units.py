@@ -2,12 +2,11 @@
 
 A *work unit* is the fabric's dispatch granule: a contiguous group of
 fusion-compatible sweep cells that one worker executes in a single
-``/v1/work`` call.  Units reuse the batched scheduler's grouping rule
-(cells sharing a :attr:`CompiledProgram.fusion_key` stay co-located, so
-the worker's fused trajectory batches and kernel caches amortise across
-the whole unit) and the supervisor's :func:`partition_weighted` chunker
-to bound per-unit runtime — the lease timeout and retry granularity
-stay sane because no unit can grow unboundedly heavy.
+``/v1/work`` call.  Cells sharing a :attr:`CompiledProgram.fusion_key`
+stay co-located, so the worker's lowering and kernel caches amortise
+across the whole unit, and the supervisor's :func:`partition_weighted`
+chunker bounds per-unit runtime — the lease timeout and retry
+granularity stay sane because no unit can grow unboundedly heavy.
 
 Unit identifiers are *deterministic*: derived from the sweep
 fingerprint and the member cell keys, so a restarted coordinator
@@ -27,8 +26,8 @@ __all__ = ["WorkUnit", "partition_units", "DEFAULT_UNIT_MAX_CELLS"]
 
 CellKey = Tuple[float, Optional[int]]
 
-#: Cells per unit ceiling — matches the local group-batching bound so a
-#: fabric unit is exactly one local supervisor work group.
+#: Cells per unit ceiling — bounds a unit's runtime, and so the
+#: granularity of lease expiry, retry and work stealing.
 DEFAULT_UNIT_MAX_CELLS = 8
 
 
@@ -69,10 +68,10 @@ def partition_units(
 
     Cells are first bucketed by their fusion key (grid order preserved
     inside a bucket — :func:`partition_weighted` relies on it), then
-    greedily chunked under the ``max_cells`` weight ceiling.  With the
-    default unit weight of 1.0 per cell this matches the local
-    ``batching="group"`` partitioning exactly, so a sweep dispatched
-    over the fabric runs the very same cell groups a single host would.
+    greedily chunked under the ``max_cells`` weight ceiling.  Each cell
+    of a unit still runs through its own
+    :func:`~repro.experiments.runner.run_point` stream, so the grouping
+    decides dispatch (and per-worker cache reuse), never results.
     """
     weight_of = weight_of or (lambda _key: 1.0)
     by_fusion: dict = {}

@@ -81,12 +81,6 @@ def config_from_wire(d: Dict[str, Any]) -> SweepConfig:
             method=d["method"],
             convention=d["convention"],
             label=d.get("label", ""),
-            batching=d.get("batching", "off"),
-            dedup=bool(d.get("dedup", True)),
-            adaptive=bool(d.get("adaptive", False)),
-            adaptive_rounds=int(d.get("adaptive_rounds", 4)),
-            adaptive_delta=float(d.get("adaptive_delta", 0.0)),
-            batch_rows=int(d.get("batch_rows", 0)),
             max_fragment_qubits=int(d.get("max_fragment_qubits", 0)),
         )
     except (KeyError, TypeError, ValueError) as exc:

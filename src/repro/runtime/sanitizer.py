@@ -15,11 +15,11 @@ the sweep driver hash what they produce into a trace of
   ``(rate, depth)``.
 * ``chunk``   — one simulated state-buffer chunk (geometry-tagged;
   excluded from cross-path comparison by default, since chunk shapes
-  legitimately differ between batching modes and memory budgets).
+  legitimately differ between fused batches and memory budgets).
 
 Two runs of the same work through different machinery — thread-tier
-vs process-tier executors, ``batching="cell"`` vs ``"group"``, a local
-sweep vs a fabric-coordinated one — must produce traces whose portable
+vs process-tier executors, a fused service batch vs solo requests, a
+local sweep vs a fabric-coordinated one — must produce traces whose portable
 stages compare equal; :func:`compare_traces` reports every divergence.
 Events recorded inside :func:`capture` (the executor wraps each
 payload in one) are returned to the caller instead of accumulating

@@ -28,8 +28,7 @@ def cache_stats_snapshot(
       :func:`repro.experiments.runner.build_compiled_program`;
     * ``ptm_cache`` — the PTM engine's bound-plan cache;
     * ``backend`` — the active :mod:`repro.sim.backend` tier (name,
-      dtype, GPU flag, and the requested name when a GPU tier degraded
-      to its NumPy fallback);
+      kernel tag, dtype, and the ``REPRO_BACKEND`` value requested);
     * ``cut`` — the circuit-cutting subsystem's counters (plans found,
       fragments compiled, variants evaluated, job routing);
     * ``fusion`` — the cross-request fusion gate's process-wide

@@ -1,12 +1,12 @@
-"""Pluggable array-backend strategy: dtype tiers and device dispatch.
+"""Pluggable array-backend strategy: dtype tiers.
 
 Every layer that allocates simulation state — statevector batches,
 density operators, trajectory chunks, compiled-kernel vectors — routes
-through one :class:`ArrayBackend` so precision tiers and device
-backends slot in behind a single seam (quantumsim's backend hierarchy
-is the model: one interface, swappable kernels underneath).
+through one :class:`ArrayBackend` so precision tiers slot in behind a
+single seam (quantumsim's backend hierarchy is the model: one
+interface, swappable kernels underneath).
 
-Four named backends exist:
+Two named backends exist:
 
 * ``numpy64`` — the default: NumPy + ``complex128``.  The house
   bit-identity contract (seeded RNG streams, sanitizer traces, parity
@@ -16,11 +16,6 @@ Four named backends exist:
   ``complex128`` and cast once, so the low-precision tier rounds the
   *exact* kernel rather than accumulating single-precision error
   during construction.
-* ``cupy64`` / ``cupy32`` — the same two tiers on a CUDA device via
-  CuPy.  CuPy is auto-detected; when it (or a device) is absent the
-  request **degrades gracefully** to the matching NumPy tier and the
-  resolved backend records ``degraded_from`` so operators can see the
-  fallback in ``/stats``.
 
 Selection: explicit ``get_backend(name)``, or the ``REPRO_BACKEND``
 environment knob (read through :mod:`repro.runtime.envutil`) for the
@@ -62,7 +57,7 @@ BACKEND_ENV = "REPRO_BACKEND"
 DEFAULT_BACKEND = "numpy64"
 
 #: Every requestable backend name, in preference order.
-BACKEND_NAMES = ("numpy64", "numpy32", "cupy64", "cupy32")
+BACKEND_NAMES = ("numpy64", "numpy32")
 
 #: The reference dtype kernels are built in before any down-cast.
 canonical_complex = np.complex128
@@ -100,69 +95,43 @@ def as_complex(data: Any, dtype: Any = None) -> np.ndarray:
 
 
 class ArrayBackend:
-    """One (array module, complex dtype) strategy.
+    """One NumPy complex-dtype strategy.
 
-    Owns allocation policy for simulation state.  ``xp`` is the array
-    namespace (NumPy, or CuPy when a device is present); ``tag`` is the
-    kernel-cache key component; ``is_gpu`` says whether arrays live on
-    a device (and must round-trip through :meth:`to_numpy` before any
-    host-side consumer sees them).
+    Owns allocation policy for simulation state; ``tag`` is the
+    kernel-cache key component.
     """
 
-    __slots__ = (
-        "name", "xp", "complex_dtype", "real_dtype", "tag", "is_gpu",
-        "degraded_from",
-    )
+    __slots__ = ("name", "complex_dtype", "real_dtype", "tag")
 
-    def __init__(
-        self,
-        name: str,
-        xp: Any,
-        complex_dtype: Any,
-        real_dtype: Any,
-        is_gpu: bool = False,
-        degraded_from: Optional[str] = None,
-    ) -> None:
+    def __init__(self, name: str, complex_dtype: Any, real_dtype: Any) -> None:
         self.name = name
-        self.xp = xp
         self.complex_dtype = complex_dtype
         self.real_dtype = real_dtype
         self.tag = dtype_tag(complex_dtype)
-        self.is_gpu = is_gpu
-        #: the requested name when this backend is a graceful fallback
-        #: (e.g. ``cupy64`` requested on a machine without CuPy).
-        self.degraded_from = degraded_from
 
     # -- allocation policy ------------------------------------------------
-    def zeros(self, shape: Any) -> Any:
+    def zeros(self, shape: Any) -> np.ndarray:
         """A zeroed complex array of this backend's dtype."""
-        return self.xp.zeros(shape, dtype=self.complex_dtype)
+        return np.zeros(shape, dtype=self.complex_dtype)
 
-    def empty(self, shape: Any) -> Any:
+    def empty(self, shape: Any) -> np.ndarray:
         """An uninitialised complex array of this backend's dtype."""
-        return self.xp.empty(shape, dtype=self.complex_dtype)
+        return np.empty(shape, dtype=self.complex_dtype)
 
-    def ones(self, shape: Any) -> Any:
+    def ones(self, shape: Any) -> np.ndarray:
         """A ones complex array of this backend's dtype."""
-        return self.xp.ones(shape, dtype=self.complex_dtype)
+        return np.ones(shape, dtype=self.complex_dtype)
 
-    def zeros_real(self, shape: Any) -> Any:
+    def zeros_real(self, shape: Any) -> np.ndarray:
         """A zeroed real array of this backend's real dtype."""
-        return self.xp.zeros(shape, dtype=self.real_dtype)
+        return np.zeros(shape, dtype=self.real_dtype)
 
-    def asarray(self, data: Any) -> Any:
-        """Convert ``data`` to this backend's complex dtype (and device)."""
-        return self.xp.asarray(data, dtype=self.complex_dtype)
+    def asarray(self, data: Any) -> np.ndarray:
+        """Convert ``data`` to this backend's complex dtype."""
+        return np.asarray(data, dtype=self.complex_dtype)
 
-    def empty_like(self, a: Any) -> Any:
-        return self.xp.empty_like(a)
-
-    # -- host interchange -------------------------------------------------
-    def to_numpy(self, a: Any) -> np.ndarray:
-        """A host-side NumPy view/copy of ``a`` (no-op on CPU backends)."""
-        if self.is_gpu:  # pragma: no cover — requires a CUDA device
-            return self.xp.asnumpy(a)
-        return np.asarray(a)
+    def empty_like(self, a: Any) -> np.ndarray:
+        return np.empty_like(a)
 
     def describe(self) -> Dict[str, Any]:
         """Operator-facing summary (surfaced in ``/stats``)."""
@@ -170,13 +139,10 @@ class ArrayBackend:
             "name": self.name,
             "tag": self.tag,
             "complex_dtype": str(np.dtype(self.complex_dtype)),
-            "is_gpu": self.is_gpu,
-            "degraded_from": self.degraded_from,
         }
 
     def __repr__(self) -> str:
-        note = f" (degraded from {self.degraded_from})" if self.degraded_from else ""
-        return f"<ArrayBackend {self.name}{note}>"
+        return f"<ArrayBackend {self.name}>"
 
 
 # ---------------------------------------------------------------------------
@@ -184,66 +150,21 @@ class ArrayBackend:
 # ---------------------------------------------------------------------------
 
 _LOCK = threading.Lock()
-#: Separate from _LOCK: get_backend holds _LOCK while building, and the
-#: probe must stay acquirable from inside that build.
-_PROBE_LOCK = threading.Lock()
 _BACKENDS: Dict[str, ArrayBackend] = {}
-_CUPY_PROBE: Dict[str, Any] = {}
-
-
-def _cupy_module() -> Optional[Any]:
-    """The importable-and-usable CuPy module, or None (probed once)."""
-    with _PROBE_LOCK:
-        if "mod" not in _CUPY_PROBE:
-            mod = None
-            try:  # pragma: no cover — exercised only on CUDA machines
-                import cupy  # type: ignore[import-not-found]
-
-                cupy.cuda.runtime.getDeviceCount()
-                mod = cupy
-            except Exception:
-                mod = None
-            _CUPY_PROBE["mod"] = mod
-        return _CUPY_PROBE["mod"]
 
 
 def _build_backend(name: str) -> ArrayBackend:
     if name == "numpy64":
-        return ArrayBackend("numpy64", np, np.complex128, np.float64)
+        return ArrayBackend("numpy64", np.complex128, np.float64)
     if name == "numpy32":
-        return ArrayBackend("numpy32", np, np.complex64, np.float32)
-    if name in ("cupy64", "cupy32"):
-        cupy = _cupy_module()
-        wide = name.endswith("64")
-        if cupy is not None:  # pragma: no cover — requires a CUDA device
-            return ArrayBackend(
-                name,
-                cupy,
-                np.complex128 if wide else np.complex64,
-                np.float64 if wide else np.float32,
-                is_gpu=True,
-            )
-        # Graceful degradation: same precision tier on the host.
-        host = "numpy64" if wide else "numpy32"
-        fallback = _build_backend(host)
-        return ArrayBackend(
-            fallback.name,
-            fallback.xp,
-            fallback.complex_dtype,
-            fallback.real_dtype,
-            degraded_from=name,
-        )
+        return ArrayBackend("numpy32", np.complex64, np.float32)
     raise ValueError(
         f"unknown backend {name!r}; expected one of {list(BACKEND_NAMES)}"
     )
 
 
 def get_backend(name: Optional[str] = None) -> ArrayBackend:
-    """Resolve a backend by name (None/"" -> the active default).
-
-    GPU names degrade gracefully to the matching NumPy tier when CuPy
-    or a device is missing — callers never have to handle absence.
-    """
+    """Resolve a backend by name (None/"" -> the active default)."""
     if not name:
         return active_backend()
     with _LOCK:
@@ -260,8 +181,7 @@ def active_backend() -> ArrayBackend:
 
 
 def available_backends() -> Tuple[str, ...]:
-    """Requestable backend names (GPU names listed even when they would
-    degrade — requesting them is always legal)."""
+    """Requestable backend names."""
     return BACKEND_NAMES
 
 

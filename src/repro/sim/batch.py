@@ -1,15 +1,16 @@
-"""Sweep-aware batched trajectory scheduling: fusion, dedup, adaptivity.
+"""Batched trajectory scheduling for fused service requests: fusion, dedup.
 
-The paper's figures sweep error rates over a *fixed* compiled circuit
-skeleton, and at the paper's sparse noise most sampled trajectories are
-the clean one or repeat a one-error configuration.  This module turns
-both observations into wall-clock:
+Concurrent service requests often share one compiled circuit skeleton
+(a rate-only sweep streamed as requests), and at the paper's sparse
+noise most sampled trajectories are the clean one or repeat a
+one-error configuration.  This module turns both observations into
+wall-clock:
 
-* **Cross-task fusion** — trajectory rows from every task (sweep cell x
-  instance) whose :attr:`~repro.sim.program.CompiledProgram.fusion_key`
+* **Cross-task fusion** — trajectory rows from every task (one request's
+  instance and budget) whose :attr:`~repro.sim.program.CompiledProgram.fusion_key`
   matches are packed into one ``(B, 2**n)`` state buffer, so each
   boundary gate kernel and each kernel-cached monomial gather is paid
-  once per *chunk* instead of once per cell.
+  once per *chunk* instead of once per request.
 * **Error-configuration dedup** — each trajectory's full Pauli insertion
   pattern is sampled up front and canonicalised to a tuple of
   ``(site ordinal, label)`` events; only *distinct* configurations are
@@ -19,16 +20,12 @@ both observations into wall-clock:
   to all configurations and is **exact**: identical configurations
   produce bit-identical states, so merging them changes nothing but the
   amount of simulation work.
-* **Adaptive shot allocation** — the paper's success criterion (no
-  incorrect outcome may out-count any correct one) admits sequential
-  early termination.  With the budget split over rounds, a task whose
-  count margin ``D = min(correct) - max(incorrect)`` exceeds the
-  remaining shot budget ``R`` in absolute value is *decided*: no
-  completion of the remaining shots can flip the verdict, so the rule
-  ``|D| > R`` stops exactly.  An optional Hoeffding-style rule
-  (``delta > 0``) additionally stops once ``|D| >
-  sqrt(0.5 * s * ln(1/delta))`` after ``s`` shots — a bounded-error
-  shortcut whose flip probability per decided task is at most ``delta``.
+
+Sweeps do not use this module: every sweep cell runs through
+:func:`repro.experiments.runner.run_point` and the per-cell
+:class:`~repro.sim.trajectories.TrajectoryEngine` stream, which is
+faster and leaner at the sweeps' 16-trajectory budgets (see
+``docs/simulation.md``).
 
 Determinism contract (pinned by ``tests/test_batch_scheduler.py``): all
 random draws happen per task in a fixed order — configuration sampling
@@ -38,12 +35,11 @@ trajectory row, readout flips) — and per-row state arithmetic never
 depends on which other rows share a buffer (firing rows advance through
 kernel-cached *partial* monomials split at their own fire positions
 only).  Consequently ``fuse``/``dedup`` toggles and chunk geometry are
-bit-invisible, and ``adaptive=False`` is literally a single round.
+bit-invisible.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -85,7 +81,6 @@ class _SchedulerStats:
         self.rows_simulated = 0
         self.chunks = 0
         self.chunk_rows = 0
-        self.decided_early = 0
 
     def reset(self) -> None:
         with self._lock:
@@ -98,7 +93,6 @@ class _SchedulerStats:
         simulated: int,
         chunks: int,
         chunk_rows: int,
-        decided: int,
     ) -> None:
         with self._lock:
             self.tasks += tasks
@@ -106,7 +100,6 @@ class _SchedulerStats:
             self.rows_simulated += simulated
             self.chunks += chunks
             self.chunk_rows += chunk_rows
-            self.decided_early += decided
 
     def snapshot(self) -> Dict[str, float]:
         with self._lock:
@@ -117,7 +110,6 @@ class _SchedulerStats:
                 "trajectories_sampled": self.trajectories_sampled,
                 "rows_simulated": self.rows_simulated,
                 "chunks": self.chunks,
-                "decided_early": self.decided_early,
                 "dedup_ratio": (
                     self.trajectories_sampled / simulated
                     if self.rows_simulated
@@ -150,14 +142,11 @@ class TrajectoryTask:
 
     ``rng`` is consumed exclusively by this task, in a fixed draw order,
     so a task's result is independent of which other tasks ride the same
-    fused batch.  ``correct`` (a set of correct outcome integers)
-    enables adaptive early termination; without it a task always spends
-    its full budget.
+    fused batch.
     """
 
     __slots__ = (
-        "key", "program", "shots", "trajectories", "rng",
-        "initial_state", "correct",
+        "key", "program", "shots", "trajectories", "rng", "initial_state",
     )
 
     def __init__(
@@ -168,7 +157,6 @@ class TrajectoryTask:
         trajectories: int,
         rng: np.random.Generator,
         initial_state: Optional[np.ndarray] = None,
-        correct: Optional[frozenset] = None,
     ) -> None:
         if shots < 1:
             raise ValueError(f"shots must be >= 1, got {shots}")
@@ -187,129 +175,52 @@ class TrajectoryTask:
         self.trajectories = int(trajectories)
         self.rng = rng
         self.initial_state = initial_state
-        self.correct = frozenset(correct) if correct is not None else None
 
 
 class TaskResult:
-    """Counts plus the spend/efficiency record of one task."""
+    """The sampled counts of one task."""
 
-    __slots__ = (
-        "counts", "shots_spent", "trajectories_sampled",
-        "rows_simulated", "batch_occupancy", "decided_early",
-        "rounds_run",
-    )
+    __slots__ = ("counts",)
 
-    def __init__(
-        self,
-        counts: Counts,
-        shots_spent: int,
-        trajectories_sampled: int,
-        rows_simulated: int,
-        batch_occupancy: float,
-        decided_early: bool,
-        rounds_run: int,
-    ) -> None:
+    def __init__(self, counts: Counts) -> None:
         self.counts = counts
-        self.shots_spent = shots_spent
-        self.trajectories_sampled = trajectories_sampled
-        self.rows_simulated = rows_simulated
-        self.batch_occupancy = batch_occupancy
-        self.decided_early = decided_early
-        self.rounds_run = rounds_run
-
-    @property
-    def dedup_ratio(self) -> float:
-        """Sampled trajectories per simulated erred row (>= 1.0).
-
-        1.0 means no configuration repeated; higher values are the
-        dedup savings factor on state-evolution work.
-        """
-        if self.rows_simulated <= 0:
-            return 1.0
-        return self.trajectories_sampled / self.rows_simulated
 
 
 # ---------------------------------------------------------------------------
-# Per-round task state
+# Per-task plan
 # ---------------------------------------------------------------------------
 
-class _RoundPlan:
-    """One task's sampled configurations for one round."""
+class _TaskPlan:
+    """One task's sampled configurations, distributions and outcomes."""
 
     __slots__ = (
-        "task", "state", "shots", "n_clean", "n_err", "B",
-        "rows", "row_of_traj", "probs",
-    )
-
-    def __init__(self, task: TrajectoryTask, state: "_TaskState",
-                 shots: int) -> None:
-        self.task = task
-        self.state = state
-        self.shots = shots
-        self.n_clean = 0
-        self.n_err = 0
-        self.B = 0
-        #: distinct rows to simulate this round: ``None`` is the clean
-        #: row, otherwise a tuple of (ordinal, qubits, label) events.
-        self.rows: List[Optional[tuple]] = []
-        #: trajectory index -> index into ``rows``.
-        self.row_of_traj: List[int] = []
-        self.probs: Optional[np.ndarray] = None
-
-
-class _TaskState:
-    """Accumulated outcomes and spend of one task across rounds."""
-
-    __slots__ = (
-        "task", "outcomes", "shots_spent", "trajectories_sampled",
-        "rows_simulated", "chunk_rows", "chunks", "decided",
-        "rounds_run",
+        "task", "n_clean", "n_err", "B", "rows", "row_of_traj", "probs",
+        "outcomes", "trajectories_sampled", "rows_simulated",
     )
 
     def __init__(self, task: TrajectoryTask) -> None:
         self.task = task
-        self.outcomes: List[np.ndarray] = []
-        self.shots_spent = 0
+        self.n_clean = 0
+        self.n_err = 0
+        self.B = 0
+        #: distinct rows to simulate: ``None`` is the clean row,
+        #: otherwise a tuple of (ordinal, qubits, label) events.
+        self.rows: List[Optional[tuple]] = []
+        #: trajectory index -> index into ``rows``.
+        self.row_of_traj: List[int] = []
+        self.probs: Optional[np.ndarray] = None
+        self.outcomes: Optional[np.ndarray] = None
         self.trajectories_sampled = 0
         self.rows_simulated = 0
-        self.chunk_rows = 0
-        self.chunks = 0
-        self.decided = False
-        self.rounds_run = 0
 
-    def margin(self) -> Optional[int]:
-        """``min(correct) - max(incorrect)`` over outcomes so far."""
-        correct = self.task.correct
-        if not correct or not self.outcomes:
-            return None
-        vals, cnts = np.unique(
-            np.concatenate(self.outcomes), return_counts=True
-        )
-        table = dict(zip(vals.tolist(), cnts.tolist()))
-        min_correct = min(table.get(o, 0) for o in correct)
-        max_incorrect = 0
-        for outcome, c in table.items():
-            if outcome not in correct and c > max_incorrect:
-                max_incorrect = c
-        return min_correct - max_incorrect
-
-    def result(self, num_qubits: int) -> TaskResult:
+    def result(self) -> TaskResult:
         outcomes = (
-            np.concatenate(self.outcomes)
-            if self.outcomes
+            self.outcomes
+            if self.outcomes is not None
             else np.empty(0, dtype=int)
         )
-        counts = Counts.from_outcome_list(outcomes, num_qubits)
         return TaskResult(
-            counts=counts,
-            shots_spent=self.shots_spent,
-            trajectories_sampled=self.trajectories_sampled,
-            rows_simulated=self.rows_simulated,
-            batch_occupancy=(
-                self.chunk_rows / self.chunks if self.chunks else 0.0
-            ),
-            decided_early=self.decided,
-            rounds_run=self.rounds_run,
+            Counts.from_outcome_list(outcomes, self.task.program.num_qubits)
         )
 
 
@@ -318,20 +229,14 @@ class _TaskState:
 # ---------------------------------------------------------------------------
 
 class FusedTrajectoryScheduler:
-    """Executes :class:`TrajectoryTask`\\ s with fusion/dedup/adaptivity.
+    """Executes :class:`TrajectoryTask`\\ s with fusion and dedup.
 
     Parameters
     ----------
     fuse:
         Pack rows of fusion-compatible tasks into shared state buffers.
     dedup:
-        Simulate each distinct error configuration once per task-round.
-    adaptive / rounds / delta:
-        Split each task's budget over ``rounds`` sequential rounds and
-        stop a task once its verdict is decided (see module docs).
-        ``adaptive=False`` forces a single round.  ``delta=0`` uses only
-        the exact ``|D| > remaining`` rule; ``delta > 0`` adds the
-        Hoeffding rule at confidence ``1 - delta``.
+        Simulate each distinct error configuration once per task.
     max_batch_rows:
         Chunk-height ceiling; default derives from the ``REPRO_BATCH_MB``
         byte budget (256 MB) and the state width.
@@ -341,25 +246,15 @@ class FusedTrajectoryScheduler:
         self,
         fuse: bool = True,
         dedup: bool = True,
-        adaptive: bool = False,
-        rounds: int = 4,
-        delta: float = 0.0,
         max_batch_rows: Optional[int] = None,
         dtype=None,
     ) -> None:
-        if rounds < 1:
-            raise ValueError(f"rounds must be >= 1, got {rounds}")
-        if not 0.0 <= delta < 1.0:
-            raise ValueError(f"delta must be in [0, 1), got {delta}")
         if max_batch_rows is not None and max_batch_rows < 1:
             raise ValueError(
                 f"max_batch_rows must be >= 1, got {max_batch_rows}"
             )
         self.fuse = bool(fuse)
         self.dedup = bool(dedup)
-        self.adaptive = bool(adaptive)
-        self.rounds = int(rounds) if adaptive else 1
-        self.delta = float(delta)
         self.max_batch_rows = max_batch_rows
         self.dtype = resolve_complex_dtype(dtype)
         self._bits = BitCache()
@@ -373,68 +268,43 @@ class FusedTrajectoryScheduler:
         Tasks are processed in input order within every phase, so
         results are independent of grouping and chunk geometry.
         """
-        states = [_TaskState(t) for t in tasks]
+        all_plans = [_TaskPlan(t) for t in tasks]
         self._chunks_run = 0
         self._chunk_rows_run = 0
-        groups = self._group(states)
-        for rnd in range(self.rounds):
-            for group in groups:
-                live = [s for s in group if not s.decided]
-                if not live:
-                    continue
-                plans = [
-                    self._sample_configs(s, self._round_shots(s.task, rnd))
-                    for s in live
-                ]
-                plans = [p for p in plans if p.rows]
-                self._simulate(plans)
-                for p in plans:
-                    self._sample_outcomes(p)
-                for s in live:
-                    s.rounds_run = rnd + 1
-                    if self.adaptive and rnd + 1 < self.rounds:
-                        self._check_decided(s, rnd)
-        results = {s.task.key: s.result(s.task.program.num_qubits)
-                   for s in states}
+        for group in self._group(all_plans):
+            for p in group:
+                self._sample_configs(p)
+            plans = [p for p in group if p.rows]
+            self._simulate(plans)
+            for p in plans:
+                self._sample_outcomes(p)
+        results = {p.task.key: p.result() for p in all_plans}
         _STATS.note(
-            tasks=len(states),
-            sampled=sum(s.trajectories_sampled for s in states),
-            simulated=sum(s.rows_simulated for s in states),
+            tasks=len(all_plans),
+            sampled=sum(p.trajectories_sampled for p in all_plans),
+            simulated=sum(p.rows_simulated for p in all_plans),
             chunks=self._chunks_run,
             chunk_rows=self._chunk_rows_run,
-            decided=sum(1 for s in states if s.decided),
         )
         return results
 
     # ------------------------------------------------------------------
-    def _group(self, states: List[_TaskState]) -> List[List[_TaskState]]:
+    def _group(self, plans: List[_TaskPlan]) -> List[List[_TaskPlan]]:
         if not self.fuse:
-            return [[s] for s in states]
-        groups: Dict[tuple, List[_TaskState]] = {}
-        for s in states:
-            groups.setdefault(s.task.program.fusion_key, []).append(s)
+            return [[p] for p in plans]
+        groups: Dict[tuple, List[_TaskPlan]] = {}
+        for p in plans:
+            groups.setdefault(p.task.program.fusion_key, []).append(p)
         return list(groups.values())
-
-    def _round_shots(self, task: TrajectoryTask, rnd: int) -> int:
-        base, extra = divmod(task.shots, self.rounds)
-        return base + (1 if rnd < extra else 0)
-
-    def _round_trajectories(self, task: TrajectoryTask, rnd: int) -> int:
-        base, extra = divmod(task.trajectories, self.rounds)
-        return max(1, base + (1 if rnd < extra else 0))
 
     # ------------------------------------------------------------------
     # Phase A: configuration sampling (all of a task's "which errors
     # fire where" randomness, drawn in one fixed order)
     # ------------------------------------------------------------------
-    def _sample_configs(
-        self, state: _TaskState, shots: int
-    ) -> _RoundPlan:
-        task = state.task
+    def _sample_configs(self, plan: _TaskPlan) -> None:
+        task = plan.task
         rng = task.rng
-        plan = _RoundPlan(task, state, shots)
-        if shots <= 0:
-            return plan
+        shots = task.shots
         sites = task.program.pauli_sites()
         es = np.array([op.e for _, op in sites])
         one_minus = 1.0 - es
@@ -445,14 +315,13 @@ class FusedTrajectoryScheduler:
 
         n_clean = int(rng.binomial(shots, p0))
         n_err = shots - n_clean
-        traj_cap = self._round_trajectories(task, state.rounds_run)
-        B = min(traj_cap, n_err) if n_err else 0
+        B = min(task.trajectories, n_err) if n_err else 0
         plan.n_clean, plan.n_err, plan.B = n_clean, n_err, B
 
         if n_clean:
             plan.rows.append(None)
         if not B:
-            return plan
+            return
 
         # First fire per trajectory: P(first = s) ∝ prefix_clean[s]*e_s,
         # then independent fires at every later site — the same exact
@@ -492,11 +361,8 @@ class FusedTrajectoryScheduler:
             for cfg in configs:
                 plan.row_of_traj.append(len(plan.rows))
                 plan.rows.append(cfg)
-        state.trajectories_sampled += B
-        state.rows_simulated += sum(
-            1 for r in plan.rows if r is not None
-        )
-        return plan
+        plan.trajectories_sampled = B
+        plan.rows_simulated = sum(1 for r in plan.rows if r is not None)
 
     # ------------------------------------------------------------------
     # Phase B: batched simulation of the distinct rows
@@ -507,14 +373,14 @@ class FusedTrajectoryScheduler:
         # state + scratch + float64 probabilities live at once
         return max(1, budget // max(1, per_row * 3))
 
-    def _simulate(self, plans: List[_RoundPlan]) -> None:
+    def _simulate(self, plans: List[_TaskPlan]) -> None:
         if not plans:
             return
         n = plans[0].task.program.num_qubits
         cap = self.max_batch_rows or self._auto_rows(n)
         # Greedy in-order chunking; a plan's rows may span chunks (the
         # per-row arithmetic is chunk-invariant, so this is free).
-        pending: List[Tuple[_RoundPlan, int]] = [
+        pending: List[Tuple[_TaskPlan, int]] = [
             (p, r) for p in plans for r in range(len(p.rows))
         ]
         for p in plans:
@@ -524,15 +390,9 @@ class FusedTrajectoryScheduler:
             self._simulate_chunk(chunk, n)
             self._chunks_run += 1
             self._chunk_rows_run += len(chunk)
-            # Each task records the *total* height of every chunk its
-            # rows rode in — the occupancy it owes to fusion.
-            touched = {id(pl.state): pl.state for pl, _ in chunk}
-            for st in touched.values():
-                st.chunks += 1
-                st.chunk_rows += len(chunk)
 
     def _simulate_chunk(
-        self, chunk: List[Tuple[_RoundPlan, int]], n: int
+        self, chunk: List[Tuple[_TaskPlan, int]], n: int
     ) -> None:
         """Evolve one chunk of rows with clean-prefix sharing.
 
@@ -553,7 +413,7 @@ class FusedTrajectoryScheduler:
         """
         dim = 1 << n
         # -- carve the chunk into per-plan blocks -----------------------
-        blocks: List[Tuple[_RoundPlan, List[int]]] = []
+        blocks: List[Tuple[_TaskPlan, List[int]]] = []
         for plan, r in chunk:
             if blocks and blocks[-1][0] is plan:
                 blocks[-1][1].append(r)
@@ -674,8 +534,8 @@ class FusedTrajectoryScheduler:
             for j, r in enumerate(eventful):
                 plan.probs[r] = p[start + 1 + j]
         if sanitizer.enabled():
-            # Geometry-tagged (chunk height varies with batching mode
-            # and REPRO_BATCH_MB), so this stage is excluded from
+            # Geometry-tagged (chunk height varies with the batch's
+            # membership and REPRO_BATCH_MB), so this stage is excluded from
             # cross-path comparison; it localises a divergence to the
             # first differing evolution when the portable stages split.
             sanitizer.record(
@@ -687,12 +547,11 @@ class FusedTrajectoryScheduler:
     # ------------------------------------------------------------------
     # Phase C: outcome sampling (per task, fixed draw order)
     # ------------------------------------------------------------------
-    def _sample_outcomes(self, plan: _RoundPlan) -> None:
-        task, state = plan.task, plan.state
+    def _sample_outcomes(self, plan: _TaskPlan) -> None:
+        task = plan.task
         rng = task.rng
         outs: List[np.ndarray] = []
         probs = plan.probs
-        clean_offset = 1 if plan.n_clean else 0
         if plan.n_clean:
             outs.append(self._multinomial(rng, probs[0], plan.n_clean))
         if plan.B:
@@ -704,15 +563,12 @@ class FusedTrajectoryScheduler:
             for b in range(plan.B):
                 if per_row[b] == 0:
                     continue
+                # ``row_of_traj`` already accounts for the clean row.
                 row = plan.row_of_traj[b]
-                # With dedup off every trajectory owns a row, but rows
-                # before ``clean_offset + b`` belong to earlier
-                # trajectories either way — ``row_of_traj`` already
-                # accounts for the clean row when present.
                 outs.append(
                     self._multinomial(rng, probs[row], per_row[b])
                 )
-            plan.probs = None  # free the round's distributions
+            plan.probs = None  # free the task's distributions
         outcomes = (
             np.concatenate(outs) if outs else np.empty(0, dtype=int)
         )
@@ -720,21 +576,20 @@ class FusedTrajectoryScheduler:
             rng, outcomes, task.program.readout
         )
         if sanitizer.enabled():
-            # One portable event per (task, round): the sampled outcome
-            # stream plus the RNG state it left behind.  Identical
-            # across batching="cell" and "group" by the determinism
-            # contract — chunk geometry must never leak into draws.
+            # One portable event per task: the sampled outcome stream
+            # plus the RNG state it left behind.  Identical across fused
+            # and solo runs by the determinism contract — chunk
+            # geometry must never leak into draws.
             sanitizer.record(
                 "task",
                 {
                     "outcomes": outcomes,
                     "rng": rng.bit_generator.state,
-                    "shots": plan.shots,
+                    "shots": task.shots,
                 },
                 key=repr(task.key),
             )
-        state.outcomes.append(outcomes)
-        state.shots_spent += plan.shots
+        plan.outcomes = outcomes
 
     @staticmethod
     def _multinomial(
@@ -760,29 +615,6 @@ class FusedTrajectoryScheduler:
             out[flips] ^= 1 << q
         return out
 
-    # ------------------------------------------------------------------
-    # Adaptive termination
-    # ------------------------------------------------------------------
-    def _check_decided(self, state: _TaskState, rnd: int) -> None:
-        margin = state.margin()
-        if margin is None:
-            return
-        remaining = state.task.shots - state.shots_spent
-        if remaining <= 0:
-            return
-        if abs(margin) > remaining:
-            # Exact: no completion of the remaining shots can flip the
-            # verdict (each shot moves min(correct) - max(incorrect) by
-            # at most one in either direction).
-            state.decided = True
-            return
-        if self.delta > 0:
-            bound = math.sqrt(
-                0.5 * state.shots_spent * math.log(1.0 / self.delta)
-            )
-            if abs(margin) > bound:
-                state.decided = True
-
 
 # ---------------------------------------------------------------------------
 # Service entry: one pass over heterogeneous request-owned tasks
@@ -807,17 +639,15 @@ def run_request_tasks(
     identical requests; later results overwrite earlier ones, which is
     then a no-op by the determinism contract.
 
-    Adaptivity is deliberately **off**: per-request results must be
-    bit-identical whether a request was fused with neighbours or ran
-    alone, and a single non-adaptive round is the configuration whose
-    draw order matches the per-request ``dedup`` path exactly.
+    Per-request results are bit-identical whether a request was fused
+    with neighbours or ran alone: the draw order matches the
+    per-request ``dedup`` path exactly.
     """
     if not tasks:
         return {}
     scheduler = FusedTrajectoryScheduler(
         fuse=fuse,
         dedup=dedup,
-        adaptive=False,
         max_batch_rows=max_batch_rows,
         dtype=dtype,
     )

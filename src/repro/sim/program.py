@@ -665,7 +665,7 @@ class _MonoSegment:
 
         The batched scheduler walks a firing row piecewise between its
         own fire positions; caching each piece by ``(key, start, end)``
-        shares the composition across rows, rounds and fused tasks.
+        shares the composition across rows and fused tasks.
         ``partial(n, 0, len(elems))`` is exactly :meth:`full` (same
         cache entry), so event-free spans pay nothing extra.
         """
@@ -764,7 +764,7 @@ class CompiledProgram:
 
     @property
     def fusion_key(self) -> tuple:
-        """The batching compatibility key of this program.
+        """The fusion compatibility key of this program.
 
         Two programs with equal fusion keys lower from the same circuit
         skeleton and share an identical :meth:`exec_stream` layout —

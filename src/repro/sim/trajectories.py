@@ -43,7 +43,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..circuits.circuit import Instruction, QuantumCircuit
+from ..circuits.circuit import QuantumCircuit
 from ..noise.channels import (
     PauliError,
     QuantumError,
@@ -55,7 +55,6 @@ from .backend import resolve_complex_dtype
 from .ops import (
     BitCache,
     apply_gate_matrix,
-    apply_instruction,
     apply_pauli_rows,
     probabilities,
 )
@@ -89,7 +88,6 @@ class TrajectoryEngine:
         rng: Optional[np.random.Generator] = None,
         dtype=None,
         split_clean: bool = True,
-        use_program: bool = True,
         dedup: bool = False,
     ) -> None:
         if trajectories < 1:
@@ -99,7 +97,6 @@ class TrajectoryEngine:
         self.rng = rng if rng is not None else np.random.default_rng(seed)
         self.dtype = resolve_complex_dtype(dtype)
         self.split_clean = bool(split_clean)
-        self.use_program = bool(use_program)
         self.dedup = bool(dedup)
         self._bits = BitCache()
 
@@ -113,48 +110,16 @@ class TrajectoryEngine:
     ) -> Counts:
         """Simulate and sample ``shots`` outcomes over all qubits.
 
-        ``circuit`` may be a raw :class:`QuantumCircuit` or a
-        :class:`~repro.sim.program.CompiledProgram`.  By default raw
-        circuits are lowered through the compile cache first
-        (``use_program=True``); pass ``use_program=False`` at
-        construction to force the legacy gate-by-gate interpreter.
+        ``circuit`` may be a raw :class:`QuantumCircuit`, lowered
+        through the compile cache first, or a
+        :class:`~repro.sim.program.CompiledProgram`.
         """
-        if isinstance(circuit, CompiledProgram):
-            return self._run_program(circuit, shots, initial_state)
-        if self.use_program:
-            program = as_program(circuit, noise_model)
-            return self._run_program(program, shots, initial_state)
-        n = circuit.num_qubits
-        noise = noise_model or NoiseModel.ideal()
-        if self.split_clean and not noise.is_ideal:
-            sites = self._pauli_site_table(circuit, noise)
-            if sites is not None:
-                return self._run_split(
-                    circuit, noise, shots, initial_state, sites, n
-                )
-        B = 1 if noise.is_ideal else min(self.trajectories, shots)
-        state = self._initial_batch(initial_state, B, n)
-
-        for instr in circuit:
-            name = instr.gate.name
-            if name in ("barrier", "measure"):
-                continue
-            if name == "reset":
-                state = self._reset_rows(
-                    state, instr.qubits[0], np.arange(B), n, to_one=False
-                )
-                continue
-            state = apply_instruction(state, instr, n)
-            for err in noise.gate_errors(instr):
-                state = self._apply_error(state, err, instr, n)
-
-        check_norms(
-            state, "trajectory engine", atol=norm_tolerance(self.dtype)
+        program = (
+            circuit
+            if isinstance(circuit, CompiledProgram)
+            else as_program(circuit, noise_model)
         )
-        probs = probabilities(state)
-        outcomes = self._sample(probs, shots)
-        outcomes = self._apply_readout(outcomes, noise, n)
-        return Counts.from_outcome_list(outcomes, n)
+        return self._run_program(program, shots, initial_state)
 
     # ------------------------------------------------------------------
     # Compiled-program execution
@@ -227,8 +192,9 @@ class TrajectoryEngine:
     ) -> Counts:
         """Forking ideal/erred split over a compiled program.
 
-        Same exact ensemble decomposition as :meth:`_run_split`, but the
-        erred batch is *grown* instead of evolved in full: each row's
+        The noisy ensemble splits exactly into ``P0 * P_ideal + (1 - P0)
+        * P_erred`` (see module docs); the erred batch is *grown* instead
+        of evolved in full: each row's
         first-fire site is pre-sampled from its closed-form law
         ``P(first = s) ∝ prefix_clean[s] * e_s``, one shared clean row
         evolves through the program, and a row is forked off the clean
@@ -474,160 +440,6 @@ class TrajectoryEngine:
             raise ValueError("initial state has wrong dimension")
         return np.repeat(vec, B, axis=0)
 
-    def _pauli_site_table(self, circuit: QuantumCircuit, noise: NoiseModel):
-        """Per-instruction Pauli error sites, or None if non-Pauli noise.
-
-        Each site is ``(qubits, labels, cond_probs, e)`` where ``labels``
-        are the channel's non-identity Pauli strings, ``cond_probs``
-        their probabilities conditioned on a non-identity draw, and
-        ``e`` the site's total non-identity probability.  Sites with
-        ``e == 0`` are dropped.
-        """
-        table = []
-        for instr in circuit:
-            entries = []
-            for err in noise.gate_errors(instr):
-                if not isinstance(err, PauliError):
-                    return None
-                if err.num_qubits == 1 and len(instr.qubits) > 1:
-                    applications = [(q,) for q in instr.qubits]
-                elif err.num_qubits == len(instr.qubits):
-                    applications = [instr.qubits]
-                else:
-                    raise ValueError(
-                        f"error arity {err.num_qubits} does not match "
-                        f"gate {instr.gate.name!r}"
-                    )
-                nontrivial = [
-                    (p, pr)
-                    for p, pr in zip(err.paulis, err.probs)
-                    if set(p) != {"I"} and pr > 0
-                ]
-                e = float(sum(pr for _, pr in nontrivial))
-                if e <= 0:
-                    continue
-                labels = [p for p, _ in nontrivial]
-                cond = np.array([pr for _, pr in nontrivial]) / e
-                for qubits in applications:
-                    entries.append((tuple(qubits), labels, cond, e))
-            table.append(entries)
-        return table
-
-    def _run_split(
-        self,
-        circuit: QuantumCircuit,
-        noise: NoiseModel,
-        shots: int,
-        initial_state: Optional[np.ndarray],
-        site_table,
-        n: int,
-    ) -> Counts:
-        """Exact ideal/erred ensemble split (see module docs)."""
-        es = np.array(
-            [site[3] for entries in site_table for site in entries]
-        )
-        # suffix_clean[s] = prod_{u >= s} (1 - e_u); R[s] = P(>=1 fire
-        # among sites s..end).
-        one_minus = 1.0 - es
-        suffix_clean = np.ones(es.size + 1)
-        suffix_clean[:-1] = np.cumprod(one_minus[::-1])[::-1]
-        p0 = float(suffix_clean[0]) if es.size else 1.0
-        r_tail = 1.0 - suffix_clean[:-1]
-
-        n_clean = int(self.rng.binomial(shots, p0)) if p0 > 0 else 0
-        n_err = shots - n_clean
-        pieces = []
-
-        if n_clean:
-            ideal = self._initial_batch(initial_state, 1, n)
-            for instr in circuit:
-                if instr.gate.name in ("barrier", "measure"):
-                    continue
-                if instr.gate.name == "reset":
-                    ideal = self._reset_rows(
-                        ideal, instr.qubits[0], np.arange(1), n, to_one=False
-                    )
-                    continue
-                ideal = apply_instruction(ideal, instr, n)
-            check_norms(
-                ideal,
-                "trajectory engine (clean split)",
-                atol=norm_tolerance(self.dtype),
-            )
-            pieces.append(self._sample(probabilities(ideal), n_clean))
-
-        if n_err:
-            B = min(self.trajectories, n_err)
-            state = self._initial_batch(initial_state, B, n)
-            has_error = np.zeros(B, dtype=bool)
-            s = 0
-            for instr, entries in zip(circuit, site_table):
-                name = instr.gate.name
-                if name in ("barrier", "measure"):
-                    continue
-                if name == "reset":
-                    state = self._reset_rows(
-                        state, instr.qubits[0], np.arange(B), n, to_one=False
-                    )
-                    continue
-                state = apply_instruction(state, instr, n)
-                for qubits, labels, cond, e in entries:
-                    r = r_tail[s]
-                    # Conditional fire probability for still-clean rows;
-                    # the final site forces a fire (p -> 1).
-                    p_clean = min(1.0, e / r) if r > 0 else 1.0
-                    fire_p = np.where(has_error, e, p_clean)
-                    fire = self.rng.random(B) < fire_p
-                    rows = np.flatnonzero(fire)
-                    if rows.size:
-                        draws = self.rng.choice(
-                            len(labels), size=rows.size, p=cond
-                        )
-                        for idx in np.unique(draws):
-                            label = labels[idx]
-                            sub = rows[draws == idx]
-                            for pos, ch in enumerate(label):
-                                if ch != "I":
-                                    apply_pauli_rows(
-                                        state, ch, qubits[pos], sub, n,
-                                        self._bits,
-                                    )
-                        has_error[rows] = True
-                    s += 1
-            check_norms(
-                state,
-                "trajectory engine (erred split)",
-                atol=norm_tolerance(self.dtype),
-            )
-            pieces.append(self._sample(probabilities(state), n_err))
-
-        outcomes = (
-            np.concatenate(pieces) if pieces else np.empty(0, dtype=int)
-        )
-        outcomes = self._apply_readout(outcomes, noise, n)
-        return Counts.from_outcome_list(outcomes, n)
-
-    # ------------------------------------------------------------------
-    # Error application
-    # ------------------------------------------------------------------
-    def _apply_error(
-        self,
-        state: np.ndarray,
-        err: QuantumError,
-        instr: Instruction,
-        n: int,
-    ) -> np.ndarray:
-        if err.num_qubits == 1 and len(instr.qubits) > 1:
-            for q in instr.qubits:
-                state = self._apply_error_on(state, err, (q,), n)
-            return state
-        if err.num_qubits != len(instr.qubits):
-            raise ValueError(
-                f"error arity {err.num_qubits} does not match gate "
-                f"{instr.gate.name!r} on {len(instr.qubits)} qubits"
-            )
-        return self._apply_error_on(state, err, instr.qubits, n)
-
     def _apply_error_on(
         self,
         state: np.ndarray,
@@ -758,20 +570,3 @@ class TrajectoryEngine:
             nz = np.flatnonzero(cnt)
             outs.append(np.repeat(nz, cnt[nz]))
         return np.concatenate(outs) if outs else np.empty(0, dtype=int)
-
-    def _apply_readout(
-        self, outcomes: np.ndarray, noise: NoiseModel, n: int
-    ) -> np.ndarray:
-        """Flip measured bits per the model's readout errors."""
-        if noise.is_ideal or outcomes.size == 0:
-            return outcomes
-        out = outcomes.copy()
-        for q in range(n):
-            ro = noise.readout_error(q)
-            if ro is None:
-                continue
-            bit = (out >> q) & 1
-            flip_p = np.where(bit == 1, ro.p10, ro.p01)
-            flips = self.rng.random(out.size) < flip_p
-            out[flips] ^= 1 << q
-        return out

@@ -5,15 +5,11 @@ The load-bearing claims, each pinned here:
 * **Bitwise invariance** — fusion, dedup and chunk geometry change how
   much simulation work runs, never its results: for identical task RNG
   streams, every knob combination yields identical ``Counts``.
-* **Sweep integration** — ``batching="cell"`` and ``batching="group"``
-  produce bit-identical sweeps; ``batching="off"`` reproduces the
-  legacy per-cell path exactly (it *is* that path).
-* **Adaptive allocation** — with the exact ``|D| > remaining`` rule
-  (delta=0), early-decided tasks keep the same verdict the full budget
-  would give, and spend records decrease.
-* **Efficiency metadata** — dedup ratios / occupancy / spend flow into
-  :class:`~repro.experiments.runner.PointResult`, survive JSON
-  round-trips, and feed the process-wide ``scheduler_stats()``.
+* **Sweep integration** — sweeps never use the scheduler: every cell is
+  exactly :func:`~repro.experiments.runner.run_point`, and documents
+  written with the retired sweep-scheduler keys still load.
+* **Efficiency metadata** — dedup ratios and occupancy feed the
+  process-wide ``scheduler_stats()`` and the service gauges.
 """
 
 import numpy as np
@@ -21,13 +17,10 @@ import pytest
 
 from repro.experiments.config import SweepConfig
 from repro.experiments.results import sweep_from_dict, sweep_to_dict
-from repro.experiments.runner import (
-    build_compiled_program,
-    run_cells_fused,
-    run_point,
-)
+from repro.experiments.runner import build_compiled_program, run_point
+from repro.experiments.serialize import point_from_dict, point_to_dict
 from repro.experiments.sweep import run_sweep
-from repro.metrics.success import evaluate_instance
+from repro.fabric.wire import config_from_wire, config_to_wire
 from repro.sim.batch import (
     FusedTrajectoryScheduler,
     TrajectoryTask,
@@ -42,8 +35,7 @@ def _program(rate=0.002, depth=None, n=4, m=3):
     return build_compiled_program("add", n, m, depth, "1q", rate, "qiskit")
 
 
-def _tasks(program, count=3, shots=512, trajectories=16, seed=99,
-           correct=None):
+def _tasks(program, count=3, shots=512, trajectories=16, seed=99):
     return [
         TrajectoryTask(
             key=i,
@@ -51,7 +43,6 @@ def _tasks(program, count=3, shots=512, trajectories=16, seed=99,
             shots=shots,
             trajectories=trajectories,
             rng=np.random.default_rng((seed, i)),
-            correct=correct,
         )
         for i in range(count)
     ]
@@ -154,6 +145,10 @@ class TestBitwiseInvariance:
                 rng=np.random.default_rng(0),
             )
 
+    def test_invalid_params(self):
+        with pytest.raises(ValueError, match="max_batch_rows"):
+            FusedTrajectoryScheduler(max_batch_rows=0)
+
 
 class TestEngineAndSimulateCounts:
     def test_trajectory_engine_dedup_flag(self):
@@ -181,92 +176,12 @@ class TestEngineAndSimulateCounts:
         assert dict(legacy.items()) == dict(default.items())
 
 
-class TestAdaptive:
-    def test_verdict_matches_full_budget(self):
-        """Exact-rule early stopping never flips the success verdict."""
-        program = _program(rate=0.004)
-        from repro.experiments.instances import generate_instances
-
-        insts = generate_instances("add", 4, 3, (4, 4), 4, seed=11)
-        for i, inst in enumerate(insts):
-            correct = inst.correct_outcomes()
-            full = FusedTrajectoryScheduler(adaptive=False).run(
-                [
-                    TrajectoryTask(
-                        key=0, program=program, shots=1024,
-                        trajectories=16,
-                        rng=np.random.default_rng((7, i)),
-                        initial_state=inst.initial_statevector(),
-                        correct=correct,
-                    )
-                ]
-            )[0]
-            adap = FusedTrajectoryScheduler(
-                adaptive=True, rounds=4, delta=0.0
-            ).run(
-                [
-                    TrajectoryTask(
-                        key=0, program=program, shots=1024,
-                        trajectories=16,
-                        rng=np.random.default_rng((7, i)),
-                        initial_state=inst.initial_statevector(),
-                        correct=correct,
-                    )
-                ]
-            )[0]
-            v_full = evaluate_instance(full.counts, correct).success
-            v_adap = evaluate_instance(adap.counts, correct).success
-            assert v_full == v_adap
-            assert adap.shots_spent <= full.shots_spent
-            if adap.decided_early:
-                assert adap.shots_spent < full.shots_spent
-                assert adap.rounds_run < 4
-
-    def test_single_round_is_nonadaptive(self):
-        program = _program()
-        a = FusedTrajectoryScheduler(adaptive=False).run(_tasks(program))
-        b = FusedTrajectoryScheduler(adaptive=True, rounds=1).run(
-            _tasks(program)
-        )
-        assert _counts_maps(a) == _counts_maps(b)
-
-    def test_spend_accounting(self):
-        program = _program(rate=0.002)
-        res = FusedTrajectoryScheduler(adaptive=True, rounds=4).run(
-            _tasks(program, correct=frozenset({0}))
-        )
-        for r in res.values():
-            assert r.shots_spent <= 512
-            assert r.rounds_run <= 4
-            assert r.counts.shots == r.shots_spent
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError, match="rounds"):
-            FusedTrajectoryScheduler(rounds=0, adaptive=True)
-        with pytest.raises(ValueError, match="delta"):
-            FusedTrajectoryScheduler(delta=1.5)
-        with pytest.raises(ValueError, match="max_batch_rows"):
-            FusedTrajectoryScheduler(max_batch_rows=0)
-
-
 class TestSweepIntegration:
     CFG = dict(
         operation="add", n=4, m=3, orders=(4, 4), error_axis="1q",
         error_rates=(0.0, 0.001, 0.003), depths=(3, None),
         instances=3, shots=128, trajectories=8, seed=42,
     )
-
-    def test_cell_equals_group(self):
-        cfg = SweepConfig(**self.CFG)
-        cell = run_sweep(cfg.with_overrides(batching="cell"), workers=1)
-        grp = run_sweep(cfg.with_overrides(batching="group"), workers=1)
-        assert set(cell.points) == set(grp.points)
-        for k in cell.points:
-            a, b = cell.points[k], grp.points[k]
-            assert [(o.success, o.min_diff, o.shots) for o in a.outcomes] \
-                == [(o.success, o.min_diff, o.shots) for o in b.outcomes]
-            assert a.dedup_ratio == b.dedup_ratio
-            assert a.trajectories_spent == b.trajectories_spent
 
     def test_off_is_legacy_run_point(self):
         cfg = SweepConfig(**self.CFG)
@@ -276,61 +191,45 @@ class TestSweepIntegration:
         swept = run_sweep(cfg, workers=1, instances=insts)
         for (rate, depth), pr in swept.points.items():
             direct = run_point(cfg, insts, rate, depth)
-            assert [(o.success, o.min_diff) for o in pr.outcomes] == [
-                (o.success, o.min_diff) for o in direct.outcomes
-            ]
-            # Legacy path reports neutral efficiency metadata.
-            assert pr.dedup_ratio == 1.0
-            assert pr.trajectories_spent == 0
+            assert pr == direct
 
-    def test_fused_metadata_round_trips(self):
-        cfg = SweepConfig(**self.CFG).with_overrides(batching="group")
+    def test_retired_scheduler_keys_still_load(self):
+        """Results JSON, checkpoint point records and fabric wire
+        configs written with the retired sweep-scheduler knobs load."""
+        retired_config = dict(
+            batching="group", dedup=True, adaptive=True,
+            adaptive_rounds=4, adaptive_delta=0.01, batch_rows=64,
+        )
+        retired_point = dict(
+            dedup_ratio=1.5, batch_occupancy=12.0, trajectories_spent=96,
+        )
+        cfg = SweepConfig(**self.CFG).with_overrides(
+            error_rates=(0.0, 0.003), depths=(None,), instances=2
+        )
         res = run_sweep(cfg, workers=1)
-        noisy = [
-            p for p in res.points.values() if p.error_rate > 0
-        ]
-        assert noisy and all(p.trajectories_spent > 0 for p in noisy)
-        assert all(p.dedup_ratio >= 1.0 for p in noisy)
-        assert all(p.batch_occupancy > 0 for p in noisy)
-        back = sweep_from_dict(sweep_to_dict(res))
-        assert back.config.batching == "group"
-        for k, p in res.points.items():
-            q = back.points[k]
-            assert q.dedup_ratio == pytest.approx(p.dedup_ratio)
-            assert q.batch_occupancy == pytest.approx(p.batch_occupancy)
-            assert q.trajectories_spent == p.trajectories_spent
 
-    def test_run_cells_fused_ideal_fallback(self):
-        cfg = SweepConfig(**self.CFG)
-        from repro.experiments.instances import generate_instances
+        doc = sweep_to_dict(res)
+        doc["config"].update(retired_config)
+        for p in doc["points"]:
+            p.update(retired_point)
+        back = sweep_from_dict(doc)
+        assert back.config == cfg
+        assert back.points == res.points
 
-        insts = generate_instances("add", 4, 3, (4, 4), 2, seed=42)
-        res = run_cells_fused(cfg, insts, [(0.0, None)])
-        pr = res[(0.0, None)]
-        assert pr.summary.num_instances == 2
-        assert pr.dedup_ratio == 1.0  # fell back to run_point
+        point = res.point(0.003, None)
+        record = dict(point_to_dict(point), **retired_point)
+        assert point_from_dict(record) == point
 
-    def test_adaptive_sweep_spends_less(self):
-        cfg = SweepConfig(**self.CFG).with_overrides(batching="group")
-        base = run_sweep(cfg, workers=1)
-        adap = run_sweep(
-            cfg.with_overrides(adaptive=True, adaptive_rounds=4),
-            workers=1,
-        )
-        spend = lambda r: sum(  # noqa: E731
-            p.trajectories_spent for p in r.points.values()
-        )
-        assert spend(adap) <= spend(base)
+        wire = dict(config_to_wire(cfg), **retired_config)
+        assert config_from_wire(wire) == cfg
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="batching"):
-            SweepConfig(**self.CFG).with_overrides(batching="sideways")
-        with pytest.raises(ValueError, match="adaptive_rounds"):
-            SweepConfig(**self.CFG).with_overrides(adaptive_rounds=0)
-        with pytest.raises(ValueError, match="adaptive_delta"):
-            SweepConfig(**self.CFG).with_overrides(adaptive_delta=1.0)
-        with pytest.raises(ValueError, match="batch_rows"):
-            SweepConfig(**self.CFG).with_overrides(batch_rows=-1)
+        for knob in ("batching", "dedup", "adaptive", "adaptive_rounds",
+                     "adaptive_delta", "batch_rows"):
+            with pytest.raises(TypeError, match=knob):
+                SweepConfig(**self.CFG, **{knob: 0})
+        with pytest.raises(ValueError, match="max_fragment_qubits"):
+            SweepConfig(**self.CFG).with_overrides(max_fragment_qubits=-1)
 
 
 class TestSchedulerStats:

@@ -101,7 +101,7 @@ def reference():
 # ----------------------------------------------------------------------
 class TestWire:
     def test_config_round_trip(self):
-        config = _config(batching="group", adaptive=True)
+        config = _config()
         assert config_from_wire(config_to_wire(config)) == config
 
     def test_instances_round_trip(self):

@@ -257,15 +257,13 @@ class TestEquivalence:
         assert total_variation_distance(exact, counts) < 0.05
 
     def test_trajectory_program_and_interpreter_agree(self):
+        """A raw circuit lowers through the program path and lands on
+        the density engine's exact distribution."""
         qc = transpile(qfa_circuit(2, 2))
         noise = noise_model_for("1q", 0.02)
-        a = TrajectoryEngine(4000, seed=3, use_program=True).run(
-            qc, noise, shots=4000
-        )
-        b = TrajectoryEngine(4000, seed=3, use_program=False).run(
-            qc, noise, shots=4000
-        )
-        assert total_variation_distance(a, b) < 0.05
+        exact = DensityMatrixEngine().distribution(qc, noise)
+        counts = TrajectoryEngine(4000, seed=3).run(qc, noise, shots=4000)
+        assert total_variation_distance(exact, counts) < 0.05
 
     def test_trajectory_program_readout_table(self):
         from repro.noise.channels import ReadoutError

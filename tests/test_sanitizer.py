@@ -1,9 +1,9 @@
 """Runtime determinism sanitizer: hashing, recording, and tier parity.
 
 The parity tests are the contract the sanitizer exists to check: the
-same workload through interchangeable execution paths (fused batching
-``cell`` vs ``group``; thread-tier vs process-tier service executors)
-must leave bit-identical portable traces.
+same workload through interchangeable execution paths (thread-tier vs
+process-tier service executors) must leave bit-identical portable
+traces.
 """
 
 from __future__ import annotations
@@ -123,32 +123,6 @@ class TestComparison:
         assert sanitizer.compare_traces(
             a, b, stages=("counts", "chunk")
         ) != []
-
-
-def _sweep_events(batching):
-    from repro.experiments.config import SweepConfig
-    from repro.experiments.sweep import run_sweep
-
-    config = SweepConfig(
-        operation="add", n=2, m=2, orders=(2, 2),
-        error_axis="2q", error_rates=(0.0, 0.004), depths=(2,),
-        instances=2, shots=48, trajectories=8, seed=11,
-        batching=batching,
-    )
-    sanitizer.clear_trace()
-    run_sweep(config, workers=0)
-    return sanitizer.trace_events()
-
-
-def test_batching_cell_group_parity(on):
-    cell = _sweep_events("cell")
-    group = _sweep_events("group")
-    assert sanitizer.compare_traces(cell, group) == []
-    assert sanitizer.trace_digest(cell) == sanitizer.trace_digest(group)
-    # The portable stages are actually populated — an empty-vs-empty
-    # comparison would pass vacuously.
-    stages = {e[0] for e in cell}
-    assert {"task", "point"} <= stages
 
 
 def _executor_events(workers):

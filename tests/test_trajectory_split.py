@@ -12,6 +12,7 @@ from repro.noise import (
     depolarizing_error,
 )
 from repro.sim import DensityMatrixEngine, TrajectoryEngine
+from repro.sim.program import compile_circuit
 
 
 def bell():
@@ -21,42 +22,37 @@ def bell():
 
 
 class TestSiteTable:
+    """The split's per-site table: the compiled program's Pauli sites."""
+
     def test_pauli_model_yields_table(self):
-        eng = TrajectoryEngine(trajectories=4, seed=0)
         noise = NoiseModel.depolarizing(
             p1q=0.01, p2q=0.02, gates_1q=("h",)
         )
-        table = eng._pauli_site_table(bell(), noise)
-        assert table is not None
+        program = compile_circuit(bell(), noise)
+        assert program.pauli_only
         # h gets one 1q site; cx gets one 2q site.
-        assert len(table) == 2
-        assert len(table[0]) == 1 and len(table[1]) == 1
-        qubits, labels, cond, e = table[1][0]
-        assert qubits == (0, 1)
-        assert len(labels) == 15
-        assert cond.sum() == pytest.approx(1.0)
+        sites = [op for _, op in program.pauli_sites()]
+        assert [op.qubits for op in sites] == [(0,), (0, 1)]
+        assert len(sites[1].labels) == 15
+        assert sites[1].cond.sum() == pytest.approx(1.0)
 
     def test_kraus_model_disables_split(self):
-        eng = TrajectoryEngine(trajectories=4, seed=0)
         noise = NoiseModel().add_all_qubit_quantum_error(
             amplitude_damping_error(0.1), ["h"]
         )
-        assert eng._pauli_site_table(bell(), noise) is None
+        assert not compile_circuit(bell(), noise).pauli_only
 
     def test_1q_error_on_2q_gate_expands_to_two_sites(self):
-        eng = TrajectoryEngine(trajectories=4, seed=0)
         noise = NoiseModel().add_all_qubit_quantum_error(
             depolarizing_error(0.01, 1), ["cx"]
         )
-        table = eng._pauli_site_table(bell(), noise)
-        assert len(table[1]) == 2
+        sites = compile_circuit(bell(), noise).pauli_sites()
+        assert [op.qubits for _, op in sites] == [(0,), (1,)]
 
     def test_zero_rate_sites_dropped(self):
-        eng = TrajectoryEngine(trajectories=4, seed=0)
         err = PauliError(["I"], [1.0])
         noise = NoiseModel().add_all_qubit_quantum_error(err, ["h", "cx"])
-        table = eng._pauli_site_table(bell(), noise)
-        assert all(len(entries) == 0 for entries in table)
+        assert compile_circuit(bell(), noise).pauli_sites() == []
 
 
 class TestSplitCorrectness:
