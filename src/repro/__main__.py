@@ -31,8 +31,14 @@ def _cmd_info(args) -> int:
 
     import repro
     from repro.experiments import SCALES, current_scale
+    from repro.runtime.blas import blas_info
 
     print(f"repro {repro.__version__} (numpy {numpy.__version__})")
+    blas = blas_info()
+    if blas is None:
+        print("blas: no OpenBLAS found (thread count not managed)")
+    else:
+        print(f"blas: {blas['library']} ({blas['threads']} thread(s))")
     print(f"active scale: {current_scale()}")
     for s in SCALES.values():
         print(f"  available: {s}")
@@ -299,6 +305,9 @@ def _cmd_cache_stats(args) -> int:
 
 def main(argv=None) -> int:
     """Parse arguments and dispatch to a subcommand."""
+    from repro.runtime.blas import cap_blas_threads
+
+    cap_blas_threads()
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Noisy approximate quantum Fourier arithmetic "

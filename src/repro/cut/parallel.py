@@ -8,7 +8,7 @@ Runners execute a job list and return results in order:
 * :class:`SerialRunner` — in-process, the default;
 * :class:`PoolRunner` — a ``ProcessPoolExecutor`` with chunk size 1,
   so fragments genuinely spread over cores (jobs are picklable by
-  construction);
+  construction), each worker on one BLAS thread;
 * :class:`FabricRunner` — ships each job to a ``repro-serve`` /
   ``repro.fabric.worker`` fleet over the existing ``POST /v1/work``
   endpoint (payload ``kind`` distinguishes fragment jobs from sweep
@@ -22,7 +22,6 @@ no shared memory: :func:`job_to_wire` / :func:`job_from_wire` /
 
 from __future__ import annotations
 
-import concurrent.futures
 import http.client
 import json
 import os
@@ -35,6 +34,7 @@ import numpy as np
 from ..circuits.qasm import from_qasm, to_qasm
 from ..fabric.wire import WORK_PATH
 from ..noise.model import NoiseModel
+from ..runtime.blas import process_pool
 from . import stats
 from .fragments import ValueJob, VariantJob, run_value_job, run_variant_job
 
@@ -103,9 +103,7 @@ class PoolRunner:
         if len(jobs) <= 1:
             return SerialRunner().run(jobs)
         payloads = [job_to_wire(job) for job in jobs]
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(self.workers, len(jobs))
-        ) as pool:
+        with process_pool(min(self.workers, len(jobs))) as pool:
             tagged = list(
                 pool.map(_run_wire_job_with_pid, payloads, chunksize=1)
             )

@@ -117,6 +117,9 @@ async def _serve(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[list] = None) -> int:
+    from ..runtime.blas import cap_blas_threads
+
+    cap_blas_threads()
     args = build_parser().parse_args(argv)
     try:
         return asyncio.run(_serve(args))

@@ -38,6 +38,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
+from .blas import process_pool
 from .errors import CellTimeoutError, classify_retryable
 
 __all__ = [
@@ -198,7 +199,7 @@ class Supervisor:
         self.clock = clock
         self.sleep = sleep
         self._pool_factory = pool_factory or (
-            lambda: ProcessPoolExecutor(max_workers=self.workers)
+            lambda: process_pool(self.workers)
         )
         #: Pool re-creations performed during the last :meth:`run`.
         self.pool_respawns = 0

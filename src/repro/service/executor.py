@@ -20,7 +20,7 @@ from __future__ import annotations
 import asyncio
 import time
 from concurrent.futures import Executor as _FuturesExecutor
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from functools import lru_cache
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
@@ -30,6 +30,7 @@ import numpy as np
 from ..experiments.runner import build_compiled_program, noise_model_for
 from ..metrics.success import evaluate_instance
 from ..runtime import sanitizer
+from ..runtime.blas import process_pool
 from ..runtime.envutil import env_flag
 from ..runtime.supervisor import RetryPolicy
 from ..sim.batch import TrajectoryTask, run_request_tasks
@@ -369,7 +370,7 @@ class SimulationExecutor:
 
     def _make_pool(self) -> _FuturesExecutor:
         if self.workers > 0 and not self.degraded:
-            return ProcessPoolExecutor(max_workers=self.workers)
+            return process_pool(self.workers)
         return ThreadPoolExecutor(
             max_workers=max(1, self.concurrency),
             thread_name_prefix="repro-exec",

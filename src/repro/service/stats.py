@@ -28,7 +28,9 @@ def cache_stats_snapshot(
       :func:`repro.experiments.runner.build_compiled_program`;
     * ``ptm_cache`` — the PTM engine's bound-plan cache;
     * ``backend`` — the active :mod:`repro.sim.backend` tier (name,
-      kernel tag, dtype, and the ``REPRO_BACKEND`` value requested);
+      kernel tag, dtype, and the ``REPRO_BACKEND`` value requested),
+      plus ``blas``: the OpenBLAS library basename and its thread
+      count in this process (``None`` when no OpenBLAS is found);
     * ``cut`` — the circuit-cutting subsystem's counters (plans found,
       fragments compiled, variants evaluated, job routing);
     * ``fusion`` — the cross-request fusion gate's process-wide
@@ -45,6 +47,7 @@ def cache_stats_snapshot(
         build_arithmetic_circuit,
         build_compiled_program,
     )
+    from ..runtime.blas import blas_info
     from ..runtime.envutil import env_str
     from ..sim.backend import BACKEND_ENV, DEFAULT_BACKEND, active_backend
     from ..cut import cut_stats
@@ -63,6 +66,7 @@ def cache_stats_snapshot(
 
     backend = active_backend().describe()
     backend["requested"] = env_str(BACKEND_ENV, DEFAULT_BACKEND).lower()
+    backend["blas"] = blas_info()
     snapshot: Dict[str, Any] = {
         "backend": backend,
         "compile_cache": compile_cache_stats().as_dict(),

@@ -483,8 +483,10 @@ class DenseOp(ProgramOp):
     """A dense 1q gate applied as a broadcast (2,2) matmul.
 
     Beats the four-add split kernel once the inner stride ``2**q`` is
-    large enough for BLAS to win (measured crossover around ``q = 4``);
-    lowering only emits this op above the crossover.
+    large enough for BLAS to win; lowering only emits this op for
+    ``q >= _DENSE_MATMUL_MIN_QUBIT`` (6, inner stride 64).  That
+    crossover was measured with threaded BLAS, before repro's
+    processes ran OpenBLAS on one thread (see docs/simulation.md).
     """
 
     __slots__ = ("term",)

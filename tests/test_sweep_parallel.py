@@ -71,9 +71,9 @@ class TestSweepEdges:
         import repro.runtime.supervisor as sup_mod
 
         def forbidden(*a, **k):
-            raise AssertionError("ProcessPoolExecutor built for 1 cell")
+            raise AssertionError("process pool built for 1 cell")
 
-        monkeypatch.setattr(sup_mod, "ProcessPoolExecutor", forbidden)
+        monkeypatch.setattr(sup_mod, "process_pool", forbidden)
         res = run_sweep(
             _cfg(error_rates=(0.05,), depths=(None,)), workers=8
         )
