@@ -63,7 +63,7 @@ def _percentile(sorted_values, q):
 
 
 def test_service_load_smoke(artifact_dir, monkeypatch):
-    real = executor_mod.simulate_counts
+    real = executor_mod.run_request_tasks
     hold_mode = {"on": True}
 
     def paced(*args, **kwargs):
@@ -73,7 +73,7 @@ def test_service_load_smoke(artifact_dir, monkeypatch):
             time.sleep(0.5)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(executor_mod, "simulate_counts", paced)
+    monkeypatch.setattr(executor_mod, "run_request_tasks", paced)
     service = ArithmeticService(
         executor=SimulationExecutor(workers=0, concurrency=8),
         cache=ResultCache(ttl=0),

@@ -3,8 +3,10 @@
 
 Boots an in-process server, drives the blocking client through a QFA
 request round trip (miss -> hit), checks the determinism contract, and
-scrapes ``/healthz``, ``/stats`` and ``/metrics``.  A second,
-fusion-enabled server then exercises the ``/v1/sweep`` streaming path
+scrapes ``/healthz``, ``/stats`` and ``/metrics``.  A noisy
+trajectory request must return identical counts from a server with the
+fusion window at 0 and from a fusion-enabled one.  A fusion-enabled
+server then exercises the ``/v1/sweep`` streaming path
 (per-cell partials consumed as they complete) and the mid-stream
 disconnect contract (the server cancels orphaned queued cells without
 poisoning shared state).  Exits non-zero on any violated expectation —
@@ -84,6 +86,7 @@ def main() -> int:
                 fail(f"/metrics missing {needle!r}")
         print(f"[smoke] /metrics: {len(metrics.splitlines())} series lines")
 
+    _fusion_parity_smoke(dict(request))
     _sweep_streaming_smoke(dict(request))
     _disconnect_smoke(dict(request))
     print("[smoke] service smoke passed")
@@ -111,6 +114,23 @@ def _fused_server(window_ms: float, min_batch: int) -> "object":
             ),
         )
     )
+
+
+def _fusion_parity_smoke(request: dict) -> None:
+    """Window 0 and a fusion-enabled window return identical counts."""
+    from repro.service import ServiceClient
+
+    responses = {}
+    for window_ms in (0, 25):
+        with _fused_server(window_ms=window_ms, min_batch=1) as srv:
+            client = ServiceClient(*srv.address, timeout=120)
+            responses[window_ms] = client.simulate(dict(request))
+    plain, fused = responses[0], responses[25]
+    if (plain.cache, fused.cache) != ("miss", "fused"):
+        fail(f"expected miss/fused, got {plain.cache!r}/{fused.cache!r}")
+    if plain.counts != fused.counts:
+        fail("fused counts differ from the window-0 server's")
+    print("[smoke] fusion parity: window 0 and fused counts bit-identical")
 
 
 def _sweep_streaming_smoke(request: dict) -> None:

@@ -9,9 +9,9 @@ rules keep the seam from eroding:
 * **DTYPE001 backend-bypass-alloc** — a direct NumPy allocation
   (``np.zeros``/``empty``/``asarray``/...) with a *literal* complex
   dtype argument inside :mod:`repro.sim`.  Such an array is pinned to
-  one precision tier no matter which backend is active; route the
-  allocation through the backend (or ``as_complex`` for exact-contract
-  wrappers) instead.
+  one precision tier no matter which backend is active; allocate at
+  ``resolve_complex_dtype(dtype)`` (or through ``as_complex`` for
+  exact-contract wrappers) instead.
 * **DTYPE002 complex-dtype-literal** — any other ``np.complex128`` /
   ``np.complex64`` literal in :mod:`repro.sim` outside ``backend.py``.
   Dtype literals outside the seam drift: comparisons and casts should
@@ -30,7 +30,7 @@ from .modinfo import AuditModule, RawFinding, dotted_name
 
 __all__ = ["check_dtype", "DTYPE_ZONE_PREFIXES", "DTYPE_EXEMPT_MODULES"]
 
-#: Modules whose allocations must route through the ArrayBackend.
+#: Modules whose allocations must take their dtype from the ArrayBackend.
 DTYPE_ZONE_PREFIXES = ("repro.sim", "repro.cut")
 
 #: The dtype-policy seam itself: the only sim module allowed to name
@@ -105,10 +105,9 @@ def check_dtype(mod: AuditModule) -> List[RawFinding]:
                         f"dtype, bypassing the ArrayBackend"
                     ),
                     fix_hint=(
-                        "allocate through repro.sim.backend (backend "
-                        "zeros/empty/asarray, as_complex, or "
-                        "resolve_complex_dtype) so precision tiers "
-                        "apply"
+                        "allocate at repro.sim.backend."
+                        "resolve_complex_dtype(dtype) (or convert with "
+                        "as_complex) so precision tiers apply"
                     ),
                 )
             )

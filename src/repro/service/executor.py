@@ -1,11 +1,14 @@
 """The service's worker tier: compiled-program execution with retries.
 
-One request executes exactly the batch harness's hot path —
-:func:`repro.experiments.runner.build_compiled_program` (two-level
+Every request runs through one function, :func:`_execute_fused_batch`;
+a solo request is a batch of one.  Noisy trajectory requests become
+:class:`~repro.sim.batch.TrajectoryTask`\\ s and share one
+:func:`~repro.sim.batch.run_request_tasks` pass; every other request
+runs :func:`repro.experiments.runner.build_compiled_program` (two-level
 compile cache + kernel cache underneath) feeding
-:func:`repro.sim.engines.simulate_counts` — wrapped in the runtime
-supervisor's recovery semantics: bounded attempts with exponential
-backoff, a per-attempt wall-clock timeout, and
+:func:`repro.sim.engines.simulate_counts`.  One retry ladder wraps it
+with the runtime supervisor's recovery semantics: bounded attempts
+with exponential backoff, a per-attempt wall-clock timeout, and
 ``BrokenProcessPool`` respawn with degradation to in-process threads
 once the respawn budget is exhausted (mirroring
 :class:`repro.runtime.supervisor.Supervisor`).
@@ -31,10 +34,10 @@ from ..experiments.runner import build_compiled_program, noise_model_for
 from ..metrics.success import evaluate_instance
 from ..runtime import sanitizer
 from ..runtime.blas import process_pool
-from ..runtime.envutil import env_flag
 from ..runtime.supervisor import RetryPolicy
 from ..sim.batch import TrajectoryTask, run_request_tasks
 from ..sim.engines import DENSITY_MAX_QUBITS, simulate_counts
+from ..sim.result import Counts
 from .model import RequestValidationError, SimRequest
 
 if TYPE_CHECKING:  # pragma: no cover — annotation-only import
@@ -104,106 +107,17 @@ def lint_gate(request: SimRequest) -> None:
         raise CircuitRejected(errors)
 
 
-def _execute_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Run one request end to end (top level: picklable for pools).
-
-    Returns the result-determining slice of the response as plain
-    JSON-able values; the server layers cache/queue bookkeeping on top.
-    """
-    request = SimRequest.from_dict(payload)
-    if sanitizer.enabled():
-        with sanitizer.capture() as events:
-            with sanitizer.trace_scope(request.content_key()):
-                result = _execute_payload_inner(request)
-        result["sanitizer_events"] = [list(e) for e in events]
-        return result
-    return _execute_payload_inner(request)
-
-
-def _execute_payload_inner(request: SimRequest) -> Dict[str, Any]:
-    t0 = time.perf_counter()
-    method = request.method
-    if method == "cut":
-        # Fragment evaluation lowers each fragment variant through
-        # compile_circuit itself; the full-width compiled program is
-        # never built (that is the point — its kernels would be as wide
-        # as the statevector we are avoiding).
-        from ..experiments.runner import build_arithmetic_circuit
-
-        target: Any = build_arithmetic_circuit(
-            request.operation, request.n, request.m, request.depth
-        )
-        fingerprint = ""
-    else:
-        program = build_compiled_program(
-            request.operation,
-            request.n,
-            request.m,
-            request.depth,
-            request.error_axis,
-            request.error_rate,
-            request.convention,
-        )
-        target = program
-        fingerprint = program.fingerprint
-    noise = noise_model_for(
-        request.error_axis, request.error_rate, request.convention
-    )
-    t_compile = time.perf_counter()
-    instance = request.instance()
-    if noise.is_ideal and method in ("auto", "trajectory"):
-        # Mirror the batch runner: an ideal point is exact — never
-        # spend trajectories on it (an explicit density/perturbative
-        # request is honoured).
-        method = "statevector"
-    # Fresh stream per attempt: retries and coalesced duplicates replay
-    # bit-identically from (seed, content_key).
-    rng = np.random.default_rng(request.rng_seed())
-    counts = simulate_counts(
-        target,
-        noise,
-        shots=request.shots,
-        method=method,
-        trajectories=request.trajectories,
-        rng=rng,
-        initial_state=instance.initial_statevector(),
-        # Opt-in error-configuration dedup (exact, but a different —
-        # equally valid — random stream than the default path, so it is
-        # a deployment-wide switch rather than a per-request knob:
-        # toggling it must not split the result cache's key space).
-        dedup=env_flag("REPRO_SERVICE_DEDUP", False),
-    )
-    t_sim = time.perf_counter()
-    outcome = evaluate_instance(counts, instance.correct_outcomes())
-    correct = sum(counts.get(o) for o in instance.correct_outcomes())
-    return {
-        "content_key": request.content_key(),
-        "counts": {int(k): int(v) for k, v in counts.items()},
-        "num_qubits": counts.num_qubits,
-        "shots": request.shots,
-        "method": counts.method or method,
-        "program_fingerprint": fingerprint,
-        "seed": request.seed,
-        "success": bool(outcome.success),
-        "min_diff": int(outcome.min_diff),
-        "success_probability": correct / max(1, counts.shots),
-        "timings_ms": {
-            "compile": (t_compile - t0) * 1000.0,
-            "simulate": (t_sim - t_compile) * 1000.0,
-        },
-    }
-
-
 def fusion_eligible(request: SimRequest) -> bool:
     """Whether a request may ride the cross-request fusion tier.
 
-    Cheap, request-shape-only screen used at admission: noisy
-    trajectory work (explicit, or what ``method="auto"`` will resolve
-    to once the width rules out density simulation).  The batch
-    executor re-checks against the *compiled program* (Pauli-only
-    sites, resolved method) and falls back to the per-request path for
-    any survivor that turns out not to fit — eligibility here may
-    over-approximate, never under-deliver.
+    Cheap, request-shape-only screen used at admission and again inside
+    the batch executor before anything is compiled: noisy trajectory
+    work (explicit, or what ``method="auto"`` will resolve to once the
+    width rules out density simulation).  The batch executor re-checks
+    survivors against the *compiled program* (Pauli-only sites,
+    resolved method) and runs any that turn out not to fit through
+    :func:`~repro.sim.engines.simulate_counts` instead — eligibility
+    here may over-approximate, never under-deliver.
     """
     if request.error_rate <= 0.0:
         return False
@@ -220,14 +134,8 @@ def _fused_task_for(request: SimRequest) -> Optional[TrajectoryTask]:
 
     ``None`` means the compiled program refused the trajectory
     scheduler (non-Pauli noise, no noise sites, or ``auto`` resolving
-    to an exact method) — the caller then runs the request through the
-    ordinary per-request path inside the same batch.
+    to an exact method).
     """
-    noise = noise_model_for(
-        request.error_axis, request.error_rate, request.convention
-    )
-    if noise.is_ideal:
-        return None
     program = build_compiled_program(
         request.operation,
         request.n,
@@ -246,104 +154,183 @@ def _fused_task_for(request: SimRequest) -> Optional[TrajectoryTask]:
         program=program,
         shots=request.shots,
         trajectories=request.trajectories,
-        # Fresh stream from (seed, content_key), exactly as the
-        # per-request path builds it — fusion must be bit-invisible.
+        # Fresh stream per attempt: retries and coalesced duplicates
+        # replay bit-identically from (seed, content_key).
         rng=np.random.default_rng(request.rng_seed()),
         initial_state=request.instance().initial_statevector(),
+    )
+
+
+def _response(
+    request: SimRequest,
+    counts: Counts,
+    fingerprint: str,
+    compile_s: float,
+    simulate_s: float,
+) -> Dict[str, Any]:
+    """The result-determining slice of one request's response."""
+    correct_outcomes = request.instance().correct_outcomes()
+    outcome = evaluate_instance(counts, correct_outcomes)
+    correct = sum(counts.get(o) for o in correct_outcomes)
+    return {
+        "content_key": request.content_key(),
+        "counts": {int(k): int(v) for k, v in counts.items()},
+        "num_qubits": counts.num_qubits,
+        "shots": request.shots,
+        "method": counts.method,
+        "program_fingerprint": fingerprint,
+        "seed": request.seed,
+        "success": bool(outcome.success),
+        "min_diff": int(outcome.min_diff),
+        "success_probability": correct / max(1, counts.shots),
+        "timings_ms": {
+            "compile": compile_s * 1000.0,
+            "simulate": simulate_s * 1000.0,
+        },
+    }
+
+
+def _run_alone(request: SimRequest) -> Dict[str, Any]:
+    """One request through :func:`~repro.sim.engines.simulate_counts`.
+
+    Everything the trajectory scheduler does not take: exact methods,
+    ``cut``, ideal points and non-Pauli noise.
+    """
+    t0 = time.perf_counter()
+    method = request.method
+    if method == "cut":
+        # Fragment evaluation lowers each fragment variant through
+        # compile_circuit itself; the full-width compiled program is
+        # never built (that is the point — its kernels would be as wide
+        # as the statevector we are avoiding).
+        from ..experiments.runner import build_arithmetic_circuit
+
+        target: Any = build_arithmetic_circuit(
+            request.operation, request.n, request.m, request.depth
+        )
+        fingerprint = ""
+    else:
+        target = build_compiled_program(
+            request.operation,
+            request.n,
+            request.m,
+            request.depth,
+            request.error_axis,
+            request.error_rate,
+            request.convention,
+        )
+        fingerprint = target.fingerprint
+    noise = noise_model_for(
+        request.error_axis, request.error_rate, request.convention
+    )
+    t_compile = time.perf_counter()
+    if noise.is_ideal and method in ("auto", "trajectory"):
+        # Mirror the batch runner: an ideal point is exact — never
+        # spend trajectories on it (an explicit density/perturbative
+        # request is honoured).
+        method = "statevector"
+    counts = simulate_counts(
+        target,
+        noise,
+        shots=request.shots,
+        method=method,
+        trajectories=request.trajectories,
+        # Fresh stream per attempt, as for scheduler tasks.
+        rng=np.random.default_rng(request.rng_seed()),
+        initial_state=request.instance().initial_statevector(),
+    )
+    t_sim = time.perf_counter()
+    return _response(
+        request, counts, fingerprint, t_compile - t0, t_sim - t_compile
     )
 
 
 def _execute_fused_batch(payloads: List[Dict[str, Any]]) -> Dict[str, Any]:
     """Run one micro-batch of requests (top level: picklable for pools).
 
-    All fusable requests share a single
+    The service's one execution function; a solo request is a batch of
+    one.  All fusable requests share a single
     :func:`repro.sim.batch.run_request_tasks` pass — one chunked state
     buffer per fusion group, kernel caches and error-configuration
-    dedup shared across tenants — while requests that compile out of
-    the trajectory scheduler fall back to the per-request path inside
-    the same call.  Returns ``{"results": [...]}`` with one
-    response-shaped payload per request in input order; batch-level
-    sanitizer events ride home under ``"sanitizer_events"``.
+    dedup shared across tenants — while every other request runs alone
+    through :func:`_run_alone` inside the same call.  Returns
+    ``{"results": [...]}`` with one response-shaped payload per request
+    in input order; batch-level sanitizer events ride home under
+    ``"sanitizer_events"``.
 
-    Per-request results are bit-identical to running each request
-    alone through the dedup path: every task draws from its own
+    Per-request results are bit-identical whether a request ran alone
+    or fused with neighbours: every task draws from its own
     ``(seed, content_key)`` stream in a fixed order, so batch
     membership and chunk geometry never leak into results.
     """
     if sanitizer.enabled():
         with sanitizer.capture() as events:
-            results = _execute_fused_batch_inner(payloads)
+            results = _run_batch(payloads)
         return {
             "results": results,
             "sanitizer_events": [list(e) for e in events],
         }
-    return {"results": _execute_fused_batch_inner(payloads)}
+    return {"results": _run_batch(payloads)}
 
 
-def _execute_fused_batch_inner(
-    payloads: List[Dict[str, Any]],
-) -> List[Dict[str, Any]]:
+def _execute_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """Run one request end to end: :func:`_execute_fused_batch` of one.
+
+    Returns the request's result payload, carrying the batch's
+    sanitizer events (if any) under ``"sanitizer_events"``.
+    """
+    doc = _execute_fused_batch([payload])
+    result = doc["results"][0]
+    if "sanitizer_events" in doc:
+        result["sanitizer_events"] = doc["sanitizer_events"]
+    return result
+
+
+def _run_batch(payloads: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
     t0 = time.perf_counter()
     requests = [SimRequest.from_dict(p) for p in payloads]
-    results: List[Optional[Dict[str, Any]]] = [None] * len(requests)
+    results: List[Dict[str, Any]] = [{} for _ in requests]
     fused: List[Tuple[int, SimRequest, TrajectoryTask]] = []
     for i, request in enumerate(requests):
-        task = _fused_task_for(request)
+        # Screen before compiling: a cut request must never build the
+        # full-width program it exists to avoid, and exact methods have
+        # no scheduler task to compile for.
+        task = _fused_task_for(request) if fusion_eligible(request) else None
         if task is None:
             with sanitizer.trace_scope(request.content_key()):
-                results[i] = _execute_payload_inner(request)
-            continue
-        fused.append((i, request, task))
+                results[i] = _run_alone(request)
+        else:
+            fused.append((i, request, task))
+    if not fused:
+        return results
     t_compile = time.perf_counter()
-    if fused:
-        task_results = run_request_tasks(
-            [task for _, _, task in fused], fuse=True, dedup=True
-        )
-        t_sim = time.perf_counter()
-        compile_ms = (t_compile - t0) * 1000.0
-        simulate_ms = (t_sim - t_compile) * 1000.0
-        for i, request, task in fused:
-            task_result = task_results[task.key]
-            counts = task_result.counts
-            counts.method = "trajectory"
-            if sanitizer.enabled():
-                # Mirror the per-request engine's ``counts`` event so
-                # fused and unfused traces compare equal on the
-                # portable stages (keys are content keys either way).
-                sanitizer.record(
-                    "counts",
-                    {
-                        "data": dict(counts.items()),
-                        "num_qubits": counts.num_qubits,
-                        "method": counts.method,
-                    },
-                    key=request.content_key(),
-                )
-            instance = request.instance()
-            outcome = evaluate_instance(counts, instance.correct_outcomes())
-            correct = sum(
-                counts.get(o) for o in instance.correct_outcomes()
-            )
-            results[i] = {
-                "content_key": request.content_key(),
-                "counts": {int(k): int(v) for k, v in counts.items()},
-                "num_qubits": counts.num_qubits,
-                "shots": request.shots,
-                "method": counts.method,
-                "program_fingerprint": task.program.fingerprint,
-                "seed": request.seed,
-                "success": bool(outcome.success),
-                "min_diff": int(outcome.min_diff),
-                "success_probability": correct / max(1, counts.shots),
-                # Batch-level costs: compile covers task construction
-                # for the whole group, simulate the shared scheduler
-                # pass (identical for every member by construction).
-                "timings_ms": {
-                    "compile": compile_ms,
-                    "simulate": simulate_ms,
+    task_results = run_request_tasks([task for _, _, task in fused])
+    t_sim = time.perf_counter()
+    for i, request, task in fused:
+        counts = task_results[task.key].counts
+        counts.method = "trajectory"
+        if sanitizer.enabled():
+            # The same ``counts`` event simulate_counts records for a
+            # request run alone, keyed by the request's content key.
+            sanitizer.record(
+                "counts",
+                {
+                    "data": dict(counts.items()),
+                    "num_qubits": counts.num_qubits,
+                    "method": counts.method,
                 },
-            }
-    return [r for r in results if r is not None]
+                key=request.content_key(),
+            )
+        # Batch-level costs: compile covers task construction for the
+        # whole batch, simulate the shared scheduler pass.
+        results[i] = _response(
+            request,
+            counts,
+            task.program.fingerprint,
+            t_compile - t0,
+            t_sim - t_compile,
+        )
+    return results
 
 
 class SimulationExecutor:
@@ -394,51 +381,14 @@ class SimulationExecutor:
         }
 
     async def run(self, request: SimRequest) -> Dict[str, Any]:
-        """Execute ``request`` with retries; returns the result payload."""
-        payload = request.to_dict()
-        loop = asyncio.get_running_loop()
-        last_error = "unknown"
-        for attempt in range(1, self.retry.max_attempts + 1):
-            try:
-                future = loop.run_in_executor(
-                    self._pool, _execute_payload, payload
-                )
-                if self.retry.timeout is not None:
-                    result = await asyncio.wait_for(
-                        future, self.retry.timeout
-                    )
-                else:
-                    result = await future
-                # Worker-side sanitizer events ride home on the result
-                # (that is how they cross the process boundary); fold
-                # them into the parent trace and keep the response
-                # payload tier-independent.
-                events = result.pop("sanitizer_events", None)
-                if events:
-                    sanitizer.merge_events(events)
-                return result
-            except (RequestValidationError, ValueError):
-                # Deterministic input errors cannot succeed on retry.
-                raise
-            except BrokenProcessPool as exc:
-                last_error = f"BrokenProcessPool: {exc}"
-                self._respawn()
-            except asyncio.TimeoutError:
-                last_error = (
-                    f"timeout after {self.retry.timeout}s "
-                    f"(attempt {attempt})"
-                )
-            except Exception as exc:  # noqa: BLE001 — ladder mirrors Supervisor
-                last_error = f"{type(exc).__name__}: {exc}"
-            if attempt < self.retry.max_attempts:
-                await asyncio.sleep(self.retry.backoff(attempt))
-        raise ExecutionFailed(self.retry.max_attempts, last_error)
+        """Execute ``request`` with retries: a batch of one."""
+        return (await self.run_batch([request]))[0]
 
     async def run_batch(
         self, requests: List[SimRequest]
     ) -> List[Dict[str, Any]]:
-        """Execute a fused micro-batch with the same retry ladder as
-        :meth:`run`; returns one result payload per request, in order.
+        """Execute a micro-batch with the retry ladder; returns one
+        result payload per request, in order.
 
         The whole batch is one unit of work (that is the point — the
         scheduler pass is shared), so the whole batch retries together;
@@ -456,11 +406,16 @@ class SimulationExecutor:
                     doc = await asyncio.wait_for(future, self.retry.timeout)
                 else:
                     doc = await future
+                # Worker-side sanitizer events ride home on the result
+                # (that is how they cross the process boundary); fold
+                # them into the parent trace and keep the response
+                # payloads tier-independent.
                 events = doc.get("sanitizer_events")
                 if events:
                     sanitizer.merge_events(events)
                 return list(doc["results"])
             except (RequestValidationError, ValueError):
+                # Deterministic input errors cannot succeed on retry.
                 raise
             except BrokenProcessPool as exc:
                 last_error = f"BrokenProcessPool: {exc}"

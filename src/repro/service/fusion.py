@@ -14,8 +14,8 @@ error-configuration dedup.
 Correctness contract: fusion is **bit-invisible per request**.  Every
 request's task draws from its own ``(seed, content_key)`` stream in
 the scheduler's fixed per-task order, so the counts a request receives
-are identical whether it ran alone (per-request dedup path) or fused
-with a hundred neighbours — batch membership and chunk geometry never
+are identical whether it ran alone (a batch of one) or fused with a
+hundred neighbours — batch membership and chunk geometry never
 leak into results.  The sanitizer-trace parity tests pin this.
 
 Fairness: admission into a flush is deficit-round-robin (DRR) over

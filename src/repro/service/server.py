@@ -110,8 +110,8 @@ class ArithmeticService:
         self.cache = cache if cache is not None else ResultCache()
         # Default gate reads the REPRO_FUSION_* knobs; with
         # REPRO_FUSION_WINDOW_MS unset/0 it is inert and every request
-        # takes the per-request path, byte-identically to a build
-        # without the gate.
+        # runs as a batch of one, byte-identically to a build without
+        # the gate.
         self.fusion = fusion if fusion is not None else FusionGate(
             self.executor, metrics=self.metrics, cache=self.cache
         )

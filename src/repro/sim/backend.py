@@ -1,8 +1,9 @@
 """Pluggable array-backend strategy: dtype tiers.
 
 Every layer that allocates simulation state — statevector batches,
-density operators, trajectory chunks, compiled-kernel vectors — routes
-through one :class:`ArrayBackend` so precision tiers slot in behind a
+density operators, trajectory chunks, compiled-kernel vectors — takes
+its dtype from one :class:`ArrayBackend` (via
+:func:`resolve_complex_dtype`) so precision tiers slot in behind a
 single seam (quantumsim's backend hierarchy is the model: one
 interface, swappable kernels underneath).
 
@@ -97,41 +98,17 @@ def as_complex(data: Any, dtype: Any = None) -> np.ndarray:
 class ArrayBackend:
     """One NumPy complex-dtype strategy.
 
-    Owns allocation policy for simulation state; ``tag`` is the
-    kernel-cache key component.
+    ``complex_dtype`` is the state dtype engines allocate at (through
+    :func:`resolve_complex_dtype`); ``tag`` is the kernel-cache key
+    component.
     """
 
-    __slots__ = ("name", "complex_dtype", "real_dtype", "tag")
+    __slots__ = ("name", "complex_dtype", "tag")
 
-    def __init__(self, name: str, complex_dtype: Any, real_dtype: Any) -> None:
+    def __init__(self, name: str, complex_dtype: Any) -> None:
         self.name = name
         self.complex_dtype = complex_dtype
-        self.real_dtype = real_dtype
         self.tag = dtype_tag(complex_dtype)
-
-    # -- allocation policy ------------------------------------------------
-    def zeros(self, shape: Any) -> np.ndarray:
-        """A zeroed complex array of this backend's dtype."""
-        return np.zeros(shape, dtype=self.complex_dtype)
-
-    def empty(self, shape: Any) -> np.ndarray:
-        """An uninitialised complex array of this backend's dtype."""
-        return np.empty(shape, dtype=self.complex_dtype)
-
-    def ones(self, shape: Any) -> np.ndarray:
-        """A ones complex array of this backend's dtype."""
-        return np.ones(shape, dtype=self.complex_dtype)
-
-    def zeros_real(self, shape: Any) -> np.ndarray:
-        """A zeroed real array of this backend's real dtype."""
-        return np.zeros(shape, dtype=self.real_dtype)
-
-    def asarray(self, data: Any) -> np.ndarray:
-        """Convert ``data`` to this backend's complex dtype."""
-        return np.asarray(data, dtype=self.complex_dtype)
-
-    def empty_like(self, a: Any) -> np.ndarray:
-        return np.empty_like(a)
 
     def describe(self) -> Dict[str, Any]:
         """Operator-facing summary (surfaced in ``/stats``)."""
@@ -155,9 +132,9 @@ _BACKENDS: Dict[str, ArrayBackend] = {}
 
 def _build_backend(name: str) -> ArrayBackend:
     if name == "numpy64":
-        return ArrayBackend("numpy64", np.complex128, np.float64)
+        return ArrayBackend("numpy64", np.complex128)
     if name == "numpy32":
-        return ArrayBackend("numpy32", np.complex64, np.float32)
+        return ArrayBackend("numpy32", np.complex64)
     raise ValueError(
         f"unknown backend {name!r}; expected one of {list(BACKEND_NAMES)}"
     )

@@ -1,4 +1,7 @@
-"""Batched trajectory scheduling for fused service requests: fusion, dedup.
+"""Batched trajectory scheduling for service requests: fusion, dedup.
+
+Every noisy trajectory request the service runs goes through this
+module, a solo request as a batch of one.
 
 Concurrent service requests often share one compiled circuit skeleton
 (a rate-only sweep streamed as requests), and at the paper's sparse
@@ -34,8 +37,8 @@ per site), then outcome sampling (shot spreading, one multinomial per
 trajectory row, readout flips) — and per-row state arithmetic never
 depends on which other rows share a buffer (firing rows advance through
 kernel-cached *partial* monomials split at their own fire positions
-only).  Consequently ``fuse``/``dedup`` toggles and chunk geometry are
-bit-invisible.
+only).  Consequently batch membership, the reference
+``dedup=False`` mode and chunk geometry are bit-invisible.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ import numpy as np
 from ..runtime import sanitizer
 from ..runtime.envutil import env_mb_bytes
 from ..runtime.health import check_norms, norm_tolerance
-from .backend import get_backend, resolve_complex_dtype
+from .backend import resolve_complex_dtype
 from .ops import BitCache, apply_pauli_string_rows, probabilities
 from .program import CompiledProgram, _mono_apply_rows
 from .result import Counts
@@ -231,12 +234,15 @@ class _TaskPlan:
 class FusedTrajectoryScheduler:
     """Executes :class:`TrajectoryTask`\\ s with fusion and dedup.
 
+    Rows of tasks whose programs share a ``fusion_key`` are packed into
+    shared state buffers.
+
     Parameters
     ----------
-    fuse:
-        Pack rows of fusion-compatible tasks into shared state buffers.
     dedup:
         Simulate each distinct error configuration once per task.
+        ``False`` simulates every trajectory row; it is the reference
+        the bit-invariance tests compare against.
     max_batch_rows:
         Chunk-height ceiling; default derives from the ``REPRO_BATCH_MB``
         byte budget (256 MB) and the state width.
@@ -244,7 +250,6 @@ class FusedTrajectoryScheduler:
 
     def __init__(
         self,
-        fuse: bool = True,
         dedup: bool = True,
         max_batch_rows: Optional[int] = None,
         dtype=None,
@@ -253,7 +258,6 @@ class FusedTrajectoryScheduler:
             raise ValueError(
                 f"max_batch_rows must be >= 1, got {max_batch_rows}"
             )
-        self.fuse = bool(fuse)
         self.dedup = bool(dedup)
         self.max_batch_rows = max_batch_rows
         self.dtype = resolve_complex_dtype(dtype)
@@ -290,8 +294,6 @@ class FusedTrajectoryScheduler:
 
     # ------------------------------------------------------------------
     def _group(self, plans: List[_TaskPlan]) -> List[List[_TaskPlan]]:
-        if not self.fuse:
-            return [[p] for p in plans]
         groups: Dict[tuple, List[_TaskPlan]] = {}
         for p in plans:
             groups.setdefault(p.task.program.fusion_key, []).append(p)
@@ -431,14 +433,7 @@ class FusedTrajectoryScheduler:
             layouts.append((plan, height, ref, eventful))
             height += 1 + len(eventful)
 
-        # Chunk allocation goes through the backend so device tiers
-        # can swap the buffer without touching the walk below.
-        buf = (
-            get_backend().empty((height, dim))
-            if np.dtype(self.dtype)
-            == np.dtype(get_backend().complex_dtype)
-            else np.empty((height, dim), dtype=self.dtype)
-        )
+        buf = np.empty((height, dim), dtype=self.dtype)
         events: List[tuple] = [()] * height
         for plan, start, _ref, eventful in layouts:
             init = plan.task.initial_state
@@ -622,17 +617,13 @@ class FusedTrajectoryScheduler:
 
 def run_request_tasks(
     tasks: Sequence[TrajectoryTask],
-    *,
-    fuse: bool = True,
-    dedup: bool = True,
-    max_batch_rows: Optional[int] = None,
-    dtype=None,
 ) -> Dict[object, TaskResult]:
     """Execute a micro-batch of *request-owned* tasks in one scheduler pass.
 
-    This is the group-of-groups entry used by the service fusion tier:
-    ``tasks`` may mix fusion keys, shot budgets, trajectory counts and
-    initial states — the scheduler regroups by exact
+    This is the group-of-groups entry the service runs every noisy
+    trajectory request through: ``tasks`` may mix fusion keys, shot
+    budgets, trajectory counts and initial states — the scheduler
+    regroups by exact
     :attr:`~repro.sim.program.CompiledProgram.fusion_key` internally, so
     callers may batch on any coarser proxy (e.g. circuit family) without
     risking cross-key contamination.  Tasks whose keys collide must be
@@ -640,15 +631,9 @@ def run_request_tasks(
     then a no-op by the determinism contract.
 
     Per-request results are bit-identical whether a request was fused
-    with neighbours or ran alone: the draw order matches the
-    per-request ``dedup`` path exactly.
+    with neighbours or ran alone as a batch of one: each task's draws
+    come from its own stream in a fixed order.
     """
     if not tasks:
         return {}
-    scheduler = FusedTrajectoryScheduler(
-        fuse=fuse,
-        dedup=dedup,
-        max_batch_rows=max_batch_rows,
-        dtype=dtype,
-    )
-    return scheduler.run(tasks)
+    return FusedTrajectoryScheduler().run(tasks)

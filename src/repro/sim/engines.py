@@ -172,7 +172,6 @@ def simulate_counts(
     initial_state: Optional[np.ndarray] = None,
     dtype=None,
     split_clean: bool = True,
-    dedup: bool = False,
     cut=None,
 ) -> Counts:
     """Sampled measurement counts over all qubits.
@@ -185,11 +184,8 @@ def simulate_counts(
     :class:`~repro.cut.CutConfig`) and needs the raw circuit.  ``dtype=None`` resolves through the active
     :mod:`~repro.sim.backend` (``REPRO_BACKEND``).
     ``split_clean`` toggles the trajectory engine's exact ideal/erred
-    ensemble split (see :mod:`repro.sim.trajectories`); ``dedup``
-    routes Pauli-only trajectory runs through the batched scheduler,
-    which simulates each distinct error configuration once (exact, but
-    a different — equally valid — random stream).  The resolved engine
-    name is recorded as ``Counts.method``.
+    ensemble split (see :mod:`repro.sim.trajectories`).  The resolved
+    engine name is recorded as ``Counts.method``.
 
     ``circuit`` may be a precompiled
     :class:`~repro.sim.program.CompiledProgram` (e.g. from
@@ -208,7 +204,7 @@ def simulate_counts(
     if method == "trajectory":
         engine = TrajectoryEngine(
             trajectories=trajectories, rng=rng, dtype=dtype,
-            split_clean=split_clean, dedup=dedup,
+            split_clean=split_clean,
         )
         counts = engine.run(circuit, noise_model, shots, initial_state)
         counts.method = method

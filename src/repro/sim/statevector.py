@@ -13,7 +13,7 @@ import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
 from ..runtime.health import check_norms
-from .backend import as_complex, get_backend, resolve_complex_dtype
+from .backend import as_complex, resolve_complex_dtype
 from .ops import apply_instruction, probabilities
 from .program import CompiledProgram
 from .result import Distribution
@@ -30,11 +30,9 @@ def zero_state(
     :mod:`~repro.sim.backend` (``REPRO_BACKEND``); an explicit dtype
     pins the tier for this allocation.
     """
-    backend = get_backend()
-    if dtype is not None and np.dtype(dtype) != np.dtype(backend.complex_dtype):
-        state = np.zeros((batch, 1 << num_qubits), dtype=dtype)
-    else:
-        state = backend.zeros((batch, 1 << num_qubits))
+    state = np.zeros(
+        (batch, 1 << num_qubits), dtype=resolve_complex_dtype(dtype)
+    )
     state[:, 0] = 1.0
     return state
 

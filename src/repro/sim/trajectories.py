@@ -88,7 +88,6 @@ class TrajectoryEngine:
         rng: Optional[np.random.Generator] = None,
         dtype=None,
         split_clean: bool = True,
-        dedup: bool = False,
     ) -> None:
         if trajectories < 1:
             raise ValueError("trajectories must be >= 1")
@@ -97,7 +96,6 @@ class TrajectoryEngine:
         self.rng = rng if rng is not None else np.random.default_rng(seed)
         self.dtype = resolve_complex_dtype(dtype)
         self.split_clean = bool(split_clean)
-        self.dedup = bool(dedup)
         self._bits = BitCache()
 
     # ------------------------------------------------------------------
@@ -132,30 +130,6 @@ class TrajectoryEngine:
     ) -> Counts:
         """Execute a compiled program (split or unconditional path)."""
         n = program.num_qubits
-        if (
-            self.dedup
-            and program.pauli_only
-            and program.num_noise_sites > 0
-        ):
-            # Route through the batched scheduler: same exact ensemble
-            # split, but identical error configurations are simulated
-            # once (see :mod:`repro.sim.batch`).  Note the scheduler has
-            # its own fixed RNG draw order, so dedup=True is a distinct
-            # (equally exact) stream from the forking split below.
-            from .batch import FusedTrajectoryScheduler, TrajectoryTask
-
-            task = TrajectoryTask(
-                key=0,
-                program=program,
-                shots=shots,
-                trajectories=self.trajectories,
-                rng=self.rng,
-                initial_state=initial_state,
-            )
-            sched = FusedTrajectoryScheduler(
-                fuse=False, dedup=True, dtype=self.dtype
-            )
-            return sched.run([task])[0].counts
         if (
             self.split_clean
             and program.pauli_only

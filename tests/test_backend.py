@@ -91,15 +91,6 @@ class TestRegistry:
             backend = get_backend(name)
             assert isinstance(backend, ArrayBackend)
 
-    def test_allocation_policy(self):
-        b32 = get_backend("numpy32")
-        z = b32.zeros((2, 8))
-        assert z.shape == (2, 8) and z.dtype == b32.complex_dtype
-        assert b32.empty(4).dtype == b32.complex_dtype
-        assert b32.ones(4).dtype == b32.complex_dtype
-        assert b32.zeros_real(4).dtype == b32.real_dtype
-        assert b32.asarray([1, 2]).dtype == b32.complex_dtype
-
     def test_resolve_complex_dtype(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "numpy32")
         assert np.dtype(resolve_complex_dtype()) == np.dtype("complex64")

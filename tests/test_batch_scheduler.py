@@ -4,7 +4,8 @@ The load-bearing claims, each pinned here:
 
 * **Bitwise invariance** — fusion, dedup and chunk geometry change how
   much simulation work runs, never its results: for identical task RNG
-  streams, every knob combination yields identical ``Counts``.
+  streams, a batch of one, a fused batch, any chunk height and the
+  ``dedup=False`` reference all yield identical ``Counts``.
 * **Sweep integration** — sweeps never use the scheduler: every cell is
   exactly :func:`~repro.experiments.runner.run_point`, and documents
   written with the retired sweep-scheduler keys still load.
@@ -25,6 +26,7 @@ from repro.sim.batch import (
     FusedTrajectoryScheduler,
     TrajectoryTask,
     reset_scheduler_stats,
+    run_request_tasks,
     scheduler_stats,
 )
 from repro.sim.engines import simulate_counts
@@ -66,12 +68,22 @@ class TestBitwiseInvariance:
     )
     def test_knobs_do_not_change_counts(self, fuse, dedup, max_rows):
         program = _program()
-        baseline = FusedTrajectoryScheduler(fuse=False, dedup=False).run(
-            _tasks(program)
-        )
-        got = FusedTrajectoryScheduler(
-            fuse=fuse, dedup=dedup, max_batch_rows=max_rows
-        ).run(_tasks(program))
+        # Reference: each task alone, every trajectory row simulated.
+        reference = FusedTrajectoryScheduler(dedup=False)
+        baseline = {}
+        for t in _tasks(program):
+            baseline.update(reference.run([t]))
+        if fuse:
+            got = FusedTrajectoryScheduler(
+                dedup=dedup, max_batch_rows=max_rows
+            ).run(_tasks(program))
+        else:
+            # Unfused: one scheduler pass per task, a batch of one.
+            got = {}
+            for t in _tasks(program):
+                got.update(
+                    run_request_tasks([t]) if dedup else reference.run([t])
+                )
         assert _counts_maps(got) == _counts_maps(baseline)
 
     def test_fusion_across_rates_is_invisible(self):
@@ -85,8 +97,8 @@ class TestBitwiseInvariance:
                 key=j, program=p, shots=400, trajectories=12,
                 rng=np.random.default_rng((5, j)),
             )
-            solo[j] = FusedTrajectoryScheduler(fuse=False).run([t])[j]
-        mixed = FusedTrajectoryScheduler(fuse=True).run(
+            solo[j] = run_request_tasks([t])[j]
+        mixed = run_request_tasks(
             [
                 TrajectoryTask(
                     key=j, program=p, shots=400, trajectories=12,
@@ -151,19 +163,6 @@ class TestBitwiseInvariance:
 
 
 class TestEngineAndSimulateCounts:
-    def test_trajectory_engine_dedup_flag(self):
-        program = _program()
-        a = TrajectoryEngine(
-            trajectories=16, rng=np.random.default_rng(3), dedup=True
-        ).run(program, shots=256)
-        # Same stream through the public simulate_counts entry point.
-        b = simulate_counts(
-            program, shots=256, method="trajectory", trajectories=16,
-            rng=np.random.default_rng(3), dedup=True,
-        )
-        assert dict(a.items()) == dict(b.items())
-        assert a.shots == 256
-
     def test_dedup_default_off_preserves_legacy_stream(self):
         program = _program()
         legacy = TrajectoryEngine(

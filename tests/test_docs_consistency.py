@@ -55,6 +55,24 @@ def test_design_mentions_all_packages():
             )
 
 
+def test_documented_env_vars_are_read_by_the_code():
+    """Every ``REPRO_*`` name the docs mention is read under ``src/``
+    (as a quoted name), so a removed knob cannot linger in a table."""
+    pages = [ROOT / "README.md", ROOT / "DESIGN.md"]
+    pages += sorted((ROOT / "docs").glob("*.md"))
+    documented = set()
+    for page in pages:
+        documented |= set(re.findall(r"REPRO_[A-Z0-9_]+", page.read_text()))
+    source = "\n".join(
+        path.read_text() for path in (ROOT / "src").rglob("*.py")
+    )
+    unread = sorted(
+        name for name in documented
+        if f'"{name}"' not in source and f"'{name}'" not in source
+    )
+    assert documented and not unread, f"documented but never read: {unread}"
+
+
 def test_cli_method_choices_follow_registry():
     """`--method` choices and help text come from the single registry."""
     import os

@@ -3,10 +3,12 @@
 The acceptance contract under test:
 
 * knobs off (``window_ms=0``) the gate is bypassed and responses are
-  byte-identical to the per-request path;
+  byte-identical to a gate-free server;
 * knobs on, per-request results are bit-identical across batch
-  geometries and to the per-request dedup path, with sanitizer-trace
-  parity on the portable stages;
+  geometries and to the same request run alone (a batch of one), with
+  sanitizer-trace parity on every portable stage;
+* the batch executor screens before compiling: a ``cut`` request never
+  lowers the full-width program;
 * deficit-round-robin keeps a heavy tenant from starving a light one;
 * ``/v1/sweep`` streams per-cell partials and survives a mid-stream
   client disconnect without poisoning shared state.
@@ -37,11 +39,7 @@ from repro.service import (
     fusion_stats,
     reset_fusion_stats,
 )
-from repro.service.executor import (
-    _execute_fused_batch,
-    _execute_payload,
-    _execute_payload_inner,
-)
+from repro.service.executor import _execute_fused_batch, _execute_payload
 from repro.service.fusion import FusionSaturated
 
 REQ = dict(
@@ -93,13 +91,9 @@ def test_fusion_eligibility_screen():
 # Bit parity
 # ---------------------------------------------------------------------------
 
-def test_fused_batch_bit_identical_to_dedup_path(monkeypatch):
+def test_fused_batch_bit_identical_to_dedup_path():
     batch = _execute_fused_batch(payloads_for())["results"]
-    monkeypatch.setenv("REPRO_SERVICE_DEDUP", "1")
-    solo = [
-        _execute_payload_inner(SimRequest.from_dict(p))
-        for p in payloads_for()
-    ]
+    solo = [_execute_payload(p) for p in payloads_for()]
     for fused, alone in zip(batch, solo):
         assert fused["counts"] == alone["counts"]
         assert fused["success"] == alone["success"]
@@ -118,7 +112,7 @@ def test_fused_batch_geometry_invariant():
         assert a["content_key"] == b["content_key"]
 
 
-def test_fused_batch_sanitizer_trace_parity(monkeypatch):
+def test_fused_batch_sanitizer_trace_parity():
     sanitizer.force(True)
     try:
         whole = _execute_fused_batch(payloads_for())
@@ -130,15 +124,14 @@ def test_fused_batch_sanitizer_trace_parity(monkeypatch):
             split["sanitizer_events"] + split2["sanitizer_events"],
         )
         assert problems == []
-        # And the counts stage matches the per-request dedup path
-        # (its task events are keyed by the engine's internal key, so
-        # cross-path comparison uses the counts stage).
-        monkeypatch.setenv("REPRO_SERVICE_DEDUP", "1")
+        # And every portable stage (task and counts events, keyed by
+        # content key on both sides) matches the requests run alone.
         solo_events = []
         for p in payloads_for():
             solo_events.extend(_execute_payload(p)["sanitizer_events"])
+        assert {e[0] for e in solo_events} >= {"task", "counts"}
         problems = sanitizer.compare_traces(
-            whole["sanitizer_events"], solo_events, stages=("counts",)
+            whole["sanitizer_events"], solo_events
         )
         assert problems == []
     finally:
@@ -167,30 +160,67 @@ def test_knobs_off_byte_identical_to_per_request_path():
     assert gated == ungated
 
 
-def test_fused_server_matches_unfused_dedup_server(monkeypatch):
-    """Fusion on == per-request dedup stream, request for request."""
-    with fused_server(window_ms=200, min_batch=len(RATES)) as srv:
-        client = ServiceClient(*srv.address)
-        results = {}
+def test_fused_server_matches_unfused_dedup_server():
+    """Fusion on == fusion window 0, request for request, over HTTP."""
+    def concurrent_results(server):
+        with server as srv:
+            client = ServiceClient(*srv.address)
+            results = {}
 
-        def one(rate):
-            resp = client.simulate(dict(REQ, error_rate=rate))
-            results[rate] = resp
+            def one(rate):
+                results[rate] = client.simulate(dict(REQ, error_rate=rate))
 
-        threads = [
-            threading.Thread(target=one, args=(r,)) for r in RATES
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-    monkeypatch.setenv("REPRO_SERVICE_DEDUP", "1")
+            threads = [
+                threading.Thread(target=one, args=(r,)) for r in RATES
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        return results
+
+    fused = concurrent_results(
+        fused_server(window_ms=200, min_batch=len(RATES))
+    )
+    unfused = concurrent_results(fused_server(window_ms=0))
+    assert any(r.cache == "fused" for r in fused.values())
+    assert all(r.cache == "miss" for r in unfused.values())
     for rate in RATES:
-        alone = _execute_payload_inner(
-            SimRequest.from_dict(dict(REQ, error_rate=rate))
-        )
-        assert results[rate].counts == alone["counts"]
-    assert any(r.cache == "fused" for r in results.values())
+        assert fused[rate].counts == unfused[rate].counts
+        assert fused[rate].success == unfused[rate].success
+        assert fused[rate].method == unfused[rate].method == "trajectory"
+
+
+def test_cut_request_never_lowers_full_width_program():
+    """The batch executor screens before compiling: a 16-qubit ``cut``
+    request lowers its fragments only, never the full-width program."""
+    from repro.experiments.runner import (
+        build_arithmetic_circuit,
+        noise_model_for,
+    )
+    from repro.sim.engines import simulate_counts
+    from repro.sim.program import compile_cache_stats, reset_compile_caches
+
+    # A rate no other test uses, so no full-width program is memoised.
+    cut = dict(
+        operation="add", n=8, m=8, x=[3], y=[5], shots=64, seed=5,
+        error_axis="1q", error_rate=0.00123, trajectories=4, method="cut",
+    )
+    request = SimRequest.from_dict(cut)
+    assert request.total_qubits == 16
+    reset_compile_caches()
+    # Warm the fragment lowerings through the cut engine itself.
+    simulate_counts(
+        build_arithmetic_circuit("add", 8, 8, None),
+        noise_model_for("1q", cut["error_rate"]),
+        shots=8, method="cut", trajectories=4, seed=0,
+        initial_state=request.instance().initial_statevector(),
+    )
+    before = compile_cache_stats().lowerings
+    result = _execute_payload(dict(cut))
+    assert compile_cache_stats().lowerings == before
+    assert result["method"] == "cut"
+    assert sum(result["counts"].values()) == cut["shots"]
 
 
 # ---------------------------------------------------------------------------

@@ -108,7 +108,7 @@ def test_retry_replays_bit_identically(monkeypatch):
     never failed — the RNG restarts from the request seed per attempt."""
     baseline = _execute_payload(dict(NOISY))
 
-    real = executor_mod.simulate_counts
+    real = executor_mod.run_request_tasks
     state = {"calls": 0}
 
     def flaky(*args, **kwargs):
@@ -117,7 +117,7 @@ def test_retry_replays_bit_identically(monkeypatch):
             raise RuntimeError("injected transient fault")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(executor_mod, "simulate_counts", flaky)
+    monkeypatch.setattr(executor_mod, "run_request_tasks", flaky)
     service = ArithmeticService(
         executor=SimulationExecutor(
             workers=0,
@@ -139,14 +139,14 @@ def test_coalesced_clients_get_identical_payloads(monkeypatch):
     the single simulation's exact payload."""
     release = threading.Event()
     calls = []
-    real = executor_mod.simulate_counts
+    real = executor_mod.run_request_tasks
 
     def gated(*args, **kwargs):
         calls.append(1)
         release.wait(timeout=30)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(executor_mod, "simulate_counts", gated)
+    monkeypatch.setattr(executor_mod, "run_request_tasks", gated)
     with ServerThread(ArithmeticService(cache=ResultCache(ttl=0))) as srv:
         client = ServiceClient(*srv.address)
         results = [None, None]

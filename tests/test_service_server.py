@@ -3,7 +3,8 @@
 The server runs on its own event-loop thread (``ServerThread``) and is
 driven by the blocking client — the same topology as production.  The
 executor runs in-process (``workers=0``) so tests can monkeypatch
-``repro.service.executor.simulate_counts`` to count, delay, or gate
+``repro.service.executor.run_request_tasks`` (which every noisy
+trajectory request here runs through) to count, delay, or gate
 simulations deterministically.
 """
 
@@ -153,14 +154,14 @@ def test_coalescing_collapses_identical_requests(monkeypatch):
     n_clients = 6
     calls = []
     release = threading.Event()
-    real = executor_mod.simulate_counts
+    real = executor_mod.run_request_tasks
 
     def gated(*args, **kwargs):
         calls.append(threading.get_ident())
         release.wait(timeout=30)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(executor_mod, "simulate_counts", gated)
+    monkeypatch.setattr(executor_mod, "run_request_tasks", gated)
     with make_server(concurrency=4) as srv:
         client = ServiceClient(*srv.address)
         results = [None] * n_clients
@@ -203,13 +204,13 @@ def test_coalescing_collapses_identical_requests(monkeypatch):
 
 def test_backpressure_returns_429_with_retry_after(monkeypatch):
     release = threading.Event()
-    real = executor_mod.simulate_counts
+    real = executor_mod.run_request_tasks
 
     def gated(*args, **kwargs):
         release.wait(timeout=30)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(executor_mod, "simulate_counts", gated)
+    monkeypatch.setattr(executor_mod, "run_request_tasks", gated)
     with make_server(max_queue=1, concurrency=1) as srv:
         client = ServiceClient(*srv.address)
         threads = []
@@ -246,16 +247,16 @@ def test_priority_orders_the_queue(monkeypatch):
     order = []
     first_started = threading.Event()
     release = threading.Event()
-    real = executor_mod.simulate_counts
+    real = executor_mod.run_request_tasks
 
-    def tracking(*args, **kwargs):
-        order.append(kwargs.get("shots"))
+    def tracking(tasks):
+        order.append(tasks[0].shots)
         first_started.set()
         if len(order) == 1:
             release.wait(timeout=30)
-        return real(*args, **kwargs)
+        return real(tasks)
 
-    monkeypatch.setattr(executor_mod, "simulate_counts", tracking)
+    monkeypatch.setattr(executor_mod, "run_request_tasks", tracking)
     with make_server(concurrency=1) as srv:
         client = ServiceClient(*srv.address)
         threads = [
@@ -286,14 +287,14 @@ def test_priority_orders_the_queue(monkeypatch):
 def test_graceful_shutdown_drains_queue(monkeypatch):
     """Accepted work completes during shutdown; new work is refused."""
     started = threading.Event()
-    real = executor_mod.simulate_counts
+    real = executor_mod.run_request_tasks
 
     def slow(*args, **kwargs):
         started.set()
         time.sleep(0.3)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(executor_mod, "simulate_counts", slow)
+    monkeypatch.setattr(executor_mod, "run_request_tasks", slow)
     srv = make_server(concurrency=1).start()
     client = ServiceClient(*srv.address)
     result = {}
@@ -326,7 +327,7 @@ def test_execution_failure_maps_to_500(monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("engine exploded")
 
-    monkeypatch.setattr(executor_mod, "simulate_counts", broken)
+    monkeypatch.setattr(executor_mod, "run_request_tasks", broken)
     with make_server(
         retry=RetryPolicy(max_attempts=2, backoff_base=0.0)
     ) as srv:
