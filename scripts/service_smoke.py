@@ -3,7 +3,8 @@
 
 Boots an in-process server, drives the blocking client through a QFA
 request round trip (miss -> hit), checks the determinism contract, and
-scrapes ``/healthz``, ``/stats`` and ``/metrics``.  A noisy
+scrapes ``/healthz``, ``/stats`` and ``/metrics``.  A noisy 6-qubit
+``auto`` request must be answered by the exact PTM engine.  A noisy
 trajectory request must return identical counts from a server with the
 fusion window at 0 and from a fusion-enabled one.  A fusion-enabled
 server then exercises the ``/v1/sweep`` streaming path
@@ -85,6 +86,11 @@ def main() -> int:
             if needle not in metrics:
                 fail(f"/metrics missing {needle!r}")
         print(f"[smoke] /metrics: {len(metrics.splitlines())} series lines")
+
+        exact = client.simulate(dict(request, n=3, m=3, method="auto"))
+        if exact.method != "ptm":
+            fail(f"noisy 6-qubit auto request ran {exact.method!r}, not 'ptm'")
+        print("[smoke] noisy 6-qubit auto request answered by ptm")
 
     _fusion_parity_smoke(dict(request))
     _sweep_streaming_smoke(dict(request))

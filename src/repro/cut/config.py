@@ -6,8 +6,8 @@ from dataclasses import dataclass, replace
 
 __all__ = ["CutConfig", "DEFAULT_MAX_FRAGMENT_QUBITS"]
 
-#: Default fragment-width budget: matches the auto-dispatch density cap,
-#: so every fragment stays in exact-engine territory.
+#: Default fragment-width budget: matches ``auto``'s exact-engine cap
+#: (``EXACT_MAX_QUBITS``), so every fragment stays in PTM territory.
 DEFAULT_MAX_FRAGMENT_QUBITS = 10
 
 

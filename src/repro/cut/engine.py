@@ -8,9 +8,10 @@ method="cut")`` or directly:
 Register cuts evaluate exactly (ideal lane) or by site-faithful
 trajectory replay (noisy lane); wire cuts evaluate each fragment
 variant with the best engine its width admits (statevector when ideal,
-density up to the dense cap, trajectories beyond).  Readout error is
-folded once on the reconstructed full-register distribution — outcome
-statistics see it exactly as the uncut engines apply it.
+PTM up to its cap, density one qubit beyond, trajectories above that).
+Readout error is folded once on the reconstructed full-register
+distribution — outcome statistics see it exactly as the uncut engines
+apply it.
 """
 
 from __future__ import annotations

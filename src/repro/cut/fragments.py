@@ -673,12 +673,19 @@ def _fragment_probs(
     trajectories: int,
     seed: Tuple[int, ...],
 ) -> np.ndarray:
-    """Readout-free outcome distribution of one fragment program."""
+    """Readout-free outcome distribution of one fragment program.
+
+    Noisy fragments run on the exact PTM engine up to its cap, on the
+    density engine one qubit beyond it, and on trajectories above that.
+    """
     from ..sim.density import DensityMatrixEngine
+    from ..sim.ptm import PTMEngine
 
     if program.num_noise_sites == 0:
         return StatevectorEngine().distribution(program, initial_state).probs
     n = program.num_qubits
+    if n <= PTMEngine.max_qubits:
+        return PTMEngine().probabilities(program, initial_state=initial_state)
     if n <= DensityMatrixEngine.max_qubits:
         dm = DensityMatrixEngine().run(program, None, initial_state)
         return dm.probabilities().probs

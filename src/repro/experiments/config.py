@@ -22,7 +22,7 @@ from typing import Optional, Tuple
 from ..runtime.envutil import env_str
 from ..runtime.errors import width_limit_error
 from ..sim.backend import BACKEND_NAMES
-from ..sim.methods import METHODS
+from ..sim.methods import METHODS, method_width_cap
 
 __all__ = [
     "SweepConfig",
@@ -35,18 +35,6 @@ __all__ = [
 #: Engines a sweep config may name (validated in __post_init__) — the
 #: single method registry, shared with the service and the CLI.
 SWEEP_METHODS = METHODS
-
-def _dense_width_cap(method: str) -> Optional[int]:
-    """The dense engine's qubit cap for ``method`` (None = uncapped)."""
-    if method == "density":
-        from ..sim.density import DensityMatrixEngine
-
-        return DensityMatrixEngine.max_qubits
-    if method == "ptm":
-        from ..sim.ptm import PTMEngine
-
-        return PTMEngine.max_qubits
-    return None
 
 
 @dataclass(frozen=True)
@@ -147,7 +135,7 @@ class SweepConfig:
             raise ValueError("instances and shots must be >= 1")
         if self.max_fragment_qubits < 0:
             raise ValueError("max_fragment_qubits must be >= 0")
-        cap = _dense_width_cap(self.method)
+        cap = method_width_cap(self.method)
         if cap is not None and self.total_qubits > cap:
             raise width_limit_error(
                 f"{self.method} sweep admission", cap, self.total_qubits

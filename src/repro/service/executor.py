@@ -36,7 +36,7 @@ from ..runtime import sanitizer
 from ..runtime.blas import process_pool
 from ..runtime.supervisor import RetryPolicy
 from ..sim.batch import TrajectoryTask, run_request_tasks
-from ..sim.engines import DENSITY_MAX_QUBITS, simulate_counts
+from ..sim.engines import EXACT_MAX_QUBITS, simulate_counts
 from ..sim.result import Counts
 from .model import RequestValidationError, SimRequest
 
@@ -113,7 +113,7 @@ def fusion_eligible(request: SimRequest) -> bool:
     Cheap, request-shape-only screen used at admission and again inside
     the batch executor before anything is compiled: noisy trajectory
     work (explicit, or what ``method="auto"`` will resolve to once the
-    width rules out density simulation).  The batch executor re-checks
+    width rules out the exact PTM engine).  The batch executor re-checks
     survivors against the *compiled program* (Pauli-only sites,
     resolved method) and runs any that turn out not to fit through
     :func:`~repro.sim.engines.simulate_counts` instead — eligibility
@@ -125,7 +125,7 @@ def fusion_eligible(request: SimRequest) -> bool:
         return True
     return (
         request.method == "auto"
-        and request.total_qubits > DENSITY_MAX_QUBITS
+        and request.total_qubits > EXACT_MAX_QUBITS
     )
 
 
@@ -147,7 +147,7 @@ def _fused_task_for(request: SimRequest) -> Optional[TrajectoryTask]:
     )
     if not program.pauli_only or program.num_noise_sites == 0:
         return None
-    if request.method == "auto" and program.num_qubits <= DENSITY_MAX_QUBITS:
+    if request.method == "auto" and program.num_qubits <= EXACT_MAX_QUBITS:
         return None
     return TrajectoryTask(
         key=request.content_key(),

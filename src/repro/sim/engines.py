@@ -1,9 +1,12 @@
 """Engine dispatch: pick the right simulator for a (circuit, noise) pair.
 
 ``method="auto"`` implements the strategy documented in DESIGN.md:
-ideal -> statevector; small noisy -> exact density matrix; large noisy ->
-batched trajectories.  ``simulate_counts`` is the single entry point the
-experiment harness uses.
+ideal -> statevector; small noisy -> the exact Pauli-transfer-matrix
+engine; large noisy -> batched trajectories.  The density-matrix engine
+computes the same distribution as PTM at a far higher cost, so it runs
+only when asked for by name (it is the exact oracle the tests compare
+against).  ``simulate_counts`` is the single entry point the experiment
+harness uses.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from .trajectories import TrajectoryEngine
 
 __all__ = ["simulate_counts", "simulate_distribution", "choose_method"]
 
-#: Largest register handled by the exact density-matrix engine in auto mode.
-DENSITY_MAX_QUBITS = 10
+#: Largest noisy register ``auto`` sends to an exact engine (PTM).
+EXACT_MAX_QUBITS = 10
 
 Simulatable = Union[QuantumCircuit, CompiledProgram]
 
@@ -42,15 +45,18 @@ def _is_ideal(
 def choose_method(
     circuit: Simulatable, noise_model: Optional[NoiseModel] = None
 ) -> str:
-    """The auto-dispatch rule: statevector / density / trajectory.
+    """The auto-dispatch rule: statevector / ptm / trajectory.
 
-    For a :class:`~repro.sim.program.CompiledProgram` the noise sites
-    baked into the program decide; ``noise_model`` is then ignored.
+    Ideal circuits run on the statevector engine.  Noisy circuits of at
+    most :data:`EXACT_MAX_QUBITS` qubits run on the exact PTM engine,
+    wider ones on trajectories.  For a
+    :class:`~repro.sim.program.CompiledProgram` the noise sites baked
+    into the program decide; ``noise_model`` is then ignored.
     """
     if _is_ideal(circuit, noise_model):
         return "statevector"
-    if circuit.num_qubits <= DENSITY_MAX_QUBITS:
-        return "density"
+    if circuit.num_qubits <= EXACT_MAX_QUBITS:
+        return "ptm"
     return "trajectory"
 
 

@@ -11,7 +11,7 @@ pins them).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 __all__ = [
     "MethodSpec",
@@ -19,6 +19,7 @@ __all__ = [
     "METHODS",
     "method_names",
     "method_help",
+    "method_width_cap",
 ]
 
 
@@ -29,7 +30,7 @@ class MethodSpec:
     name: str
     #: one-line summary used in CLI help and docs
     summary: str
-    #: exact output distribution (vs stochastic sampling)
+    #: exact output distribution (vs sampling or a truncated expansion)
     exact: bool
 
 
@@ -39,7 +40,7 @@ METHOD_SPECS: Dict[str, MethodSpec] = {
     for spec in (
         MethodSpec(
             "auto",
-            "pick per circuit: statevector / density / trajectory",
+            "pick per circuit: statevector / ptm / trajectory",
             exact=False,
         ),
         MethodSpec(
@@ -65,7 +66,7 @@ METHOD_SPECS: Dict[str, MethodSpec] = {
         MethodSpec(
             "perturbative",
             "deterministic low-order error expansion",
-            exact=True,
+            exact=False,
         ),
         MethodSpec(
             "cut",
@@ -89,3 +90,20 @@ def method_help() -> str:
     return "; ".join(
         f"'{spec.name}' = {spec.summary}" for spec in METHOD_SPECS.values()
     )
+
+
+def method_width_cap(method: str) -> Optional[int]:
+    """Qubit cap of an explicitly requested dense engine (else None).
+
+    Sweep and service admission both reject a ``density``/``ptm``
+    request wider than the engine admits, with the engine's own cap.
+    """
+    if method == "density":
+        from .density import DensityMatrixEngine
+
+        return DensityMatrixEngine.max_qubits
+    if method == "ptm":
+        from .ptm import PTMEngine
+
+        return PTMEngine.max_qubits
+    return None

@@ -397,14 +397,24 @@ class PTMEngine:
 
         program = as_program(circuit, noise_model)
         n = program.num_qubits
-        coeffs = self.run(program, initial_state=initial_state)
-        probs = self._probabilities(coeffs.reshape((4,) * n), n)
+        probs = self.probabilities(program, initial_state=initial_state)
         dist = Distribution(probs, n)
         dist = _apply_readout_table_to_distribution(
             dist, program.readout, n
         )
         dist.method = "ptm"
         return dist
+
+    def probabilities(
+        self,
+        circuit: Union[QuantumCircuit, CompiledProgram],
+        noise_model: Optional[NoiseModel] = None,
+        initial_state: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Readout-free computational-basis probabilities (``2**n``)."""
+        n = circuit.num_qubits
+        coeffs = self.run(circuit, noise_model, initial_state)
+        return self._probabilities(coeffs.reshape((4,) * n), n)
 
     # ------------------------------------------------------------------
     def _probabilities(self, state_t: np.ndarray, n: int) -> np.ndarray:

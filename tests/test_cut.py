@@ -134,7 +134,7 @@ def test_register_cut_multiplier_ideal():
 @_SETTINGS
 @given(rate=st.sampled_from([0.005, 0.02, 0.05]))
 def test_wire_cut_matches_density_noisy(rate):
-    """Noisy wire cut is exact here: each variant runs on density."""
+    """Noisy wire cut is exact here: each variant runs on PTM."""
     qc = build_arithmetic_circuit("add", 2, 2, None)
     noise = noise_model_for("2q", rate, "qiskit")
     dist = cut_distribution(

@@ -113,3 +113,14 @@ def test_registry_is_single_source_for_all_surfaces():
     cutting = (ROOT / "docs" / "cutting.md").read_text()
     for needle in ("method=\"cut\"", "REPRO_CUT_MB", "max_fragment_qubits"):
         assert needle in cutting
+
+
+def test_service_docs_list_every_method():
+    """The `method` row of docs/service.md's request table names every
+    registered method, in registry order."""
+    from repro.sim.methods import METHODS
+
+    service = (ROOT / "docs" / "service.md").read_text()
+    (row,) = re.findall(r"^\| `method` \|.*$", service, flags=re.M)
+    listed = tuple(re.findall(r"`(\w+)`", row.split("|")[3]))
+    assert listed == METHODS, f"docs/service.md lists {listed}"

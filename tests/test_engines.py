@@ -254,8 +254,8 @@ class TestDispatch:
         assert choose_method(bell(), None) == "statevector"
         assert choose_method(bell(), NoiseModel.ideal()) == "statevector"
 
-    def test_choose_density_small(self):
-        assert choose_method(bell(), NoiseModel.depolarizing(0.01)) == "density"
+    def test_choose_ptm_small(self):
+        assert choose_method(bell(), NoiseModel.depolarizing(0.01)) == "ptm"
 
     def test_choose_trajectory_large(self):
         qc = QuantumCircuit(12)

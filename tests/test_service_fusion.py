@@ -83,7 +83,7 @@ def test_fusion_eligibility_screen():
     assert not fusion_eligible(
         SimRequest.from_dict(dict(REQ, method="density"))
     )
-    # auto on a small register resolves to density — not fusable.
+    # auto on a small register resolves to ptm — not fusable.
     assert not fusion_eligible(SimRequest.from_dict(dict(REQ, method="auto")))
 
 
