@@ -3,8 +3,9 @@
 
 ``sys.setswitchinterval(1e-6)`` makes the interpreter hand the GIL off
 roughly every bytecode burst, turning any torn read-modify-write in the
-locked hot paths (kernel-cache LRU, compile caches, service counters)
-into a visible inconsistency within a few thousand requests.  The
+locked hot paths (kernel-cache LRU, compile caches, the
+``repro.runtime.obs`` counter ledger, service counters) into a visible
+inconsistency within a few thousand requests.  The
 script boots an in-process server, fires mixed concurrent requests from
 a thread pool, then audits every counter surface for arithmetic
 consistency.  Exits non-zero on any violated invariant — this is the
@@ -25,15 +26,21 @@ def fail(message: str) -> None:
 
 
 def _requests() -> List[Dict[str, Any]]:
-    """A mixed workload: overlapping shapes so cache paths interleave."""
+    """A mixed workload: overlapping shapes so cache paths interleave.
+
+    Noisy ``auto`` requests this narrow run on the exact PTM engine, so
+    each has a ``method="trajectory"`` twin that rides the fused
+    trajectory scheduler.
+    """
     base = dict(shots=64, seed=20220131, error_axis="2q", trajectories=8)
     reqs: List[Dict[str, Any]] = []
     for rate in (0.0, 0.001, 0.003):
         for n, m in ((2, 2), (2, 3), (3, 2)):
-            reqs.append(
-                dict(base, operation="add", n=n, m=m,
-                     x=[1], y=[min(2, m)], error_rate=rate)
-            )
+            noisy = dict(base, operation="add", n=n, m=m,
+                         x=[1], y=[min(2, m)], error_rate=rate)
+            reqs.append(noisy)
+            if rate > 0.0:
+                reqs.append(dict(noisy, method="trajectory"))
             reqs.append(
                 dict(base, operation="add", n=n, m=m, depth=2,
                      x=[0], y=[1], error_rate=rate, method="statevector")
@@ -45,10 +52,12 @@ def main() -> int:
     # Force pathological GIL churn *before* any worker threads exist.
     sys.setswitchinterval(1e-6)
 
+    from repro.runtime import obs
     from repro.service import ServerThread, ServiceClient
+    from repro.sim.batch import scheduler_stats
     from repro.sim.program import compile_cache_stats, kernel_cache_stats
 
-    workload = _requests() * 4  # 72 requests over overlapping shapes
+    workload = _requests() * 4  # 96 requests over overlapping shapes
     with ServerThread() as srv:
         address = srv.address
 
@@ -94,6 +103,29 @@ def main() -> int:
     if cs["lowerings"] + cs["lower_hits"] == 0:
         fail("compile caches never consulted — workload too small?")
     print(f"[race] compile caches consistent: {cs}")
+
+    # The fused scheduler ran once per distinct trajectory request (the
+    # executed-jobs check below rules out double execution), and dedup
+    # never simulated more rows than it sampled trajectories.
+    sched = scheduler_stats()
+    trajectory_keys = {
+        resp.content_key for resp, req in zip(responses, workload)
+        if req.get("method") == "trajectory"
+    }
+    if sched["tasks"] != len(trajectory_keys):
+        fail(f"scheduler ran {sched['tasks']} tasks for "
+             f"{len(trajectory_keys)} distinct trajectory requests")
+    if sched["rows_simulated"] > sched["trajectories_sampled"]:
+        fail(f"scheduler simulated more rows than it sampled: {sched}")
+    negative = {
+        (name, labels): value
+        for labels, row in obs.snapshot().items()
+        for name, value in row.items()
+        if value < 0
+    }
+    if negative:
+        fail(f"ledger counters went negative: {negative}")
+    print(f"[race] scheduler ledger consistent: {sched}")
 
     # Service-side ledgers survived the stampede: every request was
     # served exactly once as a miss, hit, or coalesced attach.

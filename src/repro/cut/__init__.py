@@ -18,7 +18,7 @@ See ``docs/cutting.md`` for the cut model and cost trade-offs.
 """
 
 from .config import DEFAULT_MAX_FRAGMENT_QUBITS, CutConfig
-from .engine import cut_counts, cut_distribution
+from .engine import cut_counts, cut_distribution, cut_stats, reset_cut_stats
 from .fragments import CutError
 from .reconstruct import assemble_register_terms, contract_wire_plan
 from .search import (
@@ -30,7 +30,6 @@ from .search import (
     classical_wires,
     find_cuts,
 )
-from .stats import cut_stats, reset_cut_stats
 
 __all__ = [
     "CutConfig",

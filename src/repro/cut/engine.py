@@ -22,9 +22,9 @@ import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
 from ..noise.model import NoiseModel
+from ..runtime import obs
 from ..sim.density import _apply_readout_to_distribution
 from ..sim.result import Counts, Distribution
-from . import stats
 from .config import CutConfig
 from .fragments import CutError, ValueJob, build_variant_jobs, decompose_initial_state
 from .parallel import resolve_runner
@@ -35,7 +35,32 @@ from .reconstruct import (
 )
 from .search import CutPlan, check_plan, find_cuts
 
-__all__ = ["cut_distribution", "cut_counts"]
+__all__ = ["cut_distribution", "cut_counts", "cut_stats", "reset_cut_stats"]
+
+#: The ``cut.*`` counters of :mod:`repro.runtime.obs`, in report order.
+CUT_COUNTERS = (
+    "plans",  # cut plans built by the searcher
+    "plans_registers",  # structural plans (register cut) among them
+    "plans_wires",  # generic wire-cut plans among them
+    "fragments_compiled",  # fragment circuits lowered through compile_circuit
+    "variants_evaluated",  # fragment variants (basis/value conditionings)
+    "reconstructions",  # full-register reconstructions performed
+    "jobs_local",  # fragment jobs executed in-process
+    "jobs_pool",  # fragment jobs executed on a process pool
+    "jobs_fabric",  # fragment jobs executed by fabric workers
+    "jobs_fabric_fallback",  # fabric jobs that fell back to local execution
+)
+
+
+def cut_stats() -> Dict[str, int]:
+    """Every cut counter, read at one instant (never-bumped ones as 0)."""
+    c = obs.snapshot("cut.").get((), {})
+    return {name: c.get(name, 0) for name in CUT_COUNTERS}
+
+
+def reset_cut_stats() -> None:
+    """Zero the cut counters (tests and benchmarks)."""
+    obs.reset("cut.")
 
 
 def cut_distribution(

@@ -54,6 +54,7 @@ from ..circuits.gates import is_diagonal_gate, phase_on_ones_angle
 from ..noise.channels import PauliError
 from ..noise.model import NoiseModel
 from ..noise.pauli import PAULI_MATRICES
+from ..runtime import obs
 from ..sim.backend import as_complex, resolve_complex_dtype
 from ..sim.ops import apply_gate_matrix, apply_instruction
 from ..sim.program import (
@@ -64,7 +65,6 @@ from ..sim.program import (
 from ..sim.result import extract_register_values
 from ..sim.statevector import StatevectorEngine
 from ..sim.trajectories import TrajectoryEngine
-from . import stats
 from .search import CutPlan, plan_gate_list
 
 __all__ = [
@@ -389,7 +389,7 @@ def conditioned_circuit(
             qc.append(G.make_gate(term[0], *term[2]), term[1])
     cls_out = _pack_bits(template, bits)
     program = compile_circuit(qc, None)
-    stats.record("fragments_compiled")
+    obs.add({"cut.fragments_compiled": 1})
     with _COND_LOCK:
         if len(_COND_CACHE) >= _COND_CAP:
             _COND_CACHE.pop(next(iter(_COND_CACHE)))
@@ -467,7 +467,7 @@ def run_value_job(job: ValueJob) -> List[Tuple[int, np.ndarray]]:
     )
     noise = job.noise or NoiseModel.ideal()
     template = build_register_template(job.circuit, noise, plan)
-    stats.record("variants_evaluated")
+    obs.add({"cut.variants_evaluated": 1})
     probs, cls_out = _ideal_branch(template, job.value, job.frag_state)
     live = [s for s in template.sites if s.e > 0]
     if noise.is_ideal or not live:
@@ -663,7 +663,7 @@ def run_variant_job(job: VariantJob) -> np.ndarray:
         out[i] = _fragment_probs(
             program, init, job.trajectories, job.seed + (i,)
         )
-        stats.record("variants_evaluated")
+        obs.add({"cut.variants_evaluated": 1})
     return out
 
 
@@ -756,7 +756,7 @@ def build_variant_jobs(
                     seed=seed + (frag.index, len(jobs)),
                 )
             )
-        stats.record("fragments_compiled")
+        obs.add({"cut.fragments_compiled": 1})
         terminal = tuple(
             q for q in frag.qubits
             if local[q] not in out_wires

@@ -34,8 +34,8 @@ import numpy as np
 from ..circuits.qasm import from_qasm, to_qasm
 from ..fabric.wire import WORK_PATH
 from ..noise.model import NoiseModel
+from ..runtime import obs
 from ..runtime.blas import process_pool
-from . import stats
 from .fragments import ValueJob, VariantJob, run_value_job, run_variant_job
 
 __all__ = [
@@ -82,7 +82,7 @@ class SerialRunner:
         out = []
         for job in jobs:
             out.append(run_cut_job(job))
-            stats.record("jobs_local")
+            obs.add({"cut.jobs_local": 1})
         return out
 
 
@@ -108,7 +108,7 @@ class PoolRunner:
                 pool.map(_run_wire_job_with_pid, payloads, chunksize=1)
             )
         self.worker_pids = tuple(sorted({pid for pid, _ in tagged}))
-        stats.record("jobs_pool", len(jobs))
+        obs.add({"cut.jobs_pool": len(jobs)})
         return [
             result_from_wire(job, result)
             for job, (_, result) in zip(jobs, tagged)
@@ -147,7 +147,7 @@ class FabricRunner:
                     return
                 try:
                     results[i] = self._post(address, jobs[i])
-                    stats.record("jobs_fabric")
+                    obs.add({"cut.jobs_fabric": 1})
                 except Exception:  # noqa: BLE001 — degrade, don't die
                     with failed_lock:
                         failed.append(i)
@@ -168,7 +168,7 @@ class FabricRunner:
                 break
         for i in sorted(set(failed)):
             results[i] = run_cut_job(jobs[i])
-            stats.record("jobs_fabric_fallback")
+            obs.add({"cut.jobs_fabric_fallback": 1})
         return results
 
     def _post(self, address: Tuple[str, int], job: CutJob) -> Any:
@@ -345,5 +345,5 @@ def execute_wire_job(payload: Dict[str, Any]) -> Any:
     """Worker-side entry point: payload in, JSON-safe result out."""
     job = job_from_wire(payload)
     result = run_cut_job(job)
-    stats.record("jobs_local")
+    obs.add({"cut.jobs_local": 1})
     return result_to_wire(payload["kind"], result)

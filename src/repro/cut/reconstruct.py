@@ -28,9 +28,9 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from ..runtime import obs
 from ..runtime.envutil import env_mb_bytes
 from ..runtime.errors import WidthLimitError
-from . import stats
 from .search import CutPlan
 
 __all__ = [
@@ -247,7 +247,7 @@ def contract_wire_plan(
     vec = vec * (0.5 ** len(plan.edges))
     out = np.zeros(1 << plan.num_qubits)
     spread_positions(vec, pos, out)
-    stats.record("reconstructions")
+    obs.add({"cut.reconstructions": 1})
     return out
 
 
@@ -265,5 +265,5 @@ def assemble_register_terms(
         for i, q in enumerate(classical):
             base |= ((cls_value >> i) & 1) << q
         spread_positions(np.asarray(vec, dtype=float), fragment, out, base)
-    stats.record("reconstructions")
+    obs.add({"cut.reconstructions": 1})
     return out

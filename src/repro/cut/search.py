@@ -31,8 +31,8 @@ from typing import List, Optional, Set, Tuple
 
 from ..circuits.circuit import QuantumCircuit
 from ..circuits.gates import is_diagonal_gate
+from ..runtime import obs
 from ..runtime.errors import WidthLimitError
-from . import stats
 from .config import CutConfig
 
 __all__ = [
@@ -247,8 +247,7 @@ def find_cuts(circuit: QuantumCircuit, config: CutConfig) -> CutPlan:
     if config.strategy in ("auto", "registers"):
         plan = _registers_plan(circuit, config)
         if plan is not None:
-            stats.record("plans")
-            stats.record("plans_registers")
+            obs.add({"cut.plans": 1, "cut.plans_registers": 1})
             return plan
         if config.strategy == "registers":
             raise CutSearchError(
@@ -267,8 +266,7 @@ def find_cuts(circuit: QuantumCircuit, config: CutConfig) -> CutPlan:
                 f"max_fragment_qubits/max_cuts"
             ) from None
         raise
-    stats.record("plans")
-    stats.record("plans_wires")
+    obs.add({"cut.plans": 1, "cut.plans_wires": 1})
     return plan
 
 

@@ -1,0 +1,64 @@
+"""One process-wide counter ledger.
+
+Every layer that counts work in this process — the compile caches
+(``program.*``), the PTM plan cache (``ptm.*``), the fused trajectory
+scheduler (``batch.*``), the cutting subsystem (``cut.*``) and the
+service's fusion gate (``fusion.*``) — bumps a counter here, and each
+layer's public reader (``compile_cache_stats``, ``scheduler_stats``,
+...) derives its dict from :func:`snapshot`.
+
+A counter is keyed by a dotted name plus optional string labels (the
+fusion gate's per-tenant rows carry ``tenant=...``).  One leaf lock
+guards the ledger: nothing is called while it is held, so it can be
+taken under any other lock, and one :func:`add` of several counters is
+never seen half done by a :func:`snapshot`.
+"""
+
+from __future__ import annotations
+
+import threading
+from typing import Dict, Mapping, Tuple, Union
+
+__all__ = ["add", "snapshot", "reset"]
+
+Number = Union[int, float]
+#: A counter's label set: sorted ``(name, value)`` pairs, ``()`` if none.
+Labels = Tuple[Tuple[str, str], ...]
+
+_LOCK = threading.Lock()
+_COUNTERS: Dict[Tuple[str, Labels], Number] = {}
+
+
+def add(amounts: Mapping[str, Number], **labels: str) -> None:
+    """Add each ``amounts[name]`` to counter ``name``, all atomically.
+
+    ``labels`` apply to every counter of the call.  A counter that has
+    never been added to reads as absent, not zero.
+    """
+    key_labels = tuple(sorted(labels.items()))
+    with _LOCK:
+        for name, amount in amounts.items():
+            key = (name, key_labels)
+            _COUNTERS[key] = _COUNTERS.get(key, 0) + amount
+
+
+def snapshot(prefix: str = "") -> Dict[Labels, Dict[str, Number]]:
+    """Every counter whose name starts with ``prefix``, read at one
+    instant, grouped by label set: ``{labels: {name: value}}``.
+
+    Names are returned with ``prefix`` stripped; unlabelled counters
+    sit under ``()``.
+    """
+    rows: Dict[Labels, Dict[str, Number]] = {}
+    with _LOCK:
+        for (name, labels), value in _COUNTERS.items():
+            if name.startswith(prefix):
+                rows.setdefault(labels, {})[name[len(prefix):]] = value
+    return rows
+
+
+def reset(prefix: str = "") -> None:
+    """Drop every counter whose name starts with ``prefix``."""
+    with _LOCK:
+        for key in [k for k in _COUNTERS if k[0].startswith(prefix)]:
+            del _COUNTERS[key]

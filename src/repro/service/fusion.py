@@ -48,11 +48,11 @@ queue must not starve admission of one-off requests that bypass it.
 from __future__ import annotations
 
 import asyncio
-import threading
 import time
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional
 
+from ..runtime import obs
 from ..runtime.envutil import env_float, env_int
 from .cache import ResultCache
 from .executor import SimulationExecutor
@@ -79,102 +79,45 @@ class FusionSaturated(Exception):
 # Process-wide stats (mirrored by /stats and repro-arith cache-stats)
 # ---------------------------------------------------------------------------
 
-class _FusionStats:
-    """Cumulative fusion counters; lock-guarded like ``_SchedulerStats``."""
-
-    __slots__ = (
-        "_lock", "admitted", "executed", "fused", "batches",
-        "batch_requests", "failures", "cancelled", "rejected",
-        "fallbacks", "_tenants",
-    )
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._zero()
-
-    def _zero(self) -> None:
-        self.admitted = 0
-        self.executed = 0
-        self.fused = 0
-        self.batches = 0
-        self.batch_requests = 0
-        self.failures = 0
-        self.cancelled = 0
-        self.rejected = 0
-        self.fallbacks = 0
-        self._tenants: Dict[str, Dict[str, float]] = {}
-
-    def reset(self) -> None:
-        with self._lock:
-            self._zero()
-
-    def note_admitted(self) -> None:
-        with self._lock:
-            self.admitted += 1
-
-    def note_rejected(self) -> None:
-        with self._lock:
-            self.rejected += 1
-
-    def note_cancelled(self) -> None:
-        with self._lock:
-            self.cancelled += 1
-
-    def note_batch(self, size: int, failed: bool = False) -> None:
-        with self._lock:
-            self.batches += 1
-            self.batch_requests += size
-            self.executed += size
-            if size > 1:
-                self.fused += size
-            if failed:
-                self.failures += size
-
-    def note_served(self, tenant: str, cost: float) -> None:
-        with self._lock:
-            row = self._tenants.setdefault(
-                tenant, {"served_requests": 0.0, "served_cost": 0.0}
-            )
-            row["served_requests"] += 1.0
-            row["served_cost"] += cost
-
-    def snapshot(self) -> Dict[str, Any]:
-        with self._lock:
-            return {
-                "admitted": self.admitted,
-                "executed": self.executed,
-                "fused_requests": self.fused,
-                "batches": self.batches,
-                "batch_requests": self.batch_requests,
-                "failures": self.failures,
-                "cancelled": self.cancelled,
-                "rejected": self.rejected,
-                "hit_rate": (
-                    self.fused / self.executed if self.executed else 0.0
-                ),
-                "batch_occupancy": (
-                    self.batch_requests / self.batches
-                    if self.batches
-                    else 0.0
-                ),
-                "tenants": {
-                    t: dict(row)
-                    for t, row in sorted(self._tenants.items())
-                },
-            }
-
-
-_STATS = _FusionStats()
-
-
 def fusion_stats() -> Dict[str, Any]:
     """Process-wide cumulative fusion-gate statistics."""
-    return _STATS.snapshot()
+    rows = obs.snapshot("fusion.")
+    c = rows.pop((), {})
+    executed = c.get("executed", 0)
+    fused = c.get("fused_requests", 0)
+    batches = c.get("batches", 0)
+    batch_requests = c.get("batch_requests", 0)
+    return {
+        "admitted": c.get("admitted", 0),
+        "executed": executed,
+        "fused_requests": fused,
+        "batches": batches,
+        "batch_requests": batch_requests,
+        "failures": c.get("failures", 0),
+        "cancelled": c.get("cancelled", 0),
+        "rejected": c.get("rejected", 0),
+        "hit_rate": fused / executed if executed else 0.0,
+        "batch_occupancy": batch_requests / batches if batches else 0.0,
+        "tenants": {
+            dict(labels)["tenant"]: row for labels, row in sorted(rows.items())
+        },
+    }
 
 
 def reset_fusion_stats() -> None:
     """Zero the counters (tests, fresh benchmark runs)."""
-    _STATS.reset()
+    obs.reset("fusion.")
+
+
+def _note_batch(size: int, failed: bool = False) -> None:
+    """Count one executed batch of ``size`` requests."""
+    obs.add({
+        "fusion.batches": 1,
+        "fusion.batch_requests": size,
+        "fusion.executed": size,
+        "fusion.fused_requests": size if size > 1 else 0,
+        "fusion.failures": size if failed else 0,
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +172,8 @@ class FusionGate:
     """Holds eligible requests briefly, flushes them as fused batches.
 
     All state lives on the event loop (no locks); the only cross-thread
-    artefacts are the process-wide :data:`_STATS` counters.  See the
+    artefacts are the process-wide ``fusion.*`` counters of
+    :mod:`repro.runtime.obs`.  See the
     module docstring for the scheduling policy.
     """
 
@@ -359,7 +303,7 @@ class FusionGate:
         on cancellation.
         """
         if self._depth >= self.max_pending:
-            _STATS.note_rejected()
+            obs.add({"fusion.rejected": 1})
             self.metrics.inc("fusion_rejected_total")
             raise FusionSaturated(self._depth)
         loop = asyncio.get_running_loop()
@@ -373,7 +317,7 @@ class FusionGate:
             self._group_counts.get(entry.group, 0) + 1
         )
         self._depth += 1
-        _STATS.note_admitted()
+        obs.add({"fusion.admitted": 1})
         self.metrics.inc("fusion_requests_total")
         if self._wake is not None:
             self._wake.set()
@@ -416,7 +360,7 @@ class FusionGate:
                 self._deficit.pop(entry.tenant, None)
         if not entry.future.done():
             entry.future.cancel()
-        _STATS.note_cancelled()
+        obs.add({"fusion.cancelled": 1})
         self.metrics.inc("fusion_cancelled_total")
         return True
 
@@ -511,7 +455,10 @@ class FusionGate:
             self.metrics.observe(
                 "fusion_window_wait", now - entry.enqueued_at
             )
-            _STATS.note_served(entry.tenant, entry.cost)
+            obs.add(
+                {"fusion.served_requests": 1.0, "fusion.served_cost": entry.cost},
+                tenant=entry.tenant,
+            )
             groups.setdefault(entry.group, []).append(entry)
         for entries in groups.values():
             task = asyncio.create_task(self._run_group(entries))
@@ -528,7 +475,7 @@ class FusionGate:
                     entry.future.cancel()
             raise
         except Exception as exc:  # noqa: BLE001 — surfaced via futures
-            _STATS.note_batch(len(entries), failed=True)
+            _note_batch(len(entries), failed=True)
             self.metrics.inc(
                 "fusion_batches_failed_total",
                 labels={"error": type(exc).__name__},
@@ -537,7 +484,7 @@ class FusionGate:
                 if not entry.future.done():
                     entry.future.set_exception(exc)
         else:
-            _STATS.note_batch(len(entries))
+            _note_batch(len(entries))
             self.metrics.inc("fusion_batches_total")
             for entry, payload in zip(entries, results):
                 if self.cache is not None:

@@ -71,8 +71,8 @@ def cache_stats_snapshot(
         "backend": backend,
         "compile_cache": compile_cache_stats().as_dict(),
         "kernel_cache": kernel_cache_stats(),
-        "ptm_cache": dict(ptm_cache_stats()),
-        "cut": dict(cut_stats()),
+        "ptm_cache": ptm_cache_stats(),
+        "cut": cut_stats(),
         "program_lru": _lru(build_compiled_program),
         "circuit_lru": _lru(build_arithmetic_circuit),
         "fusion": fusion_stats(),

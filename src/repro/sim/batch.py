@@ -43,12 +43,11 @@ only).  Consequently batch membership, the reference
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..runtime import sanitizer
+from ..runtime import obs, sanitizer
 from ..runtime.envutil import env_mb_bytes
 from ..runtime.health import check_norms, norm_tolerance
 from .backend import resolve_complex_dtype
@@ -71,69 +70,27 @@ __all__ = [
 # Process-wide stats (service /metrics gauges)
 # ---------------------------------------------------------------------------
 
-class _SchedulerStats:
-    """Cumulative counters of every scheduler run in this process."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._zero()
-
-    def _zero(self) -> None:
-        self.tasks = 0
-        self.trajectories_sampled = 0
-        self.rows_simulated = 0
-        self.chunks = 0
-        self.chunk_rows = 0
-
-    def reset(self) -> None:
-        with self._lock:
-            self._zero()
-
-    def note(
-        self,
-        tasks: int,
-        sampled: int,
-        simulated: int,
-        chunks: int,
-        chunk_rows: int,
-    ) -> None:
-        with self._lock:
-            self.tasks += tasks
-            self.trajectories_sampled += sampled
-            self.rows_simulated += simulated
-            self.chunks += chunks
-            self.chunk_rows += chunk_rows
-
-    def snapshot(self) -> Dict[str, float]:
-        with self._lock:
-            simulated = max(1, self.rows_simulated)
-            chunks = max(1, self.chunks)
-            return {
-                "tasks": self.tasks,
-                "trajectories_sampled": self.trajectories_sampled,
-                "rows_simulated": self.rows_simulated,
-                "chunks": self.chunks,
-                "dedup_ratio": (
-                    self.trajectories_sampled / simulated
-                    if self.rows_simulated
-                    else 1.0
-                ),
-                "batch_occupancy": (
-                    self.chunk_rows / chunks if self.chunks else 0.0
-                ),
-            }
-
-
-_STATS = _SchedulerStats()
-
-
 def scheduler_stats() -> Dict[str, float]:
     """Process-wide scheduler counters (feeds the service gauges)."""
-    return _STATS.snapshot()
+    c = obs.snapshot("batch.").get((), {})
+    tasks = c.get("tasks", 0)
+    sampled = c.get("trajectories_sampled", 0)
+    simulated = c.get("rows_simulated", 0)
+    chunks = c.get("chunks", 0)
+    return {
+        "tasks": tasks,
+        "trajectories_sampled": sampled,
+        "rows_simulated": simulated,
+        "chunks": chunks,
+        "dedup_ratio": sampled / simulated if simulated else 1.0,
+        "batch_occupancy": (
+            c.get("chunk_rows", 0) / chunks if chunks else 0.0
+        ),
+    }
 
 
 def reset_scheduler_stats() -> None:
-    _STATS.reset()
+    obs.reset("batch.")
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +240,15 @@ class FusedTrajectoryScheduler:
             for p in plans:
                 self._sample_outcomes(p)
         results = {p.task.key: p.result() for p in all_plans}
-        _STATS.note(
-            tasks=len(all_plans),
-            sampled=sum(p.trajectories_sampled for p in all_plans),
-            simulated=sum(p.rows_simulated for p in all_plans),
-            chunks=self._chunks_run,
-            chunk_rows=self._chunk_rows_run,
-        )
+        obs.add({
+            "batch.tasks": len(all_plans),
+            "batch.trajectories_sampled": sum(
+                p.trajectories_sampled for p in all_plans
+            ),
+            "batch.rows_simulated": sum(p.rows_simulated for p in all_plans),
+            "batch.chunks": self._chunks_run,
+            "batch.chunk_rows": self._chunk_rows_run,
+        })
         return results
 
     # ------------------------------------------------------------------

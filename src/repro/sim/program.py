@@ -24,9 +24,9 @@ Compilation is cached at two levels so a rate-only sweep lowers each
 circuit exactly once:
 
 1. **lowering** — keyed by circuit identity (weakly) plus the noise
-   model's :meth:`~repro.noise.model.NoiseModel.structure_key` and the
-   ``optimize`` flag.  The skeleton fixes the op layout and the *slots*
-   of every noise site but not the channel contents.
+   model's :meth:`~repro.noise.model.NoiseModel.structure_key`.  The
+   skeleton fixes the op layout and the *slots* of every noise site
+   but not the channel contents.
 2. **bind** — keyed by the noise model's full
    :meth:`~repro.noise.model.NoiseModel.fingerprint`; resolves slots to
    channels and the per-qubit readout table.  Binding is cheap (no
@@ -47,7 +47,7 @@ import cmath
 import hashlib
 import threading
 import weakref
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -58,6 +58,7 @@ from ..circuits.circuit import Instruction, QuantumCircuit
 from ..circuits.gates import is_diagonal_gate, phase_on_ones
 from ..noise.channels import PauliError, QuantumError, ResetError
 from ..noise.model import NoiseModel
+from ..runtime import obs
 from ..runtime.envutil import env_mb_bytes
 from .backend import canonical_complex, dtype_tag, kernel_group
 from .ops import _GLOBAL_BITS, _apply_phase_on_mask, apply_instruction
@@ -707,7 +708,7 @@ class CompiledProgram:
         has no mid-circuit reset — the precondition for the trajectory
         engine's clean-shot split.
     fingerprint:
-        Short content hash of (circuit, noise, optimize) — stable across
+        Short content hash of (circuit, noise) — stable across
         processes, suitable for checkpoint payloads.
     """
 
@@ -721,7 +722,6 @@ class CompiledProgram:
         "fingerprint",
         "circuit_fingerprint",
         "noise_fingerprint",
-        "optimized",
     )
 
     __slots__ = _PICKLE_SLOTS + ("_stream", "_fusion_key")
@@ -734,7 +734,6 @@ class CompiledProgram:
         fingerprint: str,
         circuit_fp: str,
         noise_fp: str,
-        optimized: bool,
     ) -> None:
         self.num_qubits = num_qubits
         self.ops = ops
@@ -742,7 +741,6 @@ class CompiledProgram:
         self.fingerprint = fingerprint
         self.circuit_fingerprint = circuit_fp
         self.noise_fingerprint = noise_fp
-        self.optimized = optimized
         self.pauli_only = all(
             op.is_pauli for op in ops if op.kind == "noise"
         ) and not any(op.kind == "reset" for op in ops)
@@ -789,7 +787,6 @@ class CompiledProgram:
             key = (
                 "fuse",
                 self.circuit_fingerprint,
-                self.optimized,
                 self.num_qubits,
                 layout,
                 self.pauli_only,
@@ -896,57 +893,40 @@ class _NoiseSite:
 class _Skeleton:
     """Rate-independent lowering of one circuit: ops + noise slots."""
 
-    __slots__ = ("num_qubits", "items", "circuit_fp", "optimized", "_bound")
+    __slots__ = ("num_qubits", "items", "circuit_fp", "_bound")
 
     #: max bound programs retained per skeleton (per structure key the
     #: binds of a sweep's distinct rates; far below this in practice).
     BIND_CAP = 128
 
-    def __init__(self, num_qubits, items, circuit_fp, optimized) -> None:
+    def __init__(self, num_qubits, items, circuit_fp) -> None:
         self.num_qubits = num_qubits
         self.items = items  # tuple of ProgramOp | _NoiseSite
         self.circuit_fp = circuit_fp
-        self.optimized = optimized
         self._bound: Dict[str, CompiledProgram] = {}
 
 
+@dataclass(frozen=True)
 class CompileStats:
-    """Counters for the two cache levels (sweep-wide, process-local)."""
+    """A snapshot of the two cache levels' counters (process-local)."""
 
-    __slots__ = ("lowerings", "lower_hits", "binds", "bind_hits", "_lock")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.reset()
-
-    def reset(self) -> None:
-        with self._lock:
-            self.lowerings = 0
-            self.lower_hits = 0
-            self.binds = 0
-            self.bind_hits = 0
+    lowerings: int = 0
+    lower_hits: int = 0
+    binds: int = 0
+    bind_hits: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "lowerings": self.lowerings,
-            "lower_hits": self.lower_hits,
-            "binds": self.binds,
-            "bind_hits": self.bind_hits,
-        }
-
-    def __repr__(self) -> str:
-        return f"CompileStats({self.as_dict()})"
+        return asdict(self)
 
 
-_STATS = CompileStats()
 _LOWER_CACHE: "weakref.WeakKeyDictionary[QuantumCircuit, Dict[tuple, _Skeleton]]" = (
     weakref.WeakKeyDictionary()
 )
 _FP_CACHE: "weakref.WeakKeyDictionary[QuantumCircuit, str]" = (
     weakref.WeakKeyDictionary()
 )
-#: Guards the compile caches (_LOWER_CACHE/_FP_CACHE/skeleton binds) and
-#: the _STATS counters.  Reentrant: compile_circuit -> _lower ->
+#: Guards the compile caches (_LOWER_CACHE/_FP_CACHE/skeleton binds).
+#: Reentrant: compile_circuit -> _lower ->
 #: circuit_fingerprint all touch cached state.  Holding it across the
 #: lowering serialises compilation, which is deliberate — lowering is
 #: rare (cache-keyed per structure) and a duplicate concurrent lowering
@@ -955,8 +935,8 @@ _COMPILE_LOCK = threading.RLock()
 
 
 def compile_cache_stats() -> CompileStats:
-    """The process-wide compile-cache counters."""
-    return _STATS
+    """The process-wide compile-cache counters, read at one instant."""
+    return CompileStats(**obs.snapshot("program.").get((), {}))
 
 
 def reset_compile_caches() -> None:
@@ -965,7 +945,7 @@ def reset_compile_caches() -> None:
         _LOWER_CACHE.clear()
         _FP_CACHE.clear()
         _KERNELS.clear()
-        _STATS.reset()
+        obs.reset("program.")
 
 
 def circuit_fingerprint(circuit: QuantumCircuit) -> str:
@@ -991,9 +971,7 @@ def circuit_fingerprint(circuit: QuantumCircuit) -> str:
 _DENSE_MATMUL_MIN_QUBIT = 6  # inner stride 64: measured BLAS crossover
 
 
-def _lower(
-    circuit: QuantumCircuit, noise: NoiseModel, optimize: bool
-) -> _Skeleton:
+def _lower(circuit: QuantumCircuit, noise: NoiseModel) -> _Skeleton:
     """Lower a circuit against a noise *structure* (rates ignored)."""
     n = circuit.num_qubits
     items: List[object] = []
@@ -1026,14 +1004,11 @@ def _lower(
                 items.append(RawGateOp(instr))
             elif gate.is_unitary and is_diagonal_gate(gate):
                 pending.append(_term(instr))
-                if not optimize:
-                    flush()
             elif name in ("x", "cx", "swap", "ccx"):
                 flush()
                 items.append(PermutationOp(name, instr.qubits))
             elif (
-                optimize
-                and gate.num_qubits == 1
+                gate.num_qubits == 1
                 and gate.is_unitary
                 and instr.qubits[0] >= _DENSE_MATMUL_MIN_QUBIT
             ):
@@ -1061,7 +1036,7 @@ def _lower(
                         f"gate {name!r} on {len(instr.qubits)} qubits"
                     )
     flush()
-    return _Skeleton(n, tuple(items), circuit_fingerprint(circuit), optimize)
+    return _Skeleton(n, tuple(items), circuit_fingerprint(circuit))
 
 
 def _bind(skeleton: _Skeleton, noise: NoiseModel) -> CompiledProgram:
@@ -1078,8 +1053,10 @@ def _bind(skeleton: _Skeleton, noise: NoiseModel) -> CompiledProgram:
         if ro is not None:
             readout.append((q, ro.p01, ro.p10))
     noise_fp = noise.fingerprint()
+    # The "|True" suffix is the retired optimize flag; it stays so that
+    # fingerprints (checkpoints, PointResults) match older runs.
     fp = hashlib.sha256(
-        f"{skeleton.circuit_fp}|{noise_fp}|{skeleton.optimized}".encode()
+        f"{skeleton.circuit_fp}|{noise_fp}|True".encode()
     ).hexdigest()[:16]
     return CompiledProgram(
         skeleton.num_qubits,
@@ -1088,20 +1065,14 @@ def _bind(skeleton: _Skeleton, noise: NoiseModel) -> CompiledProgram:
         fp,
         skeleton.circuit_fp,
         noise_fp,
-        skeleton.optimized,
     )
 
 
 def compile_circuit(
     circuit: QuantumCircuit,
     noise_model: Optional[NoiseModel] = None,
-    optimize: bool = True,
 ) -> CompiledProgram:
     """Lower ``circuit`` + ``noise_model`` into a :class:`CompiledProgram`.
-
-    ``optimize=False`` disables diagonal-run fusion and the dense-matmul
-    substitution, producing a program whose execution replays the
-    interpreter kernels bit-for-bit (used by the parity tests).
 
     Caching: the expensive lowering is shared by every model with the
     same :meth:`~repro.noise.model.NoiseModel.structure_key`; the cheap
@@ -1117,34 +1088,33 @@ def compile_circuit(
                 _LOWER_CACHE[circuit] = per_circuit
             except TypeError:
                 pass
-        key = (noise.structure_key(), bool(optimize))
+        key = noise.structure_key()
         skeleton = per_circuit.get(key)
-        if skeleton is None:
-            _STATS.lowerings += 1
-            skeleton = _lower(circuit, noise, bool(optimize))
+        lowered = skeleton is None
+        if lowered:
+            skeleton = _lower(circuit, noise)
             per_circuit[key] = skeleton
-        else:
-            _STATS.lower_hits += 1
 
         noise_fp = noise.fingerprint()
         program = skeleton._bound.get(noise_fp)
-        if program is None:
-            _STATS.binds += 1
+        bound = program is None
+        if bound:
             program = _bind(skeleton, noise)
             if len(skeleton._bound) >= _Skeleton.BIND_CAP:
                 skeleton._bound.pop(next(iter(skeleton._bound)))
             skeleton._bound[noise_fp] = program
-        else:
-            _STATS.bind_hits += 1
+        obs.add({
+            "program.lowerings" if lowered else "program.lower_hits": 1,
+            "program.binds" if bound else "program.bind_hits": 1,
+        })
         return program
 
 
 def as_program(
     target: Union[QuantumCircuit, CompiledProgram],
     noise_model: Optional[NoiseModel] = None,
-    optimize: bool = True,
 ) -> CompiledProgram:
     """Internal shim: accept either a circuit or a precompiled program."""
     if isinstance(target, CompiledProgram):
         return target
-    return compile_circuit(target, noise_model, optimize=optimize)
+    return compile_circuit(target, noise_model)

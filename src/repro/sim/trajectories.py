@@ -200,10 +200,7 @@ class TrajectoryEngine:
             first = self.rng.choice(es.size, size=B, p=pfirst)
             counts_per_site = np.bincount(first, minlength=es.size)
 
-        if program.optimized:
-            self._walk_split_segments(program, buf, counts_per_site, n)
-        else:
-            self._walk_split_ops(program, buf, counts_per_site, n)
+        self._walk_split_segments(program, buf, counts_per_site, n)
 
         check_norms(
             buf, "trajectory engine (split)", atol=norm_tolerance(self.dtype)
@@ -219,44 +216,6 @@ class TrajectoryEngine:
         outcomes = self._apply_readout_table(outcomes, program.readout)
         return Counts.from_outcome_list(outcomes, n)
 
-    def _walk_split_ops(
-        self,
-        program: CompiledProgram,
-        buf: np.ndarray,
-        counts_per_site: np.ndarray,
-        n: int,
-    ) -> int:
-        """Op-by-op forking walk (reference path, bitwise-stable)."""
-        k = 0  # forked (live erred) rows so far
-        s = 0  # pauli-site counter
-        for op in program.ops:
-            kind = op.kind
-            if kind == "unitary":
-                op.apply(buf[: 1 + k], n)
-                continue
-            if kind == "reset":
-                self._reset_rows(
-                    buf, op.qubit, np.arange(1 + k), n, to_one=False
-                )
-                continue
-            if kind != "noise" or not op.e:
-                continue
-            # Previously forked rows fire independently.
-            if k:
-                fire = self.rng.random(k) < op.e
-                rows = np.flatnonzero(fire) + 1
-                if rows.size:
-                    self._scatter_paulis(buf, op, rows, n)
-            # Fork the rows whose first fire is this site.
-            m = counts_per_site[s]
-            if m:
-                new_rows = np.arange(1 + k, 1 + k + m)
-                buf[new_rows] = buf[0]
-                self._scatter_paulis(buf, op, new_rows, n)
-                k += m
-            s += 1
-        return k
-
     def _walk_split_segments(
         self,
         program: CompiledProgram,
@@ -264,10 +223,11 @@ class TrajectoryEngine:
         counts_per_site: np.ndarray,
         n: int,
     ) -> int:
-        """Segment-fused forking walk over optimized programs.
+        """Segment-fused forking walk.
 
-        Same fork/fire law as :meth:`_walk_split_ops`, but organised
-        around *events*: per segment every site's fire/fork draws happen
+        Row 0 evolves clean; a row forks off it at its pre-sampled
+        first-fire site and then fires independently at every later
+        site.  The walk is organised around *events*: per segment every site's fire/fork draws happen
         up front (one uniform batch per site, in site order, so the
         stream consumption is deterministic), which pins down the small
         set of **active** rows — rows that fire here, rows forked here,

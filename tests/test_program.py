@@ -1,8 +1,8 @@
 """Tests for the compiled execution IR (repro.sim.program).
 
 Covers the lowering taxonomy (diagonal fusion, permutations, noise and
-measure sites), program<->circuit equivalence on random circuits (bit
-for bit for the unoptimized replay, numerically for the fused form),
+measure sites), program<->circuit equivalence on random circuits
+(numerically, against the interpreter),
 the decompile round-trip checked with the symbolic equivalence engine,
 the two-level compile cache, pickling for worker shipping, and the
 resolved-method audit trail on simulation results.
@@ -111,14 +111,6 @@ class TestLowering:
         assert len(diags) == 1
         assert len(diags[0].terms) == 3
 
-    def test_no_fusion_without_optimize(self):
-        qc = QuantumCircuit(2)
-        qc.rz(0.3, 0)
-        qc.rz(0.1, 1)
-        prog = compile_circuit(qc, optimize=False)
-        diags = [op for op in prog.ops if isinstance(op, DiagonalOp)]
-        assert [len(d.terms) for d in diags] == [1, 1]
-
     def test_permutation_and_measure_ops(self):
         qc = QuantumCircuit(3, 3)
         qc.x(0)
@@ -181,15 +173,6 @@ class TestLowering:
 # ---------------------------------------------------------------------------
 
 class TestEquivalence:
-    @_SETTINGS
-    @given(seed=st.integers(0, 10_000), n=st.integers(2, 5))
-    def test_unoptimized_replay_is_bit_for_bit(self, seed, n):
-        qc = _random_circuit(seed, n)
-        ref = StatevectorEngine().run(qc).data
-        prog = compile_circuit(qc, optimize=False)
-        got = StatevectorEngine().run(prog).data
-        assert np.array_equal(ref, got)
-
     @_SETTINGS
     @given(seed=st.integers(0, 10_000), n=st.integers(2, 5))
     def test_optimized_program_matches_interpreter(self, seed, n):
