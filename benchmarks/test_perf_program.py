@@ -73,5 +73,6 @@ def test_rate_only_sweep_compiles_once(qfm):
     # A second pass over the same rates is pure cache hits.
     for r in rates:
         compile_circuit(qfm, NoiseModel.depolarizing(p2q=r))
+    stats = compile_cache_stats()
     assert stats.lowerings == 1, stats
     assert stats.bind_hits == len(rates), stats

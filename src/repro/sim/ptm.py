@@ -141,7 +141,7 @@ def ptm_cache_stats() -> Dict[str, int]:
     re-served from the fingerprint-keyed cache)."""
     with _PLAN_LOCK:
         plans = len(_PLANS)
-    c = obs.snapshot("ptm.").get((), {})
+        c = obs.snapshot("ptm.").get((), {})
     return {
         "plans": plans,
         "binds": c.get("binds", 0),
