@@ -10,7 +10,9 @@ fleet, and asserts:
 * three operand pairs each produce the exact arithmetic result
   (all probability mass on ``x + y mod 2**m``);
 * the fabric-evaluated distribution is bit-identical to a local
-  serial-runner evaluation of the same cell;
+  serial-runner evaluation of the same cell, for the exact cells and
+  for one noisy cell (2q depolarizing at 1%), whose sampled noise
+  replay must cross the wire unchanged;
 * fragment jobs actually reached the workers
   (``cut_stats()["jobs_fabric"] > 0``, zero local fallbacks);
 * both workers drain gracefully on SIGTERM.
@@ -36,6 +38,8 @@ REPO = Path(__file__).resolve().parents[1]
 
 N = M = 8  # 16 qubits total; fragments of at most 8
 OPERAND_PAIRS = ((173, 41), (255, 1), (0, 77))
+NOISY_PAIR = (173, 41)
+NOISY_RATE = 0.01  # 2q depolarizing
 
 
 def fail(message: str) -> "None":
@@ -68,20 +72,20 @@ def _wait_registered(registry: Path, count: int, timeout: float = 60.0):
     fail(f"fleet did not register {count} worker(s) within {timeout}s")
 
 
-def _evaluate(x_val: int, y_val: int, runner):
+def _evaluate(x_val: int, y_val: int, runner, rate: float = 0.0):
     import numpy as np
 
     from repro.core.qint import QInteger
     from repro.cut import CutConfig, cut_distribution
     from repro.experiments.instances import ArithmeticInstance
-    from repro.experiments.runner import build_arithmetic_circuit
+    from repro.experiments.runner import build_arithmetic_circuit, noise_model_for
 
     circuit = build_arithmetic_circuit("add", N, M, None)
     inst = ArithmeticInstance(
         "add", N, M, QInteger.basis(x_val, N), QInteger.basis(y_val, M)
     )
     dist = cut_distribution(
-        circuit, None,
+        circuit, noise_model_for("2q", rate),
         config=CutConfig(max_fragment_qubits=M),
         initial_state=inst.initial_statevector(),
         seed=7,
@@ -146,6 +150,30 @@ def main(argv=None) -> int:
                     f"{stats['jobs_fabric']} fabric job(s), bit-identical "
                     "to local)"
                 )
+
+            x_val, y_val = NOISY_PAIR
+            local_bytes, _, _ = _evaluate(
+                x_val, y_val, SerialRunner(), NOISY_RATE
+            )
+            reset_cut_stats()
+            fabric_bytes, mass, _ = _evaluate(
+                x_val, y_val, FabricRunner(str(registry)), NOISY_RATE
+            )
+            stats = cut_stats()
+            if fabric_bytes != local_bytes:
+                fail(
+                    f"{x_val}+{y_val} at 2q {NOISY_RATE}: fabric "
+                    "distribution diverged from the local serial evaluation"
+                )
+            if stats["jobs_fabric"] <= 0 or stats["jobs_fabric_fallback"] > 0:
+                fail(
+                    f"noisy cell: {stats['jobs_fabric']} fabric job(s), "
+                    f"{stats['jobs_fabric_fallback']} local fallback(s)"
+                )
+            print(
+                f"[smoke] {x_val} + {y_val} at 2q {NOISY_RATE}: noisy replay "
+                f"bit-identical over the fabric (correct mass {mass:.4f})"
+            )
 
             for proc in workers:
                 proc.send_signal(signal.SIGTERM)

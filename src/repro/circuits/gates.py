@@ -130,7 +130,10 @@ class Gate:
         non-unitary ops (measure/barrier/reset).
     """
 
-    __slots__ = ("name", "num_qubits", "params", "_matrix_fn", "_matrix", "num_ctrl_qubits")
+    __slots__ = (
+        "name", "num_qubits", "params", "_matrix_fn", "_matrix",
+        "num_ctrl_qubits", "_diagonal",
+    )
 
     def __init__(
         self,
@@ -145,6 +148,7 @@ class Gate:
         self.params: Tuple[float, ...] = tuple(float(p) for p in params)
         self._matrix_fn = matrix_fn
         self._matrix: Optional[np.ndarray] = None
+        self._diagonal: Optional[bool] = None
         self.num_ctrl_qubits = int(num_ctrl_qubits)
         if self.num_qubits < 1:
             raise GateError(f"gate {name!r} must act on at least one qubit")
@@ -193,8 +197,20 @@ class Gate:
 
     @property
     def is_diagonal(self) -> bool:
-        """Whether the gate matrix is diagonal (phase-type gate)."""
-        return is_diagonal_gate(self)
+        """Whether the gate matrix is diagonal (phase-type gate).
+
+        Decided once per gate: the answer depends only on the name and
+        the matrix, and the simulation kernels ask on every dense gate.
+        """
+        if self._diagonal is None:
+            if self.name in _DIAGONAL_NAMES:
+                self._diagonal = True
+            elif not self.is_unitary:
+                self._diagonal = False
+            else:
+                m = self.matrix
+                self._diagonal = bool(np.allclose(m, np.diag(np.diag(m))))
+        return self._diagonal
 
     # -- algebra ----------------------------------------------------------
     def inverse(self) -> "Gate":
@@ -520,12 +536,7 @@ _DIAGONAL_NAMES = frozenset(
 
 def is_diagonal_gate(gate: Gate) -> bool:
     """True if the gate's matrix is diagonal (enables fast simulation)."""
-    if gate.name in _DIAGONAL_NAMES:
-        return True
-    if not gate.is_unitary:
-        return False
-    m = gate.matrix
-    return bool(np.allclose(m, np.diag(np.diag(m))))
+    return gate.is_diagonal
 
 
 #: Gates whose matrix is a pure 0/1 permutation (no phases).

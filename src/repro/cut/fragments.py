@@ -26,7 +26,9 @@ is classical too — ``X``/``Y`` flip the tracked bit from that point on,
 ``Z``/``I`` are branch-global phases — while components on fragment
 wires apply as 2x2 matrices in the walker.  Fire-free rows collapse
 onto the shared conditioned program's exact distribution (the
-trajectory engine's clean-shot split, replayed here).
+trajectory engine's clean-shot split, replayed here); every other row
+of a branch rides one batched walk of the event list, with the
+classical bits tracked per row.
 
 Wire cuts (the generic fallback)
 --------------------------------
@@ -193,7 +195,12 @@ def build_register_template(
 def _classify_gate(
     instr: Instruction, cls: set, local: Dict[int, int]
 ) -> Optional[tuple]:
-    """One instruction -> a conditioned event (None = provably no-op)."""
+    """One instruction -> a conditioned event (None = provably no-op).
+
+    Every event carries the fragment :class:`Instruction` it applies,
+    built once here: ``conddiag1`` one per assignment of its classical
+    bits (``instrs[k]``, bit ``j`` of ``k`` = ``ctrl[j]``).
+    """
     name = instr.gate.name
     qs = instr.qubits
     in_c = [q for q in qs if q in cls]
@@ -211,7 +218,7 @@ def _classify_gate(
                     "control — plan is not a valid register cut"
                 )
             return ("cls_cx", c, t)
-        return ("perm", (c,), ("x", (local[t],), ()))
+        return ("perm", (c,), _local_instruction("x", (local[t],)))
     if name == "ccx":
         c1, c2, t = qs
         if t in cls:
@@ -223,8 +230,8 @@ def _classify_gate(
             return ("cls_ccx", c1, c2, t)
         ctrl_c = tuple(q for q in (c1, c2) if q in cls)
         ctrl_f = tuple(local[q] for q in (c1, c2) if q not in cls)
-        gate = ("x", (local[t],), ()) if not ctrl_f else (
-            "cx", ctrl_f + (local[t],), ())
+        gate = _local_instruction("x", (local[t],)) if not ctrl_f else (
+            _local_instruction("cx", ctrl_f + (local[t],)))
         return ("perm", ctrl_c, gate)
     if name == "swap" and not in_f:
         return ("cls_swap", qs[0], qs[1])
@@ -239,10 +246,23 @@ def _classify_gate(
                     f"conditioned phase-on-ones over {len(f_local)} "
                     f"fragment wires is not representable"
                 )
-            return ("condphase", tuple(in_c), f_local, theta)
+            return (
+                "condphase",
+                tuple(in_c),
+                _local_instruction(_PHASE_ON_ONES[len(f_local)], f_local, theta),
+            )
         if len(in_f) == 1:
             diag = np.diag(instr.gate.matrix)
-            return ("conddiag1", qs, local[in_f[0]], diag)
+            cpos = [pos for pos, q in enumerate(qs) if q in cls]
+            fbit = 1 << qs.index(in_f[0])
+            instrs = []
+            for k in range(1 << len(cpos)):
+                base = 0
+                for j, pos in enumerate(cpos):
+                    base |= ((k >> j) & 1) << pos
+                theta = float(np.angle(diag[base | fbit]) - np.angle(diag[base]))
+                instrs.append(_local_instruction("p", (local[in_f[0]],), theta))
+            return ("conddiag1", tuple(in_c), tuple(instrs))
         raise CutError(
             f"diagonal gate {name!r} crossing the register cut with "
             f"{len(in_f)} fragment wires is unsupported"
@@ -257,18 +277,21 @@ def _classify_gate(
 _PHASE_ON_ONES = {1: "p", 2: "cp", 3: "ccp"}
 
 
-def _resolve_event(
-    event: tuple, bits: List[int]
-) -> Optional[Tuple[str, Tuple[int, ...], Tuple[float, ...]]]:
+def _local_instruction(
+    name: str, qubits: Tuple[int, ...], *params: float
+) -> Instruction:
+    return Instruction(G.make_gate(name, *params), tuple(qubits))
+
+
+def _resolve_event(event: tuple, bits: List[int]) -> Optional[Instruction]:
     """Resolve one event against the tracked classical bits.
 
-    Returns a (name, local_qubits, params) gate term to apply to the
-    fragment state (or None), mutating ``bits`` for classical events.
+    Returns the fragment instruction it applies (or None), mutating
+    ``bits`` for classical events.
     """
     kind = event[0]
     if kind == "gate":
-        instr = event[1]
-        return (instr.gate.name, instr.qubits, tuple(instr.gate.params))
+        return event[1]
     if kind == "flip":
         bits[event[1]] ^= 1
         return None
@@ -285,23 +308,13 @@ def _resolve_event(
     if kind == "cls_reset":
         bits[event[1]] = 0
         return None
-    if kind == "perm":
+    if kind in ("perm", "condphase"):
         if all(bits[c] for c in event[1]):
             return event[2]
         return None
-    if kind == "condphase":
-        _, ctrl, f_local, theta = event
-        if not all(bits[c] for c in ctrl):
-            return None
-        return (_PHASE_ON_ONES[len(f_local)], f_local, (theta,))
+    if kind == "conddiag1":
+        return event[2][sum((bits[c] & 1) << j for j, c in enumerate(event[1]))]
     raise CutError(f"unknown event kind {kind!r}")
-
-
-def _term_to_instruction(
-    term: Tuple[str, Tuple[int, ...], Tuple[float, ...]]
-) -> Instruction:
-    name, qubits, params = term
-    return Instruction(G.make_gate(name, *params), tuple(qubits))
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +340,11 @@ def decompose_initial_state(
     vec = as_complex(np.asarray(initial_state)).reshape(-1)
     if vec.shape[0] != (1 << num_qubits):
         raise ValueError("initial state has wrong dimension")
-    idx = np.arange(1 << num_qubits, dtype=np.int64)
+    idx = np.flatnonzero(vec)
     c_vals = extract_register_values(idx, tuple(classical))
     f_vals = extract_register_values(idx, tuple(fragment))
     M = np.zeros((1 << len(classical), 1 << len(fragment)), dtype=vec.dtype)
-    M[c_vals, f_vals] = vec
+    M[c_vals, f_vals] = vec[idx]
     weights = np.abs(M) ** 2
     w_v = weights.sum(axis=1)
     branches: List[Tuple[int, float, Optional[np.ndarray]]] = []
@@ -384,9 +397,9 @@ def conditioned_circuit(
     for event in template.events:
         if event[0] == "site":
             continue
-        term = _resolve_register_event(template, event, bits)
-        if term is not None:
-            qc.append(G.make_gate(term[0], *term[2]), term[1])
+        instr = _resolve_event(event, bits)
+        if instr is not None:
+            qc.append(instr.gate, instr.qubits)
     cls_out = _pack_bits(template, bits)
     program = compile_circuit(qc, None)
     obs.add({"cut.fragments_compiled": 1})
@@ -395,27 +408,6 @@ def conditioned_circuit(
             _COND_CACHE.pop(next(iter(_COND_CACHE)))
         _COND_CACHE[key] = (qc, cls_out, program)
     return qc, cls_out, program
-
-
-def _resolve_register_event(
-    template: RegisterTemplate, event: tuple, bits: List[int]
-) -> Optional[Tuple[str, Tuple[int, ...], Tuple[float, ...]]]:
-    """Template-aware event resolution (handles conddiag1 positions)."""
-    if event[0] != "conddiag1":
-        return _resolve_event(event, bits)
-    _, qs, f_local, diag = event
-    cls = set(template.classical)
-    base = 0
-    fpos = 0
-    for pos, q in enumerate(qs):
-        if q in cls:
-            base |= (bits[q] & 1) << pos
-        else:
-            fpos = pos
-    d0 = diag[base]
-    d1 = diag[base | (1 << fpos)]
-    theta = float(np.angle(d1) - np.angle(d0))
-    return ("p", (f_local,), (theta,))
 
 
 def _ideal_branch(
@@ -459,20 +451,49 @@ def run_value_job(job: ValueJob) -> List[Tuple[int, np.ndarray]]:
     weight (they sum to ``weight`` for the ideal lane and in
     expectation for the trajectory lane).
     """
-    plan = CutPlan(
-        kind="registers",
-        num_qubits=job.circuit.num_qubits,
-        classical=job.classical,
-        fragment=job.fragment,
-    )
     noise = job.noise or NoiseModel.ideal()
-    template = build_register_template(job.circuit, noise, plan)
+    template = _register_template(job, noise)
     obs.add({"cut.variants_evaluated": 1})
     probs, cls_out = _ideal_branch(template, job.value, job.frag_state)
     live = [s for s in template.sites if s.e > 0]
     if noise.is_ideal or not live:
         return [(cls_out, job.weight * probs)]
     return _run_noisy_branch(template, job, probs, cls_out)
+
+
+_TEMPLATE_LOCK = threading.Lock()
+_TEMPLATE_CACHE: Dict[tuple, RegisterTemplate] = {}
+_TEMPLATE_CAP = 64
+
+
+def _register_template(job: ValueJob, noise: NoiseModel) -> RegisterTemplate:
+    """The job's register template, built once per (circuit, partition,
+    noise model) and shared by every branch and cell that repeats it."""
+    key = (
+        circuit_fingerprint(job.circuit), job.classical, job.fragment,
+        noise.fingerprint(),
+    )
+    with _TEMPLATE_LOCK:
+        hit = _TEMPLATE_CACHE.get(key)
+        if hit is not None:
+            return hit
+    plan = CutPlan(
+        kind="registers",
+        num_qubits=job.circuit.num_qubits,
+        classical=job.classical,
+        fragment=job.fragment,
+    )
+    template = build_register_template(job.circuit, noise, plan)
+    with _TEMPLATE_LOCK:
+        if len(_TEMPLATE_CACHE) >= _TEMPLATE_CAP:
+            _TEMPLATE_CACHE.pop(next(iter(_TEMPLATE_CACHE)))
+        _TEMPLATE_CACHE[key] = template
+    return template
+
+
+#: One sampled trajectory row: its classical flips ``(site, wire)`` and
+#: its fragment Paulis ``(site, label position, local wire, Pauli)``.
+_Row = Tuple[List[Tuple[int, int]], List[Tuple[int, int, int, str]]]
 
 
 def _run_noisy_branch(
@@ -514,12 +535,14 @@ def _run_noisy_branch(
     )
     cls_set = set(template.classical)
     local = {q: i for i, q in enumerate(template.fragment)}
-    # Per-row event lists, sampled in deterministic (row, site) order.
-    groups: Dict[tuple, List[list]] = {}
+    # Per-row events, sampled in deterministic (row, site) order.  Terms
+    # sum in a fixed order, which pins the float64 result: quiet rows,
+    # then each classical-flip history in first-seen order.
+    groups: Dict[tuple, List[_Row]] = {}
     quiet = 0
     for b in range(B):
         flips: List[Tuple[int, int]] = []
-        paulis: List[Tuple[int, int, str]] = []
+        paulis: List[Tuple[int, int, int, str]] = []
         for s in np.flatnonzero(fires[b]):
             site = template.sites[s]
             label = site.labels[
@@ -533,67 +556,111 @@ def _run_noisy_branch(
                     if ch in ("X", "Y"):
                         flips.append((int(s), q))
                 else:
-                    paulis.append((int(s), local[q], ch))
+                    paulis.append((int(s), pos, local[q], ch))
         if not flips and not paulis:
             quiet += 1
             continue
-        groups.setdefault(tuple(flips), []).append(paulis)
+        groups.setdefault(tuple(flips), []).append((flips, paulis))
     if quiet:
         add(ideal_cls, quiet * w_row * ideal_probs)
-    for flips, rows in groups.items():
-        for cls_out, vec in _walk_group(
-            template, job.value, job.frag_state, flips, rows, w_row
-        ):
-            add(cls_out, vec)
+    rows = [row for members in groups.values() for row in members]
+    if rows:
+        cls_outs, probs = _walk_rows(template, job.value, job.frag_state, rows)
+        for r, cls_out in enumerate(cls_outs):
+            add(cls_out, w_row * probs[r])
     return list(terms.items())
 
 
-def _walk_group(
+def _walk_rows(
     template: RegisterTemplate,
     value: int,
     frag_state: Optional[np.ndarray],
-    flips: Tuple[Tuple[int, int], ...],
-    rows: List[List[Tuple[int, int, str]]],
-    w_row: float,
-) -> List[Tuple[int, np.ndarray]]:
-    """Walk the event list for rows sharing one classical-flip history."""
+    rows: List[_Row],
+) -> Tuple[List[int], np.ndarray]:
+    """Walk the event list once for every row at once.
+
+    The fragment state is ``(R, 2**|F|)`` and the classical bits an
+    ``(R, num_qubits)`` array, so classical events are column updates
+    and a conditioned gate applies to the rows whose control bits are
+    set.  Each row sees exactly the gate sequence of its own walk, and
+    every kernel acts row by row, so a row's amplitudes do not depend
+    on which rows share the batch.  Returns each row's classical output
+    and fragment probabilities.
+    """
     nF = template.frag_width
-    dim = 1 << nF
-    B = len(rows)
+    R = len(rows)
+    dtype = resolve_complex_dtype(None)
     if nF == 0:
-        state = np.ones((B, 1), dtype=resolve_complex_dtype(None))
+        state = np.ones((R, 1), dtype=dtype)
     elif frag_state is None:
-        state = np.zeros((B, dim), dtype=resolve_complex_dtype(None))
+        state = np.zeros((R, 1 << nF), dtype=dtype)
         state[:, 0] = 1.0
     else:
-        state = np.tile(as_complex(frag_state).reshape(1, -1), (B, 1))
-    bits = _init_bits(template, value)
-    flips_by_site: Dict[int, List[int]] = {}
-    for s, q in flips:
-        flips_by_site.setdefault(s, []).append(q)
-    paulis_by_site: Dict[int, List[Tuple[int, int, str]]] = {}
-    for r, row in enumerate(rows):
-        for s, loc, ch in row:
-            paulis_by_site.setdefault(s, []).append((r, loc, ch))
+        state = np.tile(as_complex(frag_state).reshape(1, -1), (R, 1))
+    bits = np.tile(
+        np.array(_init_bits(template, value), dtype=np.int64), (R, 1)
+    )
+    flips_at: Dict[int, Dict[int, List[int]]] = {}
+    paulis_at: Dict[int, Dict[Tuple[int, int, str], List[int]]] = {}
+    for r, (flips, paulis) in enumerate(rows):
+        for s, q in flips:
+            flips_at.setdefault(s, {}).setdefault(q, []).append(r)
+        for s, pos, loc, ch in paulis:
+            paulis_at.setdefault(s, {}).setdefault((pos, loc, ch), []).append(r)
+
+    def apply(instr: Instruction, sel: Optional[np.ndarray]) -> None:
+        nonlocal state
+        if sel is None:
+            state = apply_instruction(state, instr, nF)
+        else:
+            state[sel] = apply_instruction(state[sel], instr, nF)
+
     for event in template.events:
-        if event[0] == "site":
+        kind = event[0]
+        if kind == "site":
             s = event[1]
-            for r, loc, ch in paulis_by_site.get(s, ()):
-                state[r] = apply_gate_matrix(
-                    state[r : r + 1], PAULI_MATRICES[ch], (loc,), nF
-                )[0]
-            for q in flips_by_site.get(s, ()):
-                bits[q] ^= 1
-            continue
-        term = _resolve_register_event(template, event, bits)
-        if term is not None and nF:
-            instr = _term_to_instruction(term)
-            out = apply_instruction(state, instr, nF)
-            if out is not state:
-                state = out
-    cls_out = _pack_bits(template, bits)
-    probs = np.abs(state) ** 2
-    return [(cls_out, w_row * probs[r]) for r in range(B)]
+            # Label positions in order: each row applies its Pauli
+            # factors in the order its own walk did.
+            for (_, loc, ch), members in sorted(paulis_at.get(s, {}).items()):
+                sel = np.array(members)
+                sub = state[sel]
+                apply_gate_matrix(sub, PAULI_MATRICES[ch], (loc,), nF)
+                state[sel] = sub
+            for q, members in flips_at.get(s, {}).items():
+                bits[members, q] ^= 1
+        elif kind == "gate":
+            apply(event[1], None)
+        elif kind == "flip":
+            bits[:, event[1]] ^= 1
+        elif kind == "cls_cx":
+            bits[:, event[2]] ^= bits[:, event[1]]
+        elif kind == "cls_ccx":
+            bits[:, event[3]] ^= bits[:, event[1]] & bits[:, event[2]]
+        elif kind == "cls_swap":
+            a, b = event[1], event[2]
+            bits[:, [a, b]] = bits[:, [b, a]]
+        elif kind == "cls_reset":
+            bits[:, event[1]] = 0
+        elif kind in ("perm", "condphase"):
+            on = bits[:, list(event[1])].all(axis=1)
+            if on.all():
+                apply(event[2], None)
+            elif on.any():
+                apply(event[2], np.flatnonzero(on))
+        elif kind == "conddiag1":
+            k = np.zeros(R, dtype=np.int64)
+            for j, c in enumerate(event[1]):
+                k |= bits[:, c] << j
+            values = np.unique(k)
+            for kv in values:
+                sel = None if len(values) == 1 else np.flatnonzero(k == kv)
+                apply(event[2][kv], sel)
+        else:
+            raise CutError(f"unknown event kind {kind!r}")
+    weights = np.array([1 << i for i in range(len(template.classical))],
+                       dtype=np.int64)
+    cls_outs = (bits[:, list(template.classical)] @ weights).tolist()
+    return cls_outs, np.abs(state) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.circuits import QuantumCircuit
+from repro.circuits.gates import make_gate
 from repro.core.qint import QInteger
 from repro.cut import (
     CutConfig,
@@ -180,6 +181,140 @@ def test_register_cut_noisy_within_envelope():
         .probs
     )
     assert _tv(dist.probs, ref) <= 0.05
+
+
+#: Every event kind a register-cut template can hold.
+_EVENT_KINDS = {
+    "gate", "site", "flip", "cls_cx", "cls_ccx", "cls_swap", "cls_reset",
+    "perm", "condphase", "conddiag1",
+}
+
+
+def _every_event_circuit() -> QuantumCircuit:
+    """Six wires, C = {0, 1, 2} and F = {3, 4, 5}, and every event
+    kind (``perm`` from one C control, two C controls and mixed
+    controls; ``conddiag1`` from a classical control, a classical
+    target, and two classical wires of a generic controlled-``crz``)."""
+    qc = QuantumCircuit(6)
+    for q in (3, 4, 5):
+        qc.h(q)
+    qc.x(0)  # flip
+    qc.cx(0, 3)  # perm, C-only control
+    qc.cx(0, 1)  # cls_cx
+    qc.cp(0.7, 2, 4)  # condphase, one fragment wire
+    qc.ccx(1, 4, 5)  # perm, mixed controls -> cx on F
+    qc.ccx(0, 1, 2)  # cls_ccx
+    qc.crz(0.9, 1, 5)  # conddiag1, C control
+    qc.swap(1, 2)  # cls_swap
+    qc.ccp(1.3, 0, 3, 4)  # condphase, two fragment wires
+    qc.ccx(0, 2, 3)  # perm, two C controls
+    qc.crz(-0.4, 5, 2)  # conddiag1, C target
+    qc.append(make_gate("crz", 0.5).control(1), (0, 1, 4))  # conddiag1, 2 C
+    qc.reset(2)  # cls_reset
+    qc.cx(1, 2)
+    for q in (3, 4, 5):
+        qc.h(q)
+    return qc
+
+
+def _every_event_noise():
+    from repro.noise.model import NoiseModel
+
+    return NoiseModel.depolarizing(
+        p2q=0.05, gates_2q=("cx", "cp", "crz", "swap")
+    )
+
+
+def _every_event_state() -> np.ndarray:
+    rng = np.random.default_rng(5)
+    vec = rng.normal(size=64) + 1j * rng.normal(size=64)
+    return vec / np.linalg.norm(vec)
+
+
+def _reference_walk(template, value, frag_state, row):
+    """One trajectory row, walked alone with the scalar event resolver."""
+    from repro.cut.fragments import _resolve_event
+    from repro.noise.pauli import PAULI_MATRICES
+    from repro.sim.ops import apply_gate_matrix, apply_instruction
+
+    nF = template.frag_width
+    bits = [0] * template.num_qubits
+    for i, q in enumerate(template.classical):
+        bits[q] = (value >> i) & 1
+    state = np.array(frag_state, dtype=complex).reshape(1, -1)
+    flips, paulis = row
+    for event in template.events:
+        if event[0] == "site":
+            for s, _, loc, ch in paulis:
+                if s == event[1]:
+                    apply_gate_matrix(state, PAULI_MATRICES[ch], (loc,), nF)
+            for s, q in flips:
+                if s == event[1]:
+                    bits[q] ^= 1
+            continue
+        instr = _resolve_event(event, bits)
+        if instr is not None:
+            state = apply_instruction(state, instr, nF)
+    cls_out = sum(bits[q] << i for i, q in enumerate(template.classical))
+    return cls_out, np.abs(state[0]) ** 2
+
+
+def test_batched_walk_matches_per_row_walks(monkeypatch):
+    """Every event kind, real sampled rows: one batched walk == one
+    walk per row, bit for bit (classical output and probabilities)."""
+    from repro.cut import fragments
+
+    calls = []
+    walk = fragments._walk_rows
+
+    def recording(template, value, frag_state, rows):
+        out = walk(template, value, frag_state, rows)
+        calls.append((template, value, frag_state, rows, out))
+        return out
+
+    monkeypatch.setattr(fragments, "_walk_rows", recording)
+    qc = _every_event_circuit()
+    plan = find_cuts(qc, CutConfig(max_fragment_qubits=3))
+    assert plan.classical == (0, 1, 2) and plan.fragment == (3, 4, 5)
+    cut_distribution(
+        qc, _every_event_noise(), config=CutConfig(max_fragment_qubits=3),
+        initial_state=_every_event_state(), trajectories=48, seed=2,
+    )
+    assert len(calls) == 8  # every classical value is a branch
+    template = calls[0][0]
+    assert {ev[0] for ev in template.events} == _EVENT_KINDS
+    perms = {ev[2].gate.name for ev in template.events if ev[0] == "perm"}
+    assert perms == {"x", "cx"}
+    flipped = unflipped = 0
+    for template, value, frag_state, rows, (cls_outs, probs) in calls:
+        assert len(cls_outs) == len(rows) == probs.shape[0]
+        for r, row in enumerate(rows):
+            flipped += bool(row[0])
+            unflipped += not row[0]
+            cls_ref, probs_ref = _reference_walk(
+                template, value, frag_state, row
+            )
+            assert cls_outs[r] == cls_ref
+            assert probs[r].tobytes() == probs_ref.tobytes()
+    assert flipped and unflipped  # rows with and without flips
+
+
+def test_every_event_kind_matches_density():
+    """The hand-made every-event circuit: ideal cut == statevector
+    exactly, noisy cut within a seeded envelope of density."""
+    qc = _every_event_circuit()
+    init = _every_event_state()
+    config = CutConfig(max_fragment_qubits=3)
+    ideal = cut_distribution(qc, None, config=config, initial_state=init)
+    ref = DensityMatrixEngine().run(qc, None, initial_state=init)
+    assert _tv(ideal.probs, ref.probabilities().probs) <= 1e-10
+    noise = _every_event_noise()
+    dist = cut_distribution(
+        qc, noise, config=config, initial_state=init,
+        trajectories=4000, seed=11,
+    )
+    ref = DensityMatrixEngine().run(qc, noise, initial_state=init)
+    assert _tv(dist.probs, ref.probabilities().probs) <= 0.01
 
 
 def test_cut_counts_deterministic_given_seed():
