@@ -27,7 +27,6 @@ from conftest import save_artifact
 import repro.service.executor as executor_mod
 from repro.service import (
     ArithmeticService,
-    FusionGate,
     ResultCache,
     ServerThread,
     ServiceClient,
@@ -45,6 +44,7 @@ N_TENANTS = 4
 CELLS_PER_TENANT = 12
 N_ONE_OFFS = 8
 FAIRNESS_K = 3.0  # no tenant p99 may exceed K x the median tenant p99
+SLOW_BATCH_S = 0.02  # added to every scheduler pass, so the slot stays busy
 
 
 def _request(seed=0, shots=96):
@@ -178,26 +178,33 @@ def test_service_load_smoke(artifact_dir, monkeypatch):
     assert p99 < 30.0
 
 
-def test_service_fusion_mixed_tenants(artifact_dir):
-    """Mixed-tenant load through the fusion gate: hit rate + fairness.
+def test_service_fusion_mixed_tenants(artifact_dir, monkeypatch):
+    """Mixed-tenant load through the one queue: hit rate + fairness.
 
     ``N_TENANTS`` tenants sweep the same circuit family at (disjoint)
     error-rate grids while an interactive tenant interleaves one-off
-    ideal-noise requests that bypass the gate.  The sweeping tenants'
-    requests are all fusion-eligible and arrive in overlapping windows,
-    so most of them must execute fused (hit rate >= 0.5), and
-    deficit-round-robin must keep per-tenant latency balanced: no
-    tenant's p99 beyond ``FAIRNESS_K`` x the median tenant p99.
+    ideal-noise requests that never fuse.  The server has one executor
+    slot and every scheduler pass is slowed by ``SLOW_BATCH_S``, so the
+    slot is busy whenever a sweeping tenant's next cell arrives: most
+    cells queue behind a running batch and must execute fused (hit
+    rate >= 0.5), and deficit round robin must keep per-tenant latency
+    balanced: no tenant's p99 beyond ``FAIRNESS_K`` x the median tenant
+    p99.
     """
+    real = executor_mod.run_request_tasks
+
+    def slow(*args, **kwargs):
+        time.sleep(SLOW_BATCH_S)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(executor_mod, "run_request_tasks", slow)
     reset_fusion_stats()
-    executor = SimulationExecutor(workers=0, concurrency=8)
     service = ArithmeticService(
-        executor=executor,
+        executor=SimulationExecutor(workers=0, concurrency=1),
         cache=ResultCache(ttl=0),
         max_queue=512,
-        concurrency=8,
+        concurrency=1,
         lint_requests=False,
-        fusion=FusionGate(executor, window_ms=40, min_batch=N_TENANTS),
     )
     latencies = {}
     lat_lock = threading.Lock()
@@ -228,7 +235,7 @@ def test_service_fusion_mixed_tenants(artifact_dir):
         def interactive():
             for k in range(N_ONE_OFFS):
                 # Ideal-noise one-offs are not fusion-eligible: they
-                # bypass the gate entirely and must stay interactive.
+                # always take the slot alone and must stay interactive.
                 timed(
                     client,
                     "interactive",
@@ -288,8 +295,8 @@ def test_service_fusion_mixed_tenants(artifact_dir):
         ),
         f"  fairness           worst/median = "
         f"{worst_p99 / max(median_p99, 1e-9):.2f} (bound {FAIRNESS_K}x)",
-        f"  window wait p99    "
-        f"{stats['metrics']['latency']['fusion_window_wait']['p99_seconds'] * 1000:.1f} ms",
+        f"  queue wait p99     "
+        f"{stats['metrics']['latency']['queue_wait']['p99_seconds'] * 1000:.1f} ms",
     ]
     save_artifact(artifact_dir, "service_fusion_load.txt", "\n".join(lines))
     save_artifact(

@@ -5,20 +5,23 @@ Boots an in-process server, drives the blocking client through a QFA
 request round trip (miss -> hit), checks the determinism contract, and
 scrapes ``/healthz``, ``/stats`` and ``/metrics``.  A noisy 6-qubit
 ``auto`` request must be answered by the exact PTM engine.  A noisy
-trajectory request must return identical counts from a server with the
-fusion window at 0 and from a fusion-enabled one.  A fusion-enabled
-server then exercises the ``/v1/sweep`` streaming path
-(per-cell partials consumed as they complete) and the mid-stream
-disconnect contract (the server cancels orphaned queued cells without
-poisoning shared state).  Exits non-zero on any violated expectation —
-this is the ``service-smoke`` CI lane.
+trajectory request must return identical counts when it runs alone at
+an idle server and when it queues behind a busy slot and runs fused
+with a neighbour.  A one-slot server then exercises the ``/v1/sweep``
+streaming path (per-cell partials consumed as they complete; the cells
+queued behind the first fuse) and the mid-stream disconnect contract
+(the server withdraws orphaned queued cells without poisoning shared
+state).  Exits non-zero on any violated expectation — this is the
+``service-smoke`` CI lane.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import socket
 import sys
+import threading
 import time
 
 
@@ -99,44 +102,95 @@ def main() -> int:
     return 0
 
 
-def _fused_server(window_ms: float, min_batch: int) -> "object":
+def _one_slot_server() -> "object":
+    """A server with one executor slot: whatever queues behind a
+    running batch leaves together, fused."""
     from repro.service import (
         ArithmeticService,
-        FusionGate,
         ResultCache,
         ServerThread,
         SimulationExecutor,
     )
 
-    executor = SimulationExecutor(workers=0, concurrency=4)
     return ServerThread(
         ArithmeticService(
-            executor=executor,
+            executor=SimulationExecutor(workers=0, concurrency=1),
             cache=ResultCache(ttl=0),
-            concurrency=4,
+            concurrency=1,
             lint_requests=False,
-            fusion=FusionGate(
-                executor, window_ms=window_ms, min_batch=min_batch
-            ),
         )
     )
 
 
-def _fusion_parity_smoke(request: dict) -> None:
-    """Window 0 and a fusion-enabled window return identical counts."""
-    from repro.service import ServiceClient
+@contextlib.contextmanager
+def _slow_batches(release: threading.Event, hold=lambda tasks: True):
+    """Hold every scheduler pass that ``hold`` picks until ``release``."""
+    import repro.service.executor as executor_mod
 
-    responses = {}
-    for window_ms in (0, 25):
-        with _fused_server(window_ms=window_ms, min_batch=1) as srv:
-            client = ServiceClient(*srv.address, timeout=120)
-            responses[window_ms] = client.simulate(dict(request))
-    plain, fused = responses[0], responses[25]
+    real = executor_mod.run_request_tasks
+
+    def held(tasks):
+        if hold(tasks):
+            release.wait(timeout=60)
+        return real(tasks)
+
+    executor_mod.run_request_tasks = held
+    try:
+        yield
+    finally:
+        release.set()
+        executor_mod.run_request_tasks = real
+
+
+def _wait_for(predicate, what: str, timeout: float = 15.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            fail(f"timed out waiting for {what}")
+        time.sleep(0.02)
+
+
+def _fusion_parity_smoke(request: dict) -> None:
+    """Alone at an idle server and fused under load: identical counts."""
+    from repro.service import ServiceClient, SimRequest
+
+    with _one_slot_server() as srv:
+        plain = ServiceClient(*srv.address, timeout=120).simulate(dict(request))
+    blocker = dict(request, error_rate=0.05)
+    neighbour = dict(request, error_rate=0.002)
+    blocker_key = SimRequest.from_dict(blocker).content_key()
+    release = threading.Event()
+    with _one_slot_server() as srv, _slow_batches(
+        release, lambda tasks: any(t.key == blocker_key for t in tasks)
+    ):
+        client = ServiceClient(*srv.address, timeout=120)
+        results = {}
+
+        def send(name, payload):
+            results[name] = client.simulate(payload)
+
+        threads = [threading.Thread(target=send, args=("blocker", blocker))]
+        threads[0].start()
+        _wait_for(lambda: srv.service.fusion.slots_in_use == 1,
+                  "the blocker to take the slot")
+        for name, payload in (("fused", request), ("neighbour", neighbour)):
+            threads.append(
+                threading.Thread(target=send, args=(name, dict(payload)))
+            )
+            threads[-1].start()
+        _wait_for(lambda: srv.service.fusion.depth() == 2,
+                  "two requests to queue behind the busy slot")
+        release.set()
+        for t in threads:
+            t.join(timeout=120)
+    fused = results.get("fused")
+    if fused is None:
+        fail("the request queued behind the busy slot never returned")
     if (plain.cache, fused.cache) != ("miss", "fused"):
         fail(f"expected miss/fused, got {plain.cache!r}/{fused.cache!r}")
     if plain.counts != fused.counts:
-        fail("fused counts differ from the window-0 server's")
-    print("[smoke] fusion parity: window 0 and fused counts bit-identical")
+        fail("fused counts differ from the request run alone")
+    print("[smoke] fusion parity: alone and fused counts bit-identical")
 
 
 def _sweep_streaming_smoke(request: dict) -> None:
@@ -145,7 +199,9 @@ def _sweep_streaming_smoke(request: dict) -> None:
 
     rates = [0.001, 0.002, 0.004, 0.008]
     reset_fusion_stats()
-    with _fused_server(window_ms=25, min_batch=len(rates)) as srv:
+    # One slot: the first cell runs alone, the rest queue behind it and
+    # leave together as one fused batch.
+    with _one_slot_server() as srv:
         client = ServiceClient(*srv.address, timeout=120)
         seen = []
         for part in client.submit_sweep(request, rates):
@@ -172,9 +228,11 @@ def _disconnect_smoke(request: dict) -> None:
     from repro.service import ServiceClient
 
     rates = [0.001, 0.002, 0.004, 0.008]
-    # A huge window keeps every cell queued in the gate while the
-    # client vanishes — the orphans must be withdrawn, not executed.
-    with _fused_server(window_ms=60_000, min_batch=1000) as srv:
+    # The first cell holds the only slot, so the others wait in the
+    # queue while the client vanishes — the orphans must be withdrawn,
+    # not executed.
+    release = threading.Event()
+    with _one_slot_server() as srv, _slow_batches(release):
         host, port = srv.address
         body = json.dumps({"base": request, "rates": rates}).encode()
         with socket.create_connection((host, port), timeout=30) as sock:
@@ -192,6 +250,8 @@ def _disconnect_smoke(request: dict) -> None:
                 buf += chunk
             if b"200 OK" not in buf:
                 fail(f"sweep head: {buf[:200]!r}")
+            _wait_for(lambda: srv.service.fusion.depth() == len(rates) - 1,
+                      "the cells to queue behind the first")
         deadline = time.monotonic() + 15
         while time.monotonic() < deadline:
             if srv.service.fusion.depth() == 0:
@@ -199,11 +259,11 @@ def _disconnect_smoke(request: dict) -> None:
             time.sleep(0.05)
         if srv.service.fusion.depth() != 0:
             fail(
-                f"gate still holds {srv.service.fusion.depth()} orphaned "
+                f"queue still holds {srv.service.fusion.depth()} orphaned "
                 f"cells after disconnect"
             )
-        # Shared state is healthy: an ideal-noise request (which
-        # bypasses the still-huge window) round-trips fine.
+        release.set()
+        # Shared state is healthy: a fresh request round-trips fine.
         client = ServiceClient(*srv.address, timeout=120)
         resp = client.simulate(dict(request, error_rate=0.0))
         if sum(resp.counts.values()) != request["shots"]:

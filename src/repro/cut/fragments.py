@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -121,8 +121,9 @@ class RegisterTemplate:
         return len(self.fragment)
 
 
-def _pauli_site(qubits: Tuple[int, ...], err) -> Optional[_Site]:
-    """The conditioned-fire table of one Pauli channel (None when e=0)."""
+def _pauli_table(err) -> Optional[Tuple[Tuple[str, ...], np.ndarray, float]]:
+    """One Pauli channel's conditioned-fire table ``(labels, cond, e)``,
+    or None when it never fires (e = 0)."""
     if not isinstance(err, PauliError):
         raise CutError(
             "register-cut noise replay supports Pauli channels only, "
@@ -137,7 +138,97 @@ def _pauli_site(qubits: Tuple[int, ...], err) -> Optional[_Site]:
     if e <= 0:
         return None
     cond = np.array([pr for _, pr in nontrivial]) / e
-    return _Site(qubits, tuple(p for p, _ in nontrivial), cond, e)
+    return tuple(p for p, _ in nontrivial), cond, e
+
+
+@dataclass
+class _Skeleton:
+    """The rate-free half of a register template: events with a
+    ``("slot", k)`` marker for every channel the noise model's structure
+    attaches, and each slot's model address and wires."""
+
+    num_qubits: int
+    classical: Tuple[int, ...]
+    fragment: Tuple[int, ...]
+    events: List[tuple]
+    slots: List[Tuple[tuple, Tuple[int, ...]]]
+    circuit_fp: str
+
+
+def _build_skeleton(
+    circuit: QuantumCircuit, noise: NoiseModel, plan: CutPlan
+) -> _Skeleton:
+    cls = set(plan.classical)
+    local = {q: i for i, q in enumerate(plan.fragment)}
+    events: List[tuple] = []
+    slots: List[Tuple[tuple, Tuple[int, ...]]] = []
+
+    def add_slots(instr: Instruction) -> None:
+        for slot, err in noise.errors_for(instr.gate.name, instr.qubits):
+            if err.num_qubits == 1 and len(instr.qubits) > 1:
+                expanded = [(q,) for q in instr.qubits]
+            else:
+                expanded = [instr.qubits]
+            for qubits in expanded:
+                events.append(("slot", len(slots)))
+                slots.append((slot, qubits))
+
+    for instr in circuit:
+        name = instr.gate.name
+        if name in ("barrier", "measure"):
+            continue
+        if name == "reset":
+            q = instr.qubits[0]
+            if q in cls:
+                events.append(("cls_reset", q))
+            else:
+                raise CutError("reset on a fragment wire is not cuttable")
+            add_slots(instr)
+            continue
+        events.append(_classify_gate(instr, cls, local))
+        add_slots(instr)
+    return _Skeleton(
+        num_qubits=circuit.num_qubits,
+        classical=plan.classical,
+        fragment=plan.fragment,
+        events=[ev for ev in events if ev is not None],
+        slots=slots,
+        circuit_fp=circuit_fingerprint(circuit),
+    )
+
+
+def _bind_sites(skeleton: _Skeleton, noise: NoiseModel) -> RegisterTemplate:
+    """Resolve a skeleton's slots against one noise model's rates.
+
+    Slots whose channel never fires are dropped, so the site list (and
+    with it every random draw of the trajectory lane) is the one a
+    direct build against ``noise`` makes.
+    """
+    tables: Dict[tuple, Optional[tuple]] = {}
+    ordinal: List[Optional[int]] = []
+    sites: List[_Site] = []
+    for slot, qubits in skeleton.slots:
+        if slot not in tables:
+            tables[slot] = _pauli_table(noise.error_by_slot(slot))
+        table = tables[slot]
+        if table is None:
+            ordinal.append(None)
+            continue
+        ordinal.append(len(sites))
+        sites.append(_Site(qubits, *table))
+    events = [
+        ev if ev[0] != "slot" else ("site", ordinal[ev[1]])
+        for ev in skeleton.events
+        if ev[0] != "slot" or ordinal[ev[1]] is not None
+    ]
+    return RegisterTemplate(
+        num_qubits=skeleton.num_qubits,
+        classical=skeleton.classical,
+        fragment=skeleton.fragment,
+        events=events,
+        sites=sites,
+        circuit_fp=skeleton.circuit_fp,
+    )
 
 
 def build_register_template(
@@ -150,46 +241,7 @@ def build_register_template(
     fire probabilities of a cut evaluation match the uncut program's
     bit for bit.
     """
-    cls = set(plan.classical)
-    local = {q: i for i, q in enumerate(plan.fragment)}
-    events: List[tuple] = []
-    sites: List[_Site] = []
-
-    def add_sites(instr: Instruction) -> None:
-        for err in noise.gate_errors(instr):
-            if err.num_qubits == 1 and len(instr.qubits) > 1:
-                expanded = [(q,) for q in instr.qubits]
-            else:
-                expanded = [instr.qubits]
-            for qubits in expanded:
-                site = _pauli_site(qubits, err)
-                if site is not None:
-                    events.append(("site", len(sites)))
-                    sites.append(site)
-
-    for instr in circuit:
-        name = instr.gate.name
-        if name in ("barrier", "measure"):
-            continue
-        if name == "reset":
-            q = instr.qubits[0]
-            if q in cls:
-                events.append(("cls_reset", q))
-            else:
-                raise CutError("reset on a fragment wire is not cuttable")
-            add_sites(instr)
-            continue
-        events.append(_classify_gate(instr, cls, local))
-        add_sites(instr)
-    events[:] = [ev for ev in events if ev is not None]
-    return RegisterTemplate(
-        num_qubits=circuit.num_qubits,
-        classical=plan.classical,
-        fragment=plan.fragment,
-        events=events,
-        sites=sites,
-        circuit_fp=circuit_fingerprint(circuit),
-    )
+    return _bind_sites(_build_skeleton(circuit, noise, plan), noise)
 
 
 def _classify_gate(
@@ -462,33 +514,49 @@ def run_value_job(job: ValueJob) -> List[Tuple[int, np.ndarray]]:
 
 
 _TEMPLATE_LOCK = threading.Lock()
+_SKELETON_CACHE: Dict[tuple, _Skeleton] = {}
 _TEMPLATE_CACHE: Dict[tuple, RegisterTemplate] = {}
 _TEMPLATE_CAP = 64
 
 
-def _register_template(job: ValueJob, noise: NoiseModel) -> RegisterTemplate:
-    """The job's register template, built once per (circuit, partition,
-    noise model) and shared by every branch and cell that repeats it."""
-    key = (
-        circuit_fingerprint(job.circuit), job.classical, job.fragment,
-        noise.fingerprint(),
-    )
+_T = TypeVar("_T")
+
+
+def _cached(cache: Dict[tuple, _T], key: tuple, build: Callable[[], _T]) -> _T:
     with _TEMPLATE_LOCK:
-        hit = _TEMPLATE_CACHE.get(key)
+        hit = cache.get(key)
         if hit is not None:
             return hit
-    plan = CutPlan(
-        kind="registers",
-        num_qubits=job.circuit.num_qubits,
-        classical=job.classical,
-        fragment=job.fragment,
-    )
-    template = build_register_template(job.circuit, noise, plan)
+    value = build()
     with _TEMPLATE_LOCK:
-        if len(_TEMPLATE_CACHE) >= _TEMPLATE_CAP:
-            _TEMPLATE_CACHE.pop(next(iter(_TEMPLATE_CACHE)))
-        _TEMPLATE_CACHE[key] = template
-    return template
+        if len(cache) >= _TEMPLATE_CAP:
+            cache.pop(next(iter(cache)))
+        cache[key] = value
+    return value
+
+
+def _register_template(job: ValueJob, noise: NoiseModel) -> RegisterTemplate:
+    """The job's register template, shared by every branch and cell that
+    repeats it.  The event list is built once per (circuit, partition,
+    noise structure); a rate sweep only re-binds the site tables."""
+    part = (circuit_fingerprint(job.circuit), job.classical, job.fragment)
+
+    def skeleton() -> _Skeleton:
+        plan = CutPlan(
+            kind="registers",
+            num_qubits=job.circuit.num_qubits,
+            classical=job.classical,
+            fragment=job.fragment,
+        )
+        return _build_skeleton(job.circuit, noise, plan)
+
+    def bound() -> RegisterTemplate:
+        skel = _cached(
+            _SKELETON_CACHE, part + (noise.structure_key(),), skeleton
+        )
+        return _bind_sites(skel, noise)
+
+    return _cached(_TEMPLATE_CACHE, part + (noise.fingerprint(),), bound)
 
 
 #: One sampled trajectory row: its classical flips ``(site, wire)`` and

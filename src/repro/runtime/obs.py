@@ -3,12 +3,12 @@
 Every layer that counts work in this process — the compile caches
 (``program.*``), the PTM plan cache (``ptm.*``), the fused trajectory
 scheduler (``batch.*``), the cutting subsystem (``cut.*``) and the
-service's fusion gate (``fusion.*``) — bumps a counter here, and each
+service queue's fusion counters (``fusion.*``) — bumps a counter here, and each
 layer's public reader (``compile_cache_stats``, ``scheduler_stats``,
 ...) derives its dict from :func:`snapshot`.
 
 A counter is keyed by a dotted name plus optional string labels (the
-fusion gate's per-tenant rows carry ``tenant=...``).  One leaf lock
+service queue's per-tenant rows carry ``tenant=...``).  One leaf lock
 guards the ledger: nothing is called while it is held, so it can be
 taken under any other lock, and one :func:`add` of several counters is
 never seen half done by a :func:`snapshot`.

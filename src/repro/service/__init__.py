@@ -10,15 +10,15 @@ runtime retry/timeout semantics — as a long-lived asyncio service:
 * :mod:`repro.service.cache` — content-addressed result cache with a
   TTL and byte budget (``REPRO_RESULT_CACHE_MB`` /
   ``REPRO_RESULT_CACHE_TTL``), mirroring the kernel cache's LRU;
-* :mod:`repro.service.scheduler` — bounded priority queue with
-  admission control, backpressure, and **request coalescing**
-  (concurrent identical requests collapse into one simulation);
-* :mod:`repro.service.fusion` — the cross-request fusion gate:
-  eligible requests are held for a bounded window
-  (``REPRO_FUSION_WINDOW_MS``) and executed as fused micro-batches
-  through one :mod:`repro.sim.batch` scheduler pass, with
-  deficit-round-robin fairness across tenants — bit-identical per
-  request to running alone;
+* :mod:`repro.service.scheduler` — the front door: result-cache hits,
+  **request coalescing** (concurrent identical requests collapse into
+  one simulation) and admission control with 429 backpressure;
+* :mod:`repro.service.fusion` — the one work-conserving queue: at most
+  ``concurrency`` executor batches in flight, and a free slot takes
+  what is waiting at once — a deficit-round-robin head plus its
+  circuit family's waiting requests, executed as one fused
+  :mod:`repro.sim.batch` pass, bit-identical per request to running
+  alone;
 * :mod:`repro.service.executor` — the worker tier (in-process threads
   or a process pool) reusing
   :func:`repro.experiments.runner.build_compiled_program` and the

@@ -10,17 +10,15 @@ A process-pool deployment with tighter admission control::
 
     repro-serve --workers 4 --max-queue 64 --timeout 30 --max-attempts 3
 
-Enable cross-request fusion (hold eligible requests up to 25 ms and
-execute them as shared micro-batches)::
-
-    repro-serve --fusion-window-ms 25
+Requests wait in one work-conserving queue: at most ``--concurrency``
+executor batches run at once, a free slot takes what is waiting at
+once, and near-identical requests that queued together run as one
+fused micro-batch.
 
 Tuning knobs also honour the environment: ``REPRO_RESULT_CACHE_MB``,
 ``REPRO_RESULT_CACHE_TTL``, ``REPRO_SERVICE_MAX_QUBITS``,
-``REPRO_KERNEL_CACHE_MB``, and the fusion tier's
-``REPRO_FUSION_WINDOW_MS`` / ``REPRO_FUSION_MIN_BATCH`` /
-``REPRO_FUSION_MAX_BATCH`` / ``REPRO_FUSION_QUANTUM`` /
-``REPRO_FUSION_MAX_PENDING`` (see docs/service.md).
+``REPRO_KERNEL_CACHE_MB``, and the queue's ``REPRO_FUSION_MAX_BATCH`` /
+``REPRO_FUSION_QUANTUM`` (see docs/service.md).
 """
 
 from __future__ import annotations
@@ -51,13 +49,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--concurrency",
         type=int,
         default=4,
-        help="simulations in flight at once (queue pump width)",
+        help="executor batches in flight at once (queue slots)",
     )
     parser.add_argument(
         "--max-queue",
         type=int,
         default=256,
-        help="jobs waiting beyond running capacity before 429 backpressure",
+        help="requests waiting for a free slot before 429 backpressure",
     )
     parser.add_argument(
         "--timeout",
@@ -88,20 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="fabric registry file to self-register this worker's "
         "host:port in once listening (see docs/distributed.md)",
     )
+    # Accepted and ignored: the queue has no hold window any more.
     parser.add_argument(
-        "--fusion-window-ms",
-        type=float,
-        default=None,
-        help="hold eligible requests this long and execute them as "
-        "fused micro-batches (0/unset = per-request execution; "
-        "defaults to REPRO_FUSION_WINDOW_MS)",
-    )
-    parser.add_argument(
-        "--fusion-min-batch",
-        type=int,
-        default=None,
-        help="flush a fusion group early once it holds this many "
-        "requests (defaults to REPRO_FUSION_MIN_BATCH)",
+        "--fusion-window-ms", type=float, default=None, help=argparse.SUPPRESS
     )
     return parser
 
@@ -109,8 +96,15 @@ def build_parser() -> argparse.ArgumentParser:
 async def _serve(args: argparse.Namespace) -> int:
     from ..runtime.supervisor import RetryPolicy
     from .executor import SimulationExecutor
-    from .fusion import FusionGate
     from .server import ArithmeticService
+
+    if args.fusion_window_ms is not None:
+        print(
+            "repro-serve: --fusion-window-ms is ignored (the queue has no "
+            "hold window)",
+            file=sys.stderr,
+            flush=True,
+        )
 
     executor = SimulationExecutor(
         workers=args.workers,
@@ -122,11 +116,6 @@ async def _serve(args: argparse.Namespace) -> int:
         max_queue=args.max_queue,
         concurrency=args.concurrency,
         lint_requests=not args.no_lint,
-        fusion=FusionGate(
-            executor,
-            window_ms=args.fusion_window_ms,
-            min_batch=args.fusion_min_batch,
-        ),
     )
     host, port = await service.start(args.host, args.port)
     print(

@@ -1,61 +1,68 @@
-"""Cross-request fusion gate: micro-batched multi-tenant execution.
+"""The service's one queue: work-conserving, fused, multi-tenant.
 
-The paper's workload at fleet scale is thousands of near-identical
-sweep requests — the same QFA/QFM circuit family at different error
-rates — and :mod:`repro.sim.batch` already fuses such work into shared
-state buffers when it arrives as one call.  This module closes the gap
-at the service front door: eligible requests (see
-:func:`repro.service.executor.fusion_eligible`) are *held* for a
-bounded window instead of dispatched individually, then executed as
-one :func:`repro.sim.batch.run_request_tasks` pass per circuit-family
-group, so concurrent tenants share chunks, kernel caches, and
-error-configuration dedup.
+The paper's workload at fleet scale is many near-identical requests —
+the same QFA/QFM circuit family at different error rates — and
+:mod:`repro.sim.batch` already fuses such work into shared state
+buffers when it arrives as one call.  Every admitted request that is
+not a result-cache hit or a coalesced duplicate waits here, and at most
+``concurrency`` executor batches are in flight.  Whenever a slot is
+free it takes what is waiting, at once — there is no hold timer:
+
+* an idle server runs a request immediately, as a batch of one
+  (through :meth:`SimulationExecutor.run`);
+* a busy server batches whatever queued behind it: a freed slot takes
+  the head chosen by the tenant rotation plus the waiting requests of
+  that head's circuit family (from every tenant), as one
+  :meth:`SimulationExecutor.run_batch` call capped at
+  ``REPRO_FUSION_MAX_BATCH`` requests.  Requests that cannot fuse
+  (see :func:`repro.service.executor.fusion_eligible`) go alone.
 
 Correctness contract: fusion is **bit-invisible per request**.  Every
 request's task draws from its own ``(seed, content_key)`` stream in
 the scheduler's fixed per-task order, so the counts a request receives
-are identical whether it ran alone (a batch of one) or fused with a
-hundred neighbours — batch membership and chunk geometry never
-leak into results.  The sanitizer-trace parity tests pin this.
+are identical whether it ran alone or fused with a hundred neighbours
+— batch membership and chunk geometry never leak into results.
 
-Fairness: admission into a flush is deficit-round-robin (DRR) over
-tenants.  Each flush credits every backlogged tenant ``quantum``
-cost units (cost = requested shots) and serves head-of-line requests
-while their cost fits the tenant's accumulated deficit — so a tenant
-spraying thousand-cell sweeps gets throughput proportional to its
-share, not to its queue depth, and interactive single-shot tenants
-keep their latency.  A tenant that empties its queue forfeits its
-residual deficit (standard DRR), and a progress guard always serves
-the globally oldest request when no deficit suffices.
+Fairness: the head of each take is chosen by deficit round robin (DRR)
+over tenants.  A tenant's turn credits it ``REPRO_FUSION_QUANTUM``
+cost units (cost = requested shots) and its head request goes when it
+fits the tenant's deficit; a tenant whose queue was empty goes before
+the tenants that stayed backlogged, so an interactive request waits
+for the next free slot, not behind a sweep.  Within a tenant, order is
+priority, then FIFO, and a take never mixes priority classes of one
+tenant.  The head's tenant fills the take up to its deficit; every
+other tenant's riders add at most what the head's tenant put in (and
+one quantum), so a small interactive request never waits on large
+sweep cells.  Every request in a take is charged to its own tenant's
+deficit; a tenant that empties its queue forfeits its balance
+(standard DRR), and a progress guard serves the oldest head when no
+deficit suffices.
 
-Scheduling knobs (env, read at construction; ctor args override):
+Knobs (env, read at construction; ctor args override):
 
-* ``REPRO_FUSION_WINDOW_MS``  — hold window in ms; ``0`` (default)
-  disables the gate entirely (knobs-off byte-parity with PR 4).
-* ``REPRO_FUSION_MIN_BATCH``  — early-flush once any group has this
-  many pending requests (default 8).
-* ``REPRO_FUSION_MAX_BATCH``  — per-flush request cap (default 64).
-* ``REPRO_FUSION_QUANTUM``    — DRR credit per tenant per flush, in
-  shots (default 4096).
-* ``REPRO_FUSION_MAX_PENDING`` — gate backlog bound; beyond it
-  :class:`FusionSaturated` maps to HTTP 429 (default 1024).
+* ``REPRO_FUSION_MAX_BATCH`` — requests per take (default 64).
+* ``REPRO_FUSION_QUANTUM``   — DRR credit per tenant turn, in shots
+  (default 4096).
 
-The gate holds *eligible* work only and is deliberately **not**
-counted against the scheduler's interactive backlog: a deep fusion
-queue must not starve admission of one-off requests that bypass it.
+The waiting backlog is bounded by ``max_queue`` (``--max-queue``);
+past it :class:`FusionSaturated` becomes HTTP 429 with ``Retry-After``.
+The ``fusion.*`` counters of :func:`fusion_stats` count fusion-eligible
+requests only, so the hit rate is the share of fusable requests that
+shared a batch.
 """
 
 from __future__ import annotations
 
 import asyncio
+import bisect
 import time
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from ..runtime import obs
 from ..runtime.envutil import env_float, env_int
 from .cache import ResultCache
-from .executor import SimulationExecutor
+from .executor import SimulationExecutor, fusion_eligible
 from .metrics import ServiceMetrics
 from .model import SimRequest
 
@@ -66,12 +73,20 @@ __all__ = [
     "reset_fusion_stats",
 ]
 
+#: Per-sample clamp feeding the execution-time EWMA: one pathological
+#: batch (a hang that eventually returned, a cold compile) must not drag
+#: the average — and with it every Retry-After estimate — to minutes.
+_AVG_EXEC_SAMPLE_CAP = 30.0
+#: Ceiling on the advertised Retry-After: beyond this the estimate is
+#: noise and clients should just re-poll.
+_RETRY_AFTER_CAP = 120.0
+
 
 class FusionSaturated(Exception):
-    """The fusion gate's pending bound is full — back off."""
+    """The queue's waiting bound is full — back off."""
 
     def __init__(self, depth: int) -> None:
-        super().__init__(f"fusion gate full ({depth} pending)")
+        super().__init__(f"queue full ({depth} waiting)")
         self.depth = depth
 
 
@@ -80,7 +95,7 @@ class FusionSaturated(Exception):
 # ---------------------------------------------------------------------------
 
 def fusion_stats() -> Dict[str, Any]:
-    """Process-wide cumulative fusion-gate statistics."""
+    """Process-wide cumulative counters over fusion-eligible requests."""
     rows = obs.snapshot("fusion.")
     c = rows.pop((), {})
     executed = c.get("executed", 0)
@@ -110,7 +125,7 @@ def reset_fusion_stats() -> None:
 
 
 def _note_batch(size: int, failed: bool = False) -> None:
-    """Count one executed batch of ``size`` requests."""
+    """Count one executed batch of ``size`` fusion-eligible requests."""
     obs.add({
         "fusion.batches": 1,
         "fusion.batch_requests": size,
@@ -121,60 +136,69 @@ def _note_batch(size: int, failed: bool = False) -> None:
 
 
 # ---------------------------------------------------------------------------
-# The gate
+# The queue
 # ---------------------------------------------------------------------------
 
 class _Entry:
-    """One pending request inside the gate."""
+    """One waiting request."""
 
     __slots__ = (
-        "request", "key", "tenant", "group", "cost", "future",
+        "request", "key", "tenant", "group", "priority", "cost", "future",
         "enqueued_at", "waiters", "seq",
     )
 
     def __init__(
         self,
         request: SimRequest,
-        key: str,
-        future: "asyncio.Future[Dict[str, Any]]",
+        future: "asyncio.Future[Tuple[Dict[str, Any], str]]",
         seq: int,
+        eligible: bool,
     ) -> None:
         self.request = request
-        self.key = key
+        self.key = request.content_key()
         self.tenant = request.tenant
-        # Coarse circuit-family proxy; the scheduler regroups by the
-        # exact CompiledProgram.fusion_key internally, so a proxy that
-        # over-merges costs nothing and never contaminates results.
-        self.group = (
-            request.operation,
-            request.n,
-            request.m,
-            request.depth,
-            request.error_axis,
-            request.convention,
+        # Coarse circuit-family proxy, None for requests that cannot
+        # fuse; the batch executor regroups by the exact
+        # CompiledProgram.fusion_key, so a proxy that over-merges costs
+        # nothing and never contaminates results.
+        self.group: Optional[tuple] = (
+            (
+                request.operation,
+                request.n,
+                request.m,
+                request.depth,
+                request.error_axis,
+                request.convention,
+            )
+            if eligible
+            else None
         )
+        self.priority = request.priority
         self.cost = float(max(1, request.shots))
         self.future = future
         self.enqueued_at = time.monotonic()
         self.waiters = 1
         self.seq = seq
 
+    def __lt__(self, other: "_Entry") -> bool:
+        return (self.priority, self.seq) < (other.priority, other.seq)
 
-def _consume_exception(future: "asyncio.Future[Dict[str, Any]]") -> None:
+
+def _consume_exception(future: "asyncio.Future[Any]") -> None:
     # Results may outlive their waiters (a client that disconnected
-    # after flush); retrieving the exception here keeps asyncio's
-    # "exception was never retrieved" warning out of the logs.
+    # after its batch started); retrieving the exception here keeps
+    # asyncio's "exception was never retrieved" warning out of the logs.
     if not future.cancelled():
         future.exception()
 
 
 class FusionGate:
-    """Holds eligible requests briefly, flushes them as fused batches.
+    """The service queue: per-tenant waiting lists feeding executor slots.
 
     All state lives on the event loop (no locks); the only cross-thread
     artefacts are the process-wide ``fusion.*`` counters of
-    :mod:`repro.runtime.obs`.  See the
-    module docstring for the scheduling policy.
+    :mod:`repro.runtime.obs`.  See the module docstring for the policy.
+    ``concurrency`` defaults to the executor's.
     """
 
     def __init__(
@@ -182,25 +206,18 @@ class FusionGate:
         executor: SimulationExecutor,
         metrics: Optional[ServiceMetrics] = None,
         cache: Optional[ResultCache] = None,
-        window_ms: Optional[float] = None,
-        min_batch: Optional[int] = None,
+        concurrency: Optional[int] = None,
+        max_queue: int = 256,
         max_batch: Optional[int] = None,
         quantum: Optional[float] = None,
-        max_pending: Optional[int] = None,
     ) -> None:
         self.executor = executor
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self.cache = cache
-        self.window_ms = (
-            env_float("REPRO_FUSION_WINDOW_MS", 0.0, minimum=0.0)
-            if window_ms is None
-            else float(window_ms)
+        self.concurrency = max(
+            1, executor.concurrency if concurrency is None else concurrency
         )
-        self.min_batch = (
-            env_int("REPRO_FUSION_MIN_BATCH", 8, minimum=1)
-            if min_batch is None
-            else int(min_batch)
-        )
+        self.max_queue = max_queue
         self.max_batch = (
             env_int("REPRO_FUSION_MAX_BATCH", 64, minimum=1)
             if max_batch is None
@@ -211,120 +228,112 @@ class FusionGate:
             if quantum is None
             else float(quantum)
         )
-        self.max_pending = (
-            env_int("REPRO_FUSION_MAX_PENDING", 1024, minimum=1)
-            if max_pending is None
-            else int(max_pending)
-        )
         #: Called with each entry's content key once its batch settles;
         #: the scheduler registers its inflight-map cleanup here.
         self.done_hooks: List[Callable[[str], None]] = []
-        self._queues: Dict[str, Deque[_Entry]] = {}
+        #: EWMA of batch execution seconds, seeds the Retry-After estimate.
+        self.avg_exec = 0.05
+        self._queues: Dict[str, List[_Entry]] = {}
         self._deficit: Dict[str, float] = {}
+        # Tenant rotation: tenants whose queue was empty go first.
+        self._new: Deque[str] = deque()
+        self._old: Deque[str] = deque()
         self._by_key: Dict[str, _Entry] = {}
-        self._group_counts: Dict[tuple, int] = {}
         self._depth = 0
         self._seq = 0
-        self._draining = False
-        self._wake: Optional[asyncio.Event] = None
-        self._task: Optional["asyncio.Task[None]"] = None
-        self._group_tasks: "set[asyncio.Task[None]]" = set()
-
-    @property
-    def enabled(self) -> bool:
-        """The gate only engages with a positive hold window."""
-        return self.window_ms > 0.0
+        self._slots_busy = 0
+        self._running = 0
+        self._batches: "Set[asyncio.Task[None]]" = set()
 
     # -- lifecycle --------------------------------------------------------
-    def start(self) -> None:
-        """Spawn the flush loop (call from inside the event loop)."""
-        if self._task is not None or not self.enabled:
-            return
-        self._wake = asyncio.Event()
-        self._task = asyncio.create_task(
-            self._loop(), name="repro-fusion-gate"
-        )
-
-    def close(self) -> None:
-        """Stop holding windows: everything pending flushes at once."""
-        self._draining = True
-        if self._wake is not None:
-            self._wake.set()
-
     async def stop(self) -> None:
-        """Cancel the flush loop, flush leftovers, await open batches."""
-        self._draining = True
-        if self._task is not None:
-            self._task.cancel()
-            try:
-                await self._task
-            except asyncio.CancelledError:
-                pass
-            self._task = None
-        while self._depth:
-            self._flush()
-        pending = list(self._group_tasks)
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
+        """Wait until every admitted request has run."""
+        while self._batches:
+            await asyncio.gather(*list(self._batches), return_exceptions=True)
 
     # -- introspection ----------------------------------------------------
     def depth(self) -> int:
+        """Requests waiting for a slot."""
         return self._depth
 
+    @property
+    def running(self) -> int:
+        """Requests inside executing batches."""
+        return self._running
+
+    @property
+    def slots_in_use(self) -> int:
+        return self._slots_busy
+
     def tenant_deficits(self) -> Dict[str, float]:
-        """Live DRR deficits (cost units each backlogged tenant holds)."""
+        """Live DRR deficits of the backlogged tenants."""
         return dict(sorted(self._deficit.items()))
+
+    def retry_after(self) -> float:
+        """Rough drain time of the current backlog, in [1, cap] seconds."""
+        backlog = self._depth + self._slots_busy
+        return min(
+            _RETRY_AFTER_CAP,
+            max(1.0, backlog * self.avg_exec / self.concurrency),
+        )
 
     def describe(self) -> Dict[str, Any]:
         return {
-            "enabled": self.enabled,
-            "window_ms": self.window_ms,
-            "min_batch": self.min_batch,
+            "concurrency": self.concurrency,
+            "slots_in_use": self._slots_busy,
+            "max_queue": self.max_queue,
             "max_batch": self.max_batch,
             "quantum": self.quantum,
-            "max_pending": self.max_pending,
             "pending": self._depth,
-            "pending_groups": sum(
-                1 for c in self._group_counts.values() if c
-            ),
+            "running": self._running,
             "tenant_pending": {
-                t: len(q) for t, q in sorted(self._queues.items()) if q
+                t: len(q) for t, q in sorted(self._queues.items())
             },
             "tenant_deficits": self.tenant_deficits(),
         }
 
     # -- admission --------------------------------------------------------
-    def enqueue(self, request: SimRequest) -> "asyncio.Future[Dict[str, Any]]":
-        """Queue one eligible request; resolves with its result payload.
+    def enqueue(
+        self, request: SimRequest
+    ) -> "asyncio.Future[Tuple[Dict[str, Any], str]]":
+        """Queue one request; resolves with ``(payload, source)``.
 
-        Raises :class:`FusionSaturated` past the pending bound.  The
+        ``source`` is ``"fused"`` when the request shared its batch and
+        ``"miss"`` when it ran alone.  Raises :class:`FusionSaturated`
+        when every slot is busy and the waiting bound is full.  The
         caller owns one waiter reference; coalescers add theirs via
-        :meth:`retain` and everyone returns them via :meth:`release`
-        on cancellation.
+        :meth:`retain` and everyone returns them via :meth:`release` on
+        cancellation.
         """
-        if self._depth >= self.max_pending:
-            obs.add({"fusion.rejected": 1})
-            self.metrics.inc("fusion_rejected_total")
+        eligible = fusion_eligible(request)
+        if (
+            self._slots_busy >= self.concurrency
+            and self._depth >= self.max_queue
+        ):
+            if eligible:
+                obs.add({"fusion.rejected": 1})
             raise FusionSaturated(self._depth)
-        loop = asyncio.get_running_loop()
-        future: "asyncio.Future[Dict[str, Any]]" = loop.create_future()
+        future: "asyncio.Future[Tuple[Dict[str, Any], str]]" = (
+            asyncio.get_running_loop().create_future()
+        )
         future.add_done_callback(_consume_exception)
         self._seq += 1
-        entry = _Entry(request, request.content_key(), future, self._seq)
-        self._queues.setdefault(entry.tenant, deque()).append(entry)
+        entry = _Entry(request, future, self._seq, eligible)
+        queue = self._queues.get(entry.tenant)
+        if queue is None:
+            queue = self._queues[entry.tenant] = []
+            self._new.append(entry.tenant)
+        bisect.insort(queue, entry)
         self._by_key[entry.key] = entry
-        self._group_counts[entry.group] = (
-            self._group_counts.get(entry.group, 0) + 1
-        )
         self._depth += 1
-        obs.add({"fusion.admitted": 1})
-        self.metrics.inc("fusion_requests_total")
-        if self._wake is not None:
-            self._wake.set()
+        if eligible:
+            obs.add({"fusion.admitted": 1})
+            self.metrics.inc("fusion_requests_total")
+        self._dispatch()
         return future
 
     def retain(self, key: str) -> bool:
-        """Add one waiter to a *pending* entry (coalesced duplicate)."""
+        """Add one waiter to a *waiting* entry (coalesced duplicate)."""
         entry = self._by_key.get(key)
         if entry is None:
             return False
@@ -332,14 +341,14 @@ class FusionGate:
         return True
 
     def release(self, key: str) -> bool:
-        """Drop one waiter; ``True`` if the entry was abandoned.
+        """Drop one waiter; ``True`` if the entry was withdrawn.
 
-        An entry whose last waiter cancels *before* its flush is
+        An entry whose last waiter cancels while it still waits is
         removed from the queue and its future cancelled — nobody wants
-        the result, so the batch must not carry it.  Post-flush the
-        entry is out of :attr:`_by_key` and this is a no-op: running
-        batches always complete (their results are cached for the
-        retry the disconnected client will send).
+        the result, so no batch carries it.  Once taken, the entry is
+        out of :attr:`_by_key` and this is a no-op: running batches
+        always complete (their results are cached for the retry the
+        disconnected client will send).
         """
         entry = self._by_key.get(key)
         if entry is None:
@@ -347,151 +356,158 @@ class FusionGate:
         entry.waiters -= 1
         if entry.waiters > 0:
             return False
-        self._by_key.pop(key, None)
-        self._forget(entry)
-        queue = self._queues.get(entry.tenant)
-        if queue is not None:
-            try:
-                queue.remove(entry)
-            except ValueError:
-                pass
-            if not queue:
-                self._queues.pop(entry.tenant, None)
-                self._deficit.pop(entry.tenant, None)
+        del self._by_key[key]
+        queue = self._queues[entry.tenant]
+        queue.remove(entry)
+        self._depth -= 1
+        if not queue:
+            self._retire(entry.tenant)
         if not entry.future.done():
             entry.future.cancel()
-        obs.add({"fusion.cancelled": 1})
-        self.metrics.inc("fusion_cancelled_total")
+        if entry.group is not None:
+            obs.add({"fusion.cancelled": 1})
+        self.metrics.inc("requests_withdrawn_total")
         return True
 
-    def _forget(self, entry: _Entry) -> None:
-        self._depth -= 1
-        count = self._group_counts.get(entry.group, 0) - 1
-        if count > 0:
-            self._group_counts[entry.group] = count
-        else:
-            self._group_counts.pop(entry.group, None)
+    # -- taking work --------------------------------------------------------
+    def _retire(self, tenant: str) -> None:
+        """Forget a tenant whose queue emptied (DRR forfeits its balance)."""
+        del self._queues[tenant]
+        self._deficit.pop(tenant, None)
+        for rotation in (self._new, self._old):
+            if tenant in rotation:
+                rotation.remove(tenant)
 
-    # -- flush policy -----------------------------------------------------
-    def _flush_due(self) -> bool:
-        if self._draining:
-            return True
-        if self._depth >= self.max_batch:
-            return True
-        return any(
-            c >= self.min_batch for c in self._group_counts.values()
-        )
+    def _next_tenant(self) -> str:
+        """One DRR turn: the tenant whose head request goes next."""
+        for _ in range(len(self._new) + len(self._old)):
+            tenant = (self._new or self._old).popleft()
+            credit = self._deficit.get(tenant, 0.0) + self.quantum
+            self._deficit[tenant] = credit
+            if self._queues[tenant][0].cost <= credit:
+                return tenant
+            self._old.append(tenant)
+        # Progress guard: a request costlier than any deficit still goes
+        # — the oldest head first, and its tenant starts from zero.
+        oldest = min((q[0] for q in self._queues.values()), key=lambda e: e.seq)
+        self._old.remove(oldest.tenant)
+        self._deficit[oldest.tenant] = oldest.cost
+        return oldest.tenant
 
-    async def _loop(self) -> None:
-        assert self._wake is not None
-        while True:
-            await self._wake.wait()
-            self._wake.clear()
-            if self._depth == 0:
+    def _take(self) -> List[_Entry]:
+        """The next batch: a DRR-chosen head plus its family's riders."""
+        tenant = self._next_tenant()
+        head = self._queues[tenant][0]
+        taken = [head]
+        if head.group is not None:
+            # The head's tenant fills the take up to its deficit; every
+            # other tenant rides with at most what the head's tenant put
+            # in (and one quantum), so a small request never waits on
+            # large ones.
+            self._add_riders(tenant, self._deficit[tenant] - head.cost, taken)
+            share = min(self.quantum, sum(entry.cost for entry in taken))
+            for other in (*self._new, *self._old):
+                self._add_riders(other, share, taken)
+        for entry in taken:
+            queue = self._queues[entry.tenant]
+            queue.remove(entry)
+            self._deficit[entry.tenant] = (
+                self._deficit.get(entry.tenant, 0.0) - entry.cost
+            )
+            del self._by_key[entry.key]
+        self._depth -= len(taken)
+        for t in {entry.tenant for entry in taken}:
+            if not self._queues[t]:
+                self._retire(t)
+        if tenant in self._queues:
+            self._old.append(tenant)
+        return taken
+
+    def _add_riders(
+        self, tenant: str, budget: float, taken: List[_Entry]
+    ) -> None:
+        """Append ``tenant``'s waiting entries of the head's family, in
+        its top priority class, while they fit ``budget`` and the cap."""
+        head = taken[0]
+        queue = self._queues[tenant]
+        priority = queue[0].priority
+        for entry in queue:
+            if len(taken) >= self.max_batch:
+                return
+            if entry is head or entry.priority != priority:
                 continue
-            deadline = time.monotonic() + self.window_ms / 1000.0
-            while not self._flush_due():
-                remaining = deadline - time.monotonic()
-                if remaining <= 0.0:
-                    break
-                try:
-                    await asyncio.wait_for(self._wake.wait(), remaining)
-                except asyncio.TimeoutError:
-                    break
-                self._wake.clear()
-            self._flush()
-            if self._depth and self._wake is not None:
-                # Leftovers past the per-flush cap open the next window.
-                self._wake.set()
-
-    def _select(self) -> List[_Entry]:
-        """One DRR round: credit every backlogged tenant, serve heads."""
-        popped: List[_Entry] = []
-        tenants = sorted(t for t, q in self._queues.items() if q)
-        for tenant in tenants:
-            queue = self._queues[tenant]
-            if not queue:
+            if entry.group != head.group or entry.cost > budget:
                 continue
-            self._deficit[tenant] = (
-                self._deficit.get(tenant, 0.0) + self.quantum
-            )
-            while (
-                queue
-                and len(popped) < self.max_batch
-                and queue[0].cost <= self._deficit[tenant]
-            ):
-                entry = queue.popleft()
-                self._deficit[tenant] -= entry.cost
-                popped.append(entry)
-            if not queue:
-                # Standard DRR: an emptied queue forfeits its residue
-                # (deficits only accumulate while work is waiting).
-                self._queues.pop(tenant, None)
-                self._deficit.pop(tenant, None)
-        if not popped and self._depth:
-            # Progress guard: a request costlier than any accumulated
-            # deficit still gets served — oldest first, and the lucky
-            # tenant pays by forfeiting its deficit.
-            oldest = min(
-                (q[0] for q in self._queues.values() if q),
-                key=lambda e: e.seq,
-            )
-            self._queues[oldest.tenant].remove(oldest)
-            if not self._queues[oldest.tenant]:
-                self._queues.pop(oldest.tenant, None)
-            self._deficit.pop(oldest.tenant, None)
-            popped.append(oldest)
-        return popped
+            budget -= entry.cost
+            taken.append(entry)
 
-    def _flush(self) -> None:
-        selected = self._select()
-        if not selected:
-            return
-        now = time.monotonic()
-        groups: Dict[tuple, List[_Entry]] = {}
-        for entry in selected:
-            self._by_key.pop(entry.key, None)
-            self._forget(entry)
-            self.metrics.observe(
-                "fusion_window_wait", now - entry.enqueued_at
-            )
-            obs.add(
-                {"fusion.served_requests": 1.0, "fusion.served_cost": entry.cost},
-                tenant=entry.tenant,
-            )
-            groups.setdefault(entry.group, []).append(entry)
-        for entries in groups.values():
-            task = asyncio.create_task(self._run_group(entries))
-            self._group_tasks.add(task)
-            task.add_done_callback(self._group_tasks.discard)
+    def _dispatch(self) -> None:
+        """Fill every free slot with what is waiting."""
+        while self._depth and self._slots_busy < self.concurrency:
+            entries = self._take()
+            self._slots_busy += 1
+            self._running += len(entries)
+            task = asyncio.get_running_loop().create_task(self._run(entries))
+            self._batches.add(task)
+            task.add_done_callback(self._settled)
 
-    async def _run_group(self, entries: List[_Entry]) -> None:
-        requests = [entry.request for entry in entries]
+    def _settled(self, task: "asyncio.Task[None]") -> None:
+        """A batch finished: its slot takes what is waiting."""
+        self._batches.discard(task)
+        self._slots_busy -= 1
+        self._dispatch()
+
+    async def _run(self, entries: List[_Entry]) -> None:
+        started = time.monotonic()
+        for entry in entries:
+            self.metrics.observe("queue_wait", started - entry.enqueued_at)
+            if entry.group is not None:
+                obs.add(
+                    {"fusion.served_requests": 1.0,
+                     "fusion.served_cost": entry.cost},
+                    tenant=entry.tenant,
+                )
+        fusable = entries[0].group is not None
         try:
-            results = await self.executor.run_batch(requests)
+            if len(entries) == 1:
+                results = [await self.executor.run(entries[0].request)]
+            else:
+                results = await self.executor.run_batch(
+                    [entry.request for entry in entries]
+                )
         except asyncio.CancelledError:
             for entry in entries:
                 if not entry.future.done():
                     entry.future.cancel()
             raise
         except Exception as exc:  # noqa: BLE001 — surfaced via futures
-            _note_batch(len(entries), failed=True)
+            if fusable:
+                _note_batch(len(entries), failed=True)
             self.metrics.inc(
-                "fusion_batches_failed_total",
+                "jobs_failed_total",
+                len(entries),
                 labels={"error": type(exc).__name__},
             )
             for entry in entries:
                 if not entry.future.done():
                     entry.future.set_exception(exc)
         else:
-            _note_batch(len(entries))
-            self.metrics.inc("fusion_batches_total")
+            elapsed = time.monotonic() - started
+            self.avg_exec = 0.8 * self.avg_exec + 0.2 * min(
+                elapsed, _AVG_EXEC_SAMPLE_CAP
+            )
+            self.metrics.observe("execute", elapsed)
+            self.metrics.inc("jobs_executed_total", len(entries))
+            if fusable:
+                _note_batch(len(entries))
+            source = "fused" if len(entries) > 1 else "miss"
             for entry, payload in zip(entries, results):
                 if self.cache is not None:
                     self.cache.put(entry.key, payload)
                 if not entry.future.done():
-                    entry.future.set_result(payload)
+                    entry.future.set_result((payload, source))
         finally:
+            self._running -= len(entries)
             for entry in entries:
                 for hook in self.done_hooks:
                     hook(entry.key)

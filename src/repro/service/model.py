@@ -339,7 +339,8 @@ class SimResponse:
     """The service's answer to one :class:`SimRequest`.
 
     ``cache`` records how the result was obtained: ``"miss"`` (executed
-    for this request), ``"coalesced"`` (attached to an identical
+    alone for this request), ``"fused"`` (executed in a batch shared
+    with other requests), ``"coalesced"`` (attached to an identical
     in-flight request), or ``"hit"`` (served from the result cache).
     ``timings_ms`` carries per-stage latencies; cached stages report the
     *original* compile/simulate cost alongside this request's own

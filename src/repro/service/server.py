@@ -108,26 +108,21 @@ class ArithmeticService:
             workers=0, concurrency=concurrency
         )
         self.cache = cache if cache is not None else ResultCache()
-        # Default gate reads the REPRO_FUSION_* knobs; with
-        # REPRO_FUSION_WINDOW_MS unset/0 it is inert and every request
-        # runs as a batch of one, byte-identically to a build without
-        # the gate.
-        self.fusion = fusion if fusion is not None else FusionGate(
-            self.executor, metrics=self.metrics, cache=self.cache
-        )
-        # An externally built gate (repro-serve flags) still shares the
-        # service's registry and result cache.
-        self.fusion.metrics = self.metrics
-        if self.fusion.cache is None:
-            self.fusion.cache = self.cache
+        if fusion is not None:
+            # An externally built queue still shares the service's
+            # registry and result cache.
+            fusion.metrics = self.metrics
+            if fusion.cache is None:
+                fusion.cache = self.cache
         self.scheduler = JobScheduler(
             self.executor,
             cache=self.cache,
             metrics=self.metrics,
             max_queue=max_queue,
             concurrency=concurrency,
-            fusion=self.fusion,
+            fusion=fusion,
         )
+        self.fusion = self.scheduler.fusion
         self.lint_requests = lint_requests
         self.started_at = time.monotonic()
         self.draining = False
@@ -177,9 +172,9 @@ class ArithmeticService:
                     f"kernel_cache_{tier}_{field}",
                     _kernel_tier_gauge(tier, field),
                 )
-        # Fusion-gate observability: hit rate / occupancy come from the
-        # process-wide counters, depth and deficits from the live gate.
-        # Window-wait p50/p99 ride the "fusion_window_wait" histogram.
+        # Queue observability: hit rate / occupancy come from the
+        # process-wide counters, slots and deficits from the live queue.
+        # Waits ride the "queue_wait" histogram.
         self.metrics.register_gauge(
             "fusion_hit_rate", lambda: fusion_stats()["hit_rate"]
         )
@@ -188,7 +183,7 @@ class ArithmeticService:
             lambda: fusion_stats()["batch_occupancy"],
         )
         self.metrics.register_gauge(
-            "fusion_pending", lambda: float(self.fusion.depth())
+            "queue_slots_in_use", lambda: float(self.fusion.slots_in_use)
         )
         self.metrics.register_labeled_gauge(
             "fusion_tenant_deficit", "tenant", self.fusion.tenant_deficits
@@ -205,7 +200,6 @@ class ArithmeticService:
     # -- lifecycle --------------------------------------------------------
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> Tuple[str, int]:
         """Bind and start serving; returns the bound (host, port)."""
-        self.scheduler.start()
         self._server = await asyncio.start_server(
             self._handle_connection, host, port
         )
@@ -509,9 +503,9 @@ class ArithmeticService:
             for cell in cells
         }
         pending: Set["asyncio.Task[Dict[str, Any]]"] = set(tasks)
-        # EOF watchdog: with every cell still queued (e.g. held in the
-        # fusion window) no write happens for a while, so a vanished
-        # client would otherwise go unnoticed until the next chunk.
+        # EOF watchdog: with every cell still queued behind busy slots
+        # no write happens for a while, so a vanished client would
+        # otherwise go unnoticed until the next chunk.
         watch: "asyncio.Task[bytes]" = asyncio.create_task(reader.read(1))
         ok = errors = 0
         try:

@@ -33,9 +33,9 @@ def cache_stats_snapshot(
       count in this process (``None`` when no OpenBLAS is found);
     * ``cut`` — the circuit-cutting subsystem's counters (plans found,
       fragments compiled, variants evaluated, job routing);
-    * ``fusion`` — the cross-request fusion gate's process-wide
-      counters (admitted / fused / batches / hit rate / per-tenant
-      served cost);
+    * ``fusion`` — the service queue's process-wide counters over
+      fusion-eligible requests (admitted / fused / batches / hit rate /
+      per-tenant served cost);
     * ``result_cache`` — the service's content-addressed response
       cache, when one is supplied.
 

@@ -317,6 +317,57 @@ def test_every_event_kind_matches_density():
     assert _tv(dist.probs, ref.probabilities().probs) <= 0.01
 
 
+def test_rate_sweep_builds_register_skeleton_once(monkeypatch):
+    """A rate sweep builds the event list once and re-binds the site
+    tables per rate; each bound template equals a direct build, and a
+    zero-rate channel drops out of the site list exactly as there."""
+    from repro.cut import fragments
+    from repro.noise.channels import bit_flip_error, depolarizing_error
+    from repro.noise.model import NoiseModel
+
+    builds = []
+    build = fragments._build_skeleton
+
+    def counting(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(fragments, "_build_skeleton", counting)
+    monkeypatch.setattr(fragments, "_SKELETON_CACHE", {})
+    monkeypatch.setattr(fragments, "_TEMPLATE_CACHE", {})
+    qc = build_arithmetic_circuit("add", 3, 3, None)
+    init = _instance("add", 3, 3, [5], [2]).initial_statevector()
+    config = CutConfig(max_fragment_qubits=3)
+    plan = find_cuts(qc, config)
+
+    def model(p_cx, p_1q):
+        noise = NoiseModel()
+        noise.add_all_qubit_quantum_error(depolarizing_error(p_cx, 2), ["cx"])
+        noise.add_all_qubit_quantum_error(bit_flip_error(p_1q), ["rz", "sx"])
+        return noise
+
+    models = [model(0.01, 0.0), model(0.02, 0.003), model(0.03, 0.0)]
+    for noise in models:
+        cut_distribution(qc, noise, config=config, initial_state=init,
+                         trajectories=16, seed=3)
+    assert len(builds) == 1
+    assert len(fragments._TEMPLATE_CACHE) == len(models)
+    for noise in models:
+        bound = next(
+            t for k, t in fragments._TEMPLATE_CACHE.items()
+            if k[-1] == noise.fingerprint()
+        )
+        direct = fragments._bind_sites(build(qc, noise, plan), noise)
+        assert bound.events == direct.events
+        assert [(s.qubits, s.labels, s.e) for s in bound.sites] == [
+            (s.qubits, s.labels, s.e) for s in direct.sites
+        ]
+    n_sites = [
+        len(t.sites) for t in fragments._TEMPLATE_CACHE.values()
+    ]
+    assert n_sites[0] == n_sites[2] < n_sites[1]
+
+
 def test_cut_counts_deterministic_given_seed():
     qc = build_arithmetic_circuit("add", 3, 3, None)
     noise = noise_model_for("2q", 0.02, "qiskit")

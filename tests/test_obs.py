@@ -1,7 +1,7 @@
 """Tests for the process-wide counter ledger (repro.runtime.obs).
 
 Covers exact sums under forced GIL churn, atomicity of a multi-counter
-``add`` against concurrent snapshots (through the fusion gate's real
+``add`` against concurrent snapshots (through the service queue's real
 reader), prefix-scoped reset, labelled rows, and the key trees of the
 public readers, which must not change when their ledger moves.
 """

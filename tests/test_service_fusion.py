@@ -1,15 +1,20 @@
-"""Cross-request fusion tier: parity, fairness, streaming sweeps.
+"""The one service queue: slots, fusion, fairness, streaming sweeps.
 
 The acceptance contract under test:
 
-* knobs off (``window_ms=0``) the gate is bypassed and responses are
-  byte-identical to a gate-free server;
-* knobs on, per-request results are bit-identical across batch
-  geometries and to the same request run alone (a batch of one), with
-  sanitizer-trace parity on every portable stage;
+* the queue is work-conserving: at most ``concurrency`` executor
+  batches run at once, a request at an idle server starts with no
+  timer, and whatever queued behind busy slots leaves together when a
+  slot frees, one batch per circuit family;
+* per-request results are bit-identical across batch geometries and
+  to the same request run alone (a batch of one), with sanitizer-trace
+  parity on every portable stage — over HTTP, a request answered solo
+  at an idle server and fused under load are the same bytes;
 * the batch executor screens before compiling: a ``cut`` request never
   lowers the full-width program;
-* deficit-round-robin keeps a heavy tenant from starving a light one;
+* deficit round robin keeps a heavy tenant from holding back a light
+  one, priority order holds within a tenant, the waiting bound rejects,
+  and cancellation withdraws waiting entries;
 * ``/v1/sweep`` streams per-cell partials and survives a mid-stream
   client disconnect without poisoning shared state.
 """
@@ -22,11 +27,14 @@ import time
 
 import pytest
 
+import repro.service.executor as executor_mod
 from repro.runtime import sanitizer
 from repro.runtime.supervisor import RetryPolicy
 from repro.service import (
+    AdmissionError,
     ArithmeticService,
     FusionGate,
+    JobScheduler,
     RequestRejected,
     RequestValidationError,
     ResultCache,
@@ -40,7 +48,7 @@ from repro.service import (
     reset_fusion_stats,
 )
 from repro.service.executor import _execute_fused_batch, _execute_payload
-from repro.service.fusion import FusionSaturated
+from repro.service.fusion import _RETRY_AFTER_CAP, FusionSaturated
 
 REQ = dict(
     operation="add", n=2, m=2, x=[1], y=[2],
@@ -55,20 +63,71 @@ def payloads_for(rates=RATES, **overrides):
     return [dict(REQ, error_rate=r, **overrides) for r in rates]
 
 
-def fused_server(window_ms=25, min_batch=4, **gate_kwargs):
+def fused_server(concurrency=1, **gate_kwargs):
+    """A server whose single slot makes queued requests fuse."""
     executor = SimulationExecutor(
-        workers=0, concurrency=4, retry=RetryPolicy(max_attempts=2)
+        workers=0, concurrency=concurrency, retry=RetryPolicy(max_attempts=2)
     )
     service = ArithmeticService(
         executor=executor,
         cache=ResultCache(ttl=0),
-        concurrency=4,
+        concurrency=concurrency,
         lint_requests=False,
-        fusion=FusionGate(
-            executor, window_ms=window_ms, min_batch=min_batch, **gate_kwargs
-        ),
+        fusion=FusionGate(executor, **gate_kwargs),
     )
     return ServerThread(service)
+
+
+def _poll(predicate, timeout=10.0, interval=0.01):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(interval)
+    return False
+
+
+class HeldExecutor(SimulationExecutor):
+    """Records every batch and holds it until the test releases it.
+
+    Create it inside the running loop (its events bind to that loop).
+    """
+
+    def __init__(self, concurrency):
+        super().__init__(workers=0, concurrency=concurrency)
+        self.calls = []  # [(requests, release event)]
+        self.in_flight = 0
+        self.peak = 0
+
+    async def run_batch(self, requests):
+        release = asyncio.Event()
+        self.calls.append((list(requests), release))
+        self.in_flight += 1
+        self.peak = max(self.peak, self.in_flight)
+        try:
+            await release.wait()
+        finally:
+            self.in_flight -= 1
+        return [{"content_key": r.content_key()} for r in requests]
+
+    def rates(self, call):
+        return sorted(r.error_rate for r in self.calls[call][0])
+
+    async def release(self, call):
+        self.calls[call][1].set()
+        for _ in range(5):  # let the batch settle and the slot refill
+            await asyncio.sleep(0)
+
+    async def finish(self, gate):
+        """Release every batch, present and future, until ``gate`` idles."""
+        while gate.depth() or gate.slots_in_use:
+            for _, release in self.calls:
+                release.set()
+            await asyncio.sleep(0)
+
+
+def req(rate, **overrides):
+    return SimRequest.from_dict(dict(REQ, error_rate=rate, **overrides))
 
 
 # ---------------------------------------------------------------------------
@@ -138,57 +197,113 @@ def test_fused_batch_sanitizer_trace_parity():
         sanitizer.force(None)
 
 
+def _doc(response):
+    d = response.to_dict()
+    d.pop("timings_ms")  # wall-clock, legitimately varies
+    return json.dumps(d, sort_keys=True)
+
+
+def _concurrent(client, payloads):
+    """Send ``payloads`` at once; responses in payload order."""
+    results = {}
+
+    def one(i, payload):
+        results[i] = client.simulate(payload)
+
+    threads = [
+        threading.Thread(target=one, args=(i, p))
+        for i, p in enumerate(payloads)
+    ]
+    for t in threads:
+        t.start()
+    return threads, results
+
+
+def _fused_under_load(monkeypatch):
+    """Every RATES request, queued behind a blocker holding the only
+    slot, so they leave together as one fused batch."""
+    release = threading.Event()
+    real = executor_mod.run_request_tasks
+
+    def held(tasks):
+        if len(tasks) == 1:  # the blocker occupying the only slot
+            release.wait(timeout=30)
+        return real(tasks)
+
+    monkeypatch.setattr(executor_mod, "run_request_tasks", held)
+    with fused_server() as srv:
+        client = ServiceClient(*srv.address)
+        blocker = threading.Thread(
+            target=client.simulate, args=(dict(REQ, error_rate=0.03),)
+        )
+        blocker.start()
+        assert _poll(lambda: srv.service.fusion.slots_in_use == 1)
+        threads, fused = _concurrent(client, payloads_for())
+        assert _poll(lambda: srv.service.fusion.depth() == len(RATES))
+        release.set()
+        for t in threads + [blocker]:
+            t.join(timeout=30)
+    monkeypatch.setattr(executor_mod, "run_request_tasks", real)
+    return [fused[i] for i in range(len(RATES))]
+
+
+def _unfused_under_load():
+    """The same requests at once, at a server whose batches are capped
+    at one: every request takes the per-request path."""
+    with fused_server(max_batch=1) as srv:
+        threads, results = _concurrent(
+            ServiceClient(*srv.address), payloads_for()
+        )
+        for t in threads:
+            t.join(timeout=30)
+    return [results[i] for i in range(len(RATES))]
+
+
 def test_knobs_off_byte_identical_to_per_request_path():
-    """window=0 bypasses the gate: same bytes as a gate-free server."""
-    def run(server):
-        with server as srv:
-            client = ServiceClient(*srv.address)
-            docs = []
-            for payload in payloads_for():
-                doc = client.simulate(payload).to_dict()
-                doc.pop("timings_ms")  # wall-clock, legitimately varies
-                docs.append(json.dumps(doc, sort_keys=True))
-            return docs
+    """Batching capped at one: even under concurrent load, every
+    response is the same bytes as a default server answering alone."""
+    gated = _unfused_under_load()
+    assert {r.cache for r in gated} == {"miss"}
 
     executor = SimulationExecutor(workers=0, concurrency=2)
     plain = ArithmeticService(
         executor=executor, cache=ResultCache(ttl=0), lint_requests=False
     )
-    assert not plain.fusion.enabled  # env knob unset -> gate inert
-    gated = run(fused_server(window_ms=0))
-    ungated = run(ServerThread(plain))
-    assert gated == ungated
+    with ServerThread(plain) as srv:
+        client = ServiceClient(*srv.address)
+        ungated = [client.simulate(p) for p in payloads_for()]
+    assert [_doc(r) for r in gated] == [_doc(r) for r in ungated]
 
 
-def test_fused_server_matches_unfused_dedup_server():
-    """Fusion on == fusion window 0, request for request, over HTTP."""
-    def concurrent_results(server):
-        with server as srv:
-            client = ServiceClient(*srv.address)
-            results = {}
+def test_fused_server_matches_unfused_dedup_server(monkeypatch):
+    """Fused under load == batches capped at one, request for request,
+    over HTTP."""
+    fused = _fused_under_load(monkeypatch)
+    unfused = _unfused_under_load()
+    assert {r.cache for r in fused} == {"fused"}
+    assert {r.cache for r in unfused} == {"miss"}
+    for f, u in zip(fused, unfused):
+        assert f.counts == u.counts
+        assert f.success == u.success
+        assert f.method == u.method == "trajectory"
 
-            def one(rate):
-                results[rate] = client.simulate(dict(REQ, error_rate=rate))
 
-            threads = [
-                threading.Thread(target=one, args=(r,)) for r in RATES
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        return results
+def test_solo_at_idle_server_byte_identical_to_fused_under_load(monkeypatch):
+    """Over HTTP: every request answered alone at an idle server is the
+    same bytes as when it queued behind a busy slot and ran fused."""
+    def doc(response):
+        d = json.loads(_doc(response))
+        d.pop("cache")  # how it ran: the one thing allowed to differ
+        return d
 
-    fused = concurrent_results(
-        fused_server(window_ms=200, min_batch=len(RATES))
-    )
-    unfused = concurrent_results(fused_server(window_ms=0))
-    assert any(r.cache == "fused" for r in fused.values())
-    assert all(r.cache == "miss" for r in unfused.values())
-    for rate in RATES:
-        assert fused[rate].counts == unfused[rate].counts
-        assert fused[rate].success == unfused[rate].success
-        assert fused[rate].method == unfused[rate].method == "trajectory"
+    with fused_server() as srv:
+        client = ServiceClient(*srv.address)
+        solo = [client.simulate(p) for p in payloads_for()]
+    assert {r.cache for r in solo} == {"miss"}
+
+    fused = _fused_under_load(monkeypatch)
+    assert {r.cache for r in fused} == {"fused"}
+    assert [doc(r) for r in fused] == [doc(r) for r in solo]
 
 
 def test_cut_request_never_lowers_full_width_program():
@@ -224,69 +339,182 @@ def test_cut_request_never_lowers_full_width_program():
 
 
 # ---------------------------------------------------------------------------
-# DRR fairness
+# The one queue: slots, batching, fairness, admission, cancellation
 # ---------------------------------------------------------------------------
 
-def test_drr_select_shares_flush_between_tenants():
+def test_idle_server_runs_a_request_at_once():
+    """No hold timer: an idle slot starts the request on the next loop
+    turn, as a batch of one, and its caller learns it ran alone."""
     async def scenario():
-        executor = SimulationExecutor(workers=0, concurrency=1)
-        gate = FusionGate(
-            executor, window_ms=10_000, min_batch=1000,
-            quantum=4 * REQ["shots"], max_batch=8,
-        )
-        gate._wake = asyncio.Event()
-        heavy = [
-            SimRequest.from_dict(
-                dict(REQ, error_rate=0.001 * (i + 1), tenant="heavy")
-            )
-            for i in range(20)
-        ]
-        light = [
-            SimRequest.from_dict(
-                dict(REQ, error_rate=0.03 + 0.001 * (i + 1), tenant="light")
-            )
-            for i in range(2)
-        ]
-        for request in heavy + light:
-            gate.enqueue(request)
-        selected = gate._select()
-        by_tenant = {}
-        for entry in selected:
-            by_tenant.setdefault(entry.tenant, []).append(entry)
-        return by_tenant, gate
+        executor = HeldExecutor(concurrency=2)
+        gate = FusionGate(executor)
+        future = gate.enqueue(req(0.001))
+        assert gate.slots_in_use == 1 and gate.depth() == 0
+        await asyncio.sleep(0)  # one loop turn: no timer can have fired
+        assert [len(requests) for requests, _ in executor.calls] == [1]
+        await executor.release(0)
+        payload, source = await future
+        assert source == "miss"
+        assert payload["content_key"] == req(0.001).content_key()
 
-    by_tenant, gate = asyncio.run(scenario())
-    # quantum covers 4 requests per tenant; the flush cap is 8 — the
-    # light tenant gets its whole backlog through despite arriving
-    # behind 20 heavy requests.
+    asyncio.run(scenario())
+
+
+def test_at_most_concurrency_batches_in_flight():
+    async def scenario():
+        executor = HeldExecutor(concurrency=2)
+        gate = FusionGate(executor)
+        futures = [
+            gate.enqueue(req(0.001 * (i + 1), n=2 + i % 3, tenant=f"t{i % 4}"))
+            for i in range(12)
+        ]
+        await asyncio.sleep(0)
+        assert len(executor.calls) == 2 and gate.depth() == 10
+        call = 0
+        while gate.depth() or gate.slots_in_use:
+            assert executor.in_flight <= 2
+            await executor.release(call)
+            call += 1
+        await asyncio.gather(*futures)
+        assert executor.peak == 2
+        assert sum(len(requests) for requests, _ in executor.calls) == 12
+
+    asyncio.run(scenario())
+
+
+def test_waiting_requests_leave_together_one_batch_per_family():
+    """Requests that queued behind busy slots leave together when a
+    slot frees: the head's circuit family from every tenant, one batch
+    per family."""
+    async def scenario():
+        executor = HeldExecutor(concurrency=2)
+        gate = FusionGate(executor)
+        gate.enqueue(req(0.030))
+        gate.enqueue(req(0.031))  # both slots busy
+        for rate, n, tenant in (
+            (0.001, 2, "t1"), (0.002, 2, "t2"), (0.003, 2, "t1"),
+            (0.004, 3, "t1"), (0.005, 3, "t2"),
+        ):
+            gate.enqueue(req(rate, n=n, tenant=tenant))
+        await asyncio.sleep(0)
+        assert len(executor.calls) == 2 and gate.depth() == 5
+        await executor.release(0)
+        assert executor.rates(2) == [0.001, 0.002, 0.003]
+        await executor.release(1)
+        assert executor.rates(3) == [0.004, 0.005]
+        assert gate.depth() == 0
+        await executor.finish(gate)
+
+    asyncio.run(scenario())
+
+
+def test_drr_select_shares_flush_between_tenants():
+    """A take serves the head's tenant up to its deficit and every rider
+    tenant up to one quantum: the light tenant's whole backlog gets
+    through in the first batch despite queueing behind 20 heavy ones."""
+    async def scenario():
+        executor = HeldExecutor(concurrency=1)
+        gate = FusionGate(executor, quantum=4 * REQ["shots"], max_batch=8)
+        gate.enqueue(req(0.5, tenant="blocker"))
+        for i in range(20):
+            gate.enqueue(req(0.001 * (i + 1), tenant="heavy"))
+        for i in range(2):
+            gate.enqueue(req(0.03 + 0.001 * (i + 1), tenant="light"))
+        await asyncio.sleep(0)
+        await executor.release(0)
+        by_tenant = {}
+        for request in executor.calls[1][0]:
+            by_tenant.setdefault(request.tenant, []).append(request)
+        described = gate.describe()
+        await executor.finish(gate)
+        return by_tenant, described
+
+    by_tenant, described = asyncio.run(scenario())
     assert len(by_tenant["light"]) == 2
     assert len(by_tenant["heavy"]) == 4
-    # depth is settled by _flush; _select only dequeues — 16 heavy
-    # requests remain queued, the light tenant's backlog is empty.
-    assert sum(len(q) for q in gate._queues.values()) == 16
-    deficits = gate.tenant_deficits()
+    assert described["tenant_pending"] == {"heavy": 16}
+    deficits = described["tenant_deficits"]
     assert "heavy" in deficits and "light" not in deficits
 
 
-def test_gate_saturation_raises():
+def test_backlogged_tenant_cannot_hold_back_another_past_next_slot():
+    """A batch tenant with 50 queued cells: another tenant's request
+    goes at the next free slot, not behind the backlog — and, though of
+    the same circuit family, it carries none of the larger cells."""
     async def scenario():
-        executor = SimulationExecutor(workers=0, concurrency=1)
-        gate = FusionGate(executor, window_ms=10_000, max_pending=2)
-        gate._wake = asyncio.Event()
-        gate.enqueue(SimRequest.from_dict(dict(REQ, error_rate=0.001)))
-        gate.enqueue(SimRequest.from_dict(dict(REQ, error_rate=0.002)))
+        executor = HeldExecutor(concurrency=1)
+        gate = FusionGate(executor)
+        for i in range(51):
+            gate.enqueue(req(0.001 * (i + 1), shots=2048, tenant="batch"))
+        await asyncio.sleep(0)
+        await executor.release(0)  # the batch tenant's next take starts
+        assert gate.depth() == 48
+        gate.enqueue(req(0.0025, shots=512, tenant="interactive"))
+        await executor.release(1)
+        assert [r.tenant for r in executor.calls[2][0]] == ["interactive"]
+        await executor.release(2)
+        assert {r.tenant for r in executor.calls[3][0]} == {"batch"}
+        await executor.finish(gate)
+
+    asyncio.run(scenario())
+
+
+def test_priority_order_holds_within_a_tenant():
+    """Lower priority value first, FIFO within a class, and a take never
+    carries a lower class along with a higher one."""
+    async def scenario():
+        executor = HeldExecutor(concurrency=1)
+        gate = FusionGate(executor)
+        gate.enqueue(req(0.5))
+        gate.enqueue(req(0.001, priority=9))
+        gate.enqueue(req(0.002, n=3, priority=0))
+        gate.enqueue(req(0.003, priority=0))
+        gate.enqueue(req(0.004, n=3, priority=0))
+        await asyncio.sleep(0)
+        for call in range(3):
+            await executor.release(call)
+        await executor.finish(gate)
+        return [executor.rates(call) for call in range(1, 4)]
+
+    assert asyncio.run(scenario()) == [[0.002, 0.004], [0.003], [0.001]]
+
+
+def test_gate_saturation_raises():
+    """The waiting bound rejects; the scheduler turns it into an
+    AdmissionError whose Retry-After is floored at 1 s and capped.
+    (Over HTTP that is a 429 with ``Retry-After``; see
+    ``test_backpressure_returns_429_with_retry_after``.)"""
+    async def scenario():
+        executor = HeldExecutor(concurrency=1)
+        gate = FusionGate(executor, max_queue=2)
+        gate.enqueue(req(0.001))  # runs
+        gate.enqueue(req(0.002))
+        gate.enqueue(req(0.003))
         with pytest.raises(FusionSaturated):
-            gate.enqueue(SimRequest.from_dict(dict(REQ, error_rate=0.003)))
+            gate.enqueue(req(0.004))
+        unqueued = FusionGate(executor, max_queue=0)
+        unqueued.enqueue(req(0.008))  # a free slot takes it: no waiting
+        with pytest.raises(FusionSaturated):
+            unqueued.enqueue(req(0.009))
+        scheduler = JobScheduler(executor, max_queue=1, concurrency=1)
+        scheduler.fusion.enqueue(req(0.005))
+        scheduler.fusion.enqueue(req(0.006))
+        with pytest.raises(AdmissionError) as err:
+            await scheduler.submit(req(0.007))
+        assert 1.0 <= err.value.retry_after <= _RETRY_AFTER_CAP
+        await executor.finish(gate)
+        await executor.finish(unqueued)
+        await executor.finish(scheduler.fusion)
 
     asyncio.run(scenario())
 
 
 def test_release_withdraws_pending_entry():
     async def scenario():
-        executor = SimulationExecutor(workers=0, concurrency=1)
-        gate = FusionGate(executor, window_ms=10_000)
-        gate._wake = asyncio.Event()
-        request = SimRequest.from_dict(dict(REQ, tenant="t"))
+        executor = HeldExecutor(concurrency=1)
+        gate = FusionGate(executor)
+        gate.enqueue(req(0.5))  # occupies the slot
+        request = req(0.002, tenant="t")
         future = gate.enqueue(request)
         key = request.content_key()
         assert gate.retain(key)  # a coalescer attaches
@@ -296,6 +524,31 @@ def test_release_withdraws_pending_entry():
         assert gate.depth() == 0
         assert future.cancelled()
         assert not gate.release(key)  # idempotent
+        assert "t" not in gate.describe()["tenant_pending"]
+        await executor.finish(gate)
+
+    asyncio.run(scenario())
+
+
+def test_cancelled_caller_withdraws_its_waiting_entry():
+    """Cancelling a waiting submit removes it from the queue: the freed
+    slot runs the next request and never the orphan."""
+    async def scenario():
+        executor = HeldExecutor(concurrency=1)
+        scheduler = JobScheduler(executor, concurrency=1)
+        first = asyncio.ensure_future(scheduler.submit(req(0.001)))
+        orphan = asyncio.ensure_future(scheduler.submit(req(0.002, n=3)))
+        kept = asyncio.ensure_future(scheduler.submit(req(0.003, n=4)))
+        await asyncio.sleep(0)
+        assert scheduler.fusion.depth() == 2
+        orphan.cancel()
+        await asyncio.gather(orphan, return_exceptions=True)
+        assert scheduler.fusion.depth() == 1
+        await executor.release(0)
+        assert executor.rates(1) == [0.003]
+        await executor.release(1)
+        await asyncio.gather(first, kept)
+        assert scheduler.queue_stats()["inflight_keys"] == 0
 
     asyncio.run(scenario())
 
@@ -320,8 +573,10 @@ def test_sweep_request_model_validation():
 
 
 def test_sweep_streams_partials_and_done():
+    # One slot: the first cell runs alone, the rest queue behind it and
+    # leave as one fused batch.
     reset_fusion_stats()
-    with fused_server(window_ms=20, min_batch=3) as srv:
+    with fused_server() as srv:
         client = ServiceClient(*srv.address)
         parts = list(client.submit_sweep(dict(REQ), RATES))
         assert len(parts) == len(RATES)
@@ -347,12 +602,20 @@ def test_sweep_rejects_bad_spec_with_request_id():
         assert err.value.request_id
 
 
-def test_sweep_mid_stream_disconnect_cancels_pending():
-    # A huge window holds every cell in the gate; the client reads the
-    # stream header then vanishes.  The watchdog must cancel the
-    # orphaned cells (gate drains to zero) and the server must keep
-    # serving.
-    with fused_server(window_ms=60_000, min_batch=1000) as srv:
+def test_sweep_mid_stream_disconnect_cancels_pending(monkeypatch):
+    # The first cell holds the only slot, so every other cell waits in
+    # the queue; the client reads the stream header then vanishes.  The
+    # watchdog must withdraw the orphaned cells (queue drains to zero)
+    # and the server must keep serving.
+    release = threading.Event()
+    real = executor_mod.run_request_tasks
+
+    def held(tasks):
+        release.wait(timeout=30)
+        return real(tasks)
+
+    monkeypatch.setattr(executor_mod, "run_request_tasks", held)
+    with fused_server() as srv:
         host, port = srv.address
         spec = {"base": dict(REQ), "rates": list(RATES)}
         body = json.dumps(spec).encode()
@@ -367,20 +630,19 @@ def test_sweep_mid_stream_disconnect_cancels_pending():
             while b"\r\n\r\n" not in buf:
                 buf += sock.recv(4096)
             assert b"200 OK" in buf
-        # socket closed: poll the gate until the orphans are withdrawn
-        deadline = time.monotonic() + 10
-        while time.monotonic() < deadline:
-            if srv.service.fusion.depth() == 0:
-                break
-            time.sleep(0.02)
-        assert srv.service.fusion.depth() == 0
-        # shared state is healthy: a fresh (ineligible, so it bypasses
-        # the still-huge window) request round-trips fine.
+            assert _poll(lambda: srv.service.fusion.depth() == len(RATES) - 1)
+        # socket closed: the orphans are withdrawn while the slot is held
+        assert _poll(lambda: srv.service.fusion.depth() == 0)
+        release.set()
+        # shared state is healthy: a fresh request round-trips fine.
         client = ServiceClient(*srv.address)
         resp = client.simulate(dict(REQ, error_rate=0.0))
         assert sum(resp.counts.values()) == REQ["shots"]
         stats = client.stats()
         assert stats["metrics"]["counters"]["sweep_disconnects_total"] == 1
+        assert stats["metrics"]["counters"]["requests_withdrawn_total"] == (
+            len(RATES) - 1
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -389,20 +651,23 @@ def test_sweep_mid_stream_disconnect_cancels_pending():
 
 def test_fusion_metrics_and_stats_surfaces():
     reset_fusion_stats()
-    with fused_server(window_ms=20, min_batch=3) as srv:
+    with fused_server() as srv:
         client = ServiceClient(*srv.address)
         list(client.submit_sweep(dict(REQ, tenant="team-a"), RATES))
         text = client.metrics_text()
         assert "repro_fusion_hit_rate" in text
         assert "repro_fusion_batch_occupancy" in text
+        assert "repro_queue_slots_in_use" in text
         assert 'repro_fusion_tenant_served_cost{tenant="team-a"}' in text
-        assert "repro_latency_fusion_window_wait_seconds_bucket" in text
+        assert "repro_latency_queue_wait_seconds_bucket" in text
         stats = client.stats()
         fusion = stats["fusion"]
-        assert fusion["enabled"] is True
+        assert {"enabled", "window_ms", "min_batch"}.isdisjoint(fusion)
+        assert fusion["slots_in_use"] == 0 and fusion["concurrency"] == 1
+        assert fusion["tenant_pending"] == {}
         assert fusion["totals"]["admitted"] == len(RATES)
         assert "team-a" in fusion["totals"]["tenants"]
-        latency = stats["metrics"]["latency"]["fusion_window_wait"]
+        latency = stats["metrics"]["latency"]["queue_wait"]
         assert latency["count"] == len(RATES)
         assert latency["p99_seconds"] >= latency["p50_seconds"]
     # the CLI mirror sees the same process-wide counters
