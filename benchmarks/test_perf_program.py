@@ -3,17 +3,27 @@
 * What do cold lowering and a compiled trajectory run cost at the
   paper's QFM workload?
 * Does a rate-only sweep lower exactly once, re-binding per rate?
+* What does composing the longest monomial segment of the paper-width
+  QFA program cost, and is the in-place composer still bit-identical
+  to the per-element fold it replaced?
 
-Timings honour ``REPRO_SCALE``.
+Timings honour ``REPRO_SCALE``, except the composer benchmark, which
+always composes the paper-width (QFA 8+8) segment that ``paper-sweep``
+re-composes on every fork.
 """
 
+import numpy as np
 import pytest
 
 from repro.core import qfm_circuit
+from repro.experiments.runner import build_compiled_program
 from repro.noise import NoiseModel
 from repro.noise.ibm import P2Q_SWEEP
 from repro.sim import TrajectoryEngine
 from repro.sim.program import (
+    DiagonalOp,
+    _compose_elems,
+    _perm_indices,
     compile_cache_stats,
     compile_circuit,
     reset_compile_caches,
@@ -76,3 +86,36 @@ def test_rate_only_sweep_compiles_once(qfm):
     stats = compile_cache_stats()
     assert stats.lowerings == 1, stats
     assert stats.bind_hits == len(rates), stats
+
+
+def _fold(elems, n):
+    """The per-element fold (full phase vector, two gathers per perm)."""
+    src = ph = None
+    for op in elems:
+        if isinstance(op, DiagonalOp):
+            d = op.diag(n)
+            ph = d if ph is None else ph * d
+            continue
+        t = _perm_indices(n, op.name, op.qubits)
+        src = t if src is None else np.take(src, t)
+        ph = None if ph is None else np.take(ph, t)
+    return src, ph
+
+
+def test_cold_compose_largest_qfa_segment(benchmark):
+    """Cold composition of the QFA 8+8 (1q 0.5%) program's longest
+    segment: 182 rz/cx elems with 111 noise sites, the piece a
+    trajectory fork re-composes.  Bit-identical to the fold."""
+    program = build_compiled_program("add", 8, 8, None, "1q", 0.005, "qiskit")
+    n = program.num_qubits
+    seg = max(
+        (item for kind, item in program.exec_stream() if kind == "seg"),
+        key=lambda s: len(s.elems),
+    )
+    src, ph = benchmark.pedantic(
+        lambda: _compose_elems((None, None), seg.elems, n),
+        rounds=5, iterations=1,
+    )
+    ref_src, ref_ph = _fold(seg.elems, n)
+    assert src.tobytes() == ref_src.tobytes()
+    assert ph.dtype == ref_ph.dtype and ph.tobytes() == ref_ph.tobytes()

@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..runtime.envutil import env_int
 from ..runtime.errors import width_limit_error
+from ..sim.engines import EXACT_MAX_QUBITS
 from ..sim.methods import METHODS, method_width_cap
 from ..sim.result import Counts
 
@@ -73,11 +74,17 @@ def service_max_qubits() -> int:
 
 
 class RequestValidationError(ValueError):
-    """A request failed schema validation; ``errors`` lists every issue."""
+    """A request failed validation; ``errors`` lists every problem.
 
-    def __init__(self, errors: List[str]) -> None:
+    ``status`` is the HTTP status the server answers with: 422 when the
+    request is well-formed but wider than its method admits (every
+    problem is a width limit), 400 otherwise.
+    """
+
+    def __init__(self, errors: List[str], status: int = 400) -> None:
         super().__init__("; ".join(errors))
         self.errors = list(errors)
+        self.status = status
 
 
 def _as_int(value: Any, name: str, errors: List[str]) -> int:
@@ -181,6 +188,7 @@ class SimRequest:
     def validate(self) -> None:
         """Raise :class:`RequestValidationError` listing every problem."""
         errors: List[str] = []
+        width_errors = 0
         if self.operation not in _OPERATIONS:
             errors.append(
                 f"operation: {self.operation!r} not in {_OPERATIONS}"
@@ -211,6 +219,11 @@ class SimRequest:
             # actionable message the engine itself would raise, instead
             # of queueing a request that can only fail (or OOM) later.
             cap = method_width_cap(self.method)
+            if cap is not None and self.method == "density":
+                # A request holds one of the server's few executor
+                # slots for its whole run, and density at 11-13 qubits
+                # runs for minutes: serve it where PTM takes over.
+                cap = min(cap, EXACT_MAX_QUBITS)
             if cap is not None and self.total_qubits > cap:
                 errors.append(
                     str(width_limit_error(
@@ -219,6 +232,7 @@ class SimRequest:
                         self.total_qubits,
                     ))
                 )
+                width_errors += 1
         if not 0 <= self.seed <= MAX_SEED:
             errors.append("seed: must be in [0, 2**63)")
         if self.convention not in _CONVENTIONS:
@@ -234,7 +248,9 @@ class SimRequest:
         if self.n >= 1 and self.m >= 1:
             errors.extend(self._validate_operands())
         if errors:
-            raise RequestValidationError(errors)
+            raise RequestValidationError(
+                errors, status=422 if width_errors == len(errors) else 400
+            )
 
     def _validate_operands(self) -> List[str]:
         errors: List[str] = []
@@ -457,8 +473,9 @@ class SweepRequest:
         try:
             base = SimRequest.from_dict(base_payload)
         except RequestValidationError as exc:
+            status = exc.status if not errors else 400
             errors.extend(f"base.{e}" for e in exc.errors)
-            raise RequestValidationError(errors) from None
+            raise RequestValidationError(errors, status=status) from None
         if errors:
             raise RequestValidationError(errors)
         return cls(base=base, rates=tuple(rates))

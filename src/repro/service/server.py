@@ -9,7 +9,8 @@ Endpoints
 ---------
 ``POST /v1/simulate``  — body: a :class:`~repro.service.model.SimRequest`
     JSON object.  200 with a ``SimResponse`` JSON body; 400 on schema
-    violations; 422 when the circuit fails static analysis; 429 +
+    violations; 422 when the circuit fails static analysis or is wider
+    than an explicitly requested dense method admits; 429 +
     ``Retry-After`` under backpressure; 500 when every execution
     attempt failed; 503 while draining.
 ``POST /v1/sweep``  — body: a :class:`~repro.service.model.SweepRequest`
@@ -384,9 +385,7 @@ class ArithmeticService:
             request = SimRequest.from_dict(json.loads(body.decode() or "null"))
         except RequestValidationError as exc:
             self.metrics.inc("requests_invalid_total")
-            return 400, {}, _json_bytes(
-                {"error": "validation failed", "details": exc.errors}
-            )
+            return _rejection(exc)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             self.metrics.inc("requests_invalid_total")
             return 400, {}, _err(f"malformed JSON body: {exc}")
@@ -459,9 +458,7 @@ class ArithmeticService:
             )
         except RequestValidationError as exc:
             self.metrics.inc("requests_invalid_total")
-            return 400, {}, _json_bytes(
-                {"error": "validation failed", "details": exc.errors}
-            )
+            return _rejection(exc)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             self.metrics.inc("requests_invalid_total")
             return 400, {}, _err(f"malformed JSON body: {exc}")
@@ -645,6 +642,16 @@ def _json_bytes(obj: Any) -> bytes:
 
 def _err(message: str) -> bytes:
     return _json_bytes({"error": message})
+
+
+def _rejection(
+    exc: RequestValidationError,
+) -> Tuple[int, Dict[str, str], bytes]:
+    """400 for a schema violation, 422 for a width-limit rejection."""
+    label = "width limit" if exc.status == 422 else "validation failed"
+    return exc.status, {}, _json_bytes(
+        {"error": label, "details": exc.errors}
+    )
 
 
 class ServerThread:

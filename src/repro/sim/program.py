@@ -39,6 +39,16 @@ descriptors, and kernels build lazily into a process-wide content-keyed
 LRU (:class:`KernelCache`, budget via ``REPRO_KERNEL_CACHE_MB``).  Two
 programs, or two thousand ``rz`` ops with the same angle, share one
 vector; shipping a program to a worker process pickles descriptors only.
+Every cached kernel is read-only.
+
+Runs of diagonal and permutation ops are monomials, and one composer,
+:func:`_compose_elems`, folds any run of them into a single
+``(src, ph)`` gather-and-multiply.  It writes in place: a lone ``rz``
+is two strided scalar multiplies and ``x``/``cx``/``swap``/``ccx`` are
+block swaps, so a trajectory fork that re-composes a piece of a segment
+builds no ``2**n`` vector and runs no gather per gate.  Its result is
+bit-identical to multiplying in each op's full vector and gathering
+through each permutation's index map.
 """
 
 from __future__ import annotations
@@ -61,7 +71,12 @@ from ..noise.model import NoiseModel
 from ..runtime import obs
 from ..runtime.envutil import env_mb_bytes
 from .backend import canonical_complex, dtype_tag, kernel_group
-from .ops import _GLOBAL_BITS, _apply_phase_on_mask, apply_instruction
+from .ops import (
+    _GLOBAL_BITS,
+    _apply_phase_on_mask,
+    _split_1q,
+    apply_instruction,
+)
 
 __all__ = [
     "CompiledProgram",
@@ -301,27 +316,84 @@ def _perm_indices(n: int, name: str, qubits: Tuple[int, ...]) -> np.ndarray:
     )
 
 
-def _mono_compose(cur, op: "ProgramOp", n: int, dtype=None):
-    """Compose ``op`` (applied after) onto the monomial ``cur``.
+def _rz_factors(lam: float, dtype) -> np.ndarray:
+    """``[lo, hi]`` exactly as :func:`_build_diag` puts them in a vector.
 
-    Cached kernel arrays are never mutated: every step produces fresh
-    arrays (or aliases a read-only cached one for the first factor).
+    The vector starts at ``1+0j`` and is cast once for lower tiers, so
+    the factors go through the same multiply and the same cast.
     """
-    src, ph = cur
-    if isinstance(op, DiagonalOp):
-        d = op.diag(n, dtype)
-        return src, (d if ph is None else ph * d)
-    t = _perm_indices(n, op.name, op.qubits)
-    return (
-        t if src is None else np.take(src, t),
-        ph if ph is None else np.take(ph, t),
-    )
+    f = np.ones(2, dtype=canonical_complex)
+    f *= np.array([cmath.exp(-0.5j * lam), cmath.exp(0.5j * lam)])
+    return f.astype(dtype, copy=False)
 
 
 def _compose_elems(cur, elems, n: int, dtype=None):
+    """Compose ``elems`` (applied in order, after ``cur``) onto ``cur``.
+
+    The one monomial composer.  It writes in place: the arrays of
+    ``cur`` and any cached factor are copied once, on their first
+    write, and never mutated.  Each element then acts on ``(src, ph)``
+    directly, and the result is bit-identical to folding the full
+    ``2**n`` kernels (``ph * diag``, ``np.take(a, perm)``) element by
+    element:
+
+    * a single-term ``rz`` is two strided scalar multiplies, ``hi`` on
+      the half where its bit is set and ``lo`` on the other;
+    * ``x``/``cx``/``swap``/``ccx`` are the block swaps
+      :meth:`PermutationOp.apply` does on states, run on ``src`` and
+      ``ph`` — pure moves, equal to the gather;
+    * every other diagonal (fused runs, ``phase_on_ones`` terms,
+      generic diagonals) multiplies in its full vector.  A masked
+      multiply that skipped the ``1+0j`` entries would not be bitwise:
+      it keeps an imaginary ``-0.0`` that the multiply turns to ``+0.0``.
+    """
+    src, ph = cur
+    own_src = own_ph = False
+    cdt = np.dtype(canonical_complex if dtype is None else dtype)
     for op in elems:
-        cur = _mono_compose(cur, op, n, dtype)
-    return cur
+        if isinstance(op, DiagonalOp):
+            name, qubits, params = op.terms[0]
+            if len(op.terms) > 1 or name != "rz":
+                d = op.diag(n, dtype)
+                if ph is None:
+                    ph = d
+                elif own_ph:
+                    ph *= d
+                else:
+                    ph, own_ph = ph * d, True
+                continue
+            lo, hi = _rz_factors(params[0], cdt)
+            if ph is None:
+                ph, own_ph = np.empty(1 << n, dtype=cdt), True
+                halves = _split_1q(ph[None], qubits[0], n)
+                halves[:, 0, :] = lo
+                halves[:, 1, :] = hi
+                continue
+            if not own_ph:
+                ph, own_ph = ph.copy(), True
+            halves = _split_1q(ph[None], qubits[0], n)
+            halves[:, 0, :] *= lo
+            halves[:, 1, :] *= hi
+            continue
+        if src is None:
+            src = _perm_indices(n, op.name, op.qubits)
+        else:
+            if not own_src:
+                src, own_src = src.copy(), True
+            op.apply(src[None], n)
+        if ph is not None:
+            if not own_ph:
+                ph, own_ph = ph.copy(), True
+            op.apply(ph[None], n)
+    return src, ph
+
+
+def _frozen(mono):
+    """Mark a composed ``(src, ph)`` read-only before it is shared."""
+    for a in mono:
+        if a is not None:
+            a.setflags(write=False)
+    return mono
 
 
 def _mono_apply(
@@ -659,7 +731,9 @@ class _MonoSegment:
         tag = dtype_tag(canonical_complex if dtype is None else dtype)
         return _KERNELS.get(
             self.key + (tag,),
-            lambda: _compose_elems((None, None), self.elems, n, dtype),
+            lambda: _frozen(
+                _compose_elems((None, None), self.elems, n, dtype)
+            ),
             group=kernel_group(tag),
         )
 
@@ -677,9 +751,9 @@ class _MonoSegment:
         tag = dtype_tag(canonical_complex if dtype is None else dtype)
         return _KERNELS.get(
             (self.key, start, end, tag),
-            lambda: _compose_elems(
+            lambda: _frozen(_compose_elems(
                 (None, None), self.elems[start:end], n, dtype
-            ),
+            )),
             group=kernel_group(tag),
         )
 

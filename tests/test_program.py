@@ -4,8 +4,10 @@ Covers the lowering taxonomy (diagonal fusion, permutations, noise and
 measure sites), program<->circuit equivalence on random circuits
 (numerically, against the interpreter),
 the decompile round-trip checked with the symbolic equivalence engine,
-the two-level compile cache, pickling for worker shipping, and the
-resolved-method audit trail on simulation results.
+the two-level compile cache, pickling for worker shipping, the
+resolved-method audit trail on simulation results, and the bitwise
+contract of the in-place monomial composer against the per-element
+fold it replaced.
 """
 
 import math
@@ -49,6 +51,8 @@ from repro.sim.program import (
     MeasureSiteOp,
     NoiseOp,
     PermutationOp,
+    _compose_elems,
+    _perm_indices,
     circuit_fingerprint,
 )
 from repro.transpile import transpile
@@ -427,3 +431,254 @@ class TestResolvedMethod:
         assert simulate_distribution(noisy).method == "ptm"
         ideal = compile_circuit(bell())
         assert simulate_distribution(ideal).method == "statevector"
+
+
+# ---------------------------------------------------------------------------
+# Monomial composer: bitwise against the per-element fold
+# ---------------------------------------------------------------------------
+
+def _reference_compose(cur, elems, n, dtype=None):
+    """The per-element fold the in-place composer replaced (test oracle).
+
+    Every diagonal op multiplies in its full ``2**n`` vector and every
+    permutation gathers ``src`` and ``ph`` through its index map; no
+    array is ever written in place.
+    """
+    src, ph = cur
+    for op in elems:
+        if isinstance(op, DiagonalOp):
+            d = op.diag(n, dtype)
+            ph = d if ph is None else ph * d
+            continue
+        t = _perm_indices(n, op.name, op.qubits)
+        src = t if src is None else np.take(src, t)
+        ph = None if ph is None else np.take(ph, t)
+    return src, ph
+
+
+def _assert_same_bytes(got, want):
+    for a, b in zip(got, want):
+        if a is None or b is None:
+            assert a is None and b is None
+        else:
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+
+
+#: Angles that include the signed-zero and exact-value corners.
+_ANGLES = (0.0, -0.0, math.pi, -math.pi, math.pi / 2)
+
+
+def _angle(rng):
+    if rng.random() < 0.3:
+        return float(_ANGLES[rng.integers(len(_ANGLES))])
+    return float(rng.uniform(-2 * math.pi, 2 * math.pi))
+
+
+def _diag_term(rng, n):
+    """One diagonal gate: single rz, phase-on-ones, or generic."""
+    kind = rng.choice(["rz", "rz", "p", "cp", "ccp", "s", "z", "crz", "id"])
+    width = {"ccp": 3, "cp": 2, "crz": 2}.get(kind, 1)
+    if width > n:
+        kind, width = "rz", 1
+    qubits = tuple(int(q) for q in rng.choice(n, size=width, replace=False))
+    params = (_angle(rng),) if kind in ("rz", "p", "cp", "ccp", "crz") else ()
+    return (str(kind), qubits, params)
+
+
+def _random_monomial_run(rng, n, length):
+    """A mixed run of Diagonal/Permutation elems, paper-like in bulk."""
+    elems = []
+    for _ in range(length):
+        kind = rng.choice(
+            ["diag", "diag", "fused", "x", "cx", "cx", "swap", "ccx"]
+        )
+        if kind == "diag":
+            elems.append(DiagonalOp([_diag_term(rng, n)]))
+        elif kind == "fused":
+            count = int(rng.integers(2, 5))
+            elems.append(DiagonalOp([_diag_term(rng, n) for _ in range(count)]))
+        else:
+            width = {"x": 1, "cx": 2, "swap": 2, "ccx": 3}[str(kind)]
+            qubits = rng.choice(n, size=width, replace=False)
+            elems.append(PermutationOp(str(kind), tuple(int(q) for q in qubits)))
+    return elems
+
+
+def _nontrivial_start(rng, n, dtype):
+    """A read-only start ``(src, ph)`` whose phases carry signed zeros."""
+    src = rng.permutation(1 << n).astype(np.int32)
+    ph = np.exp(1j * rng.uniform(-math.pi, math.pi, 1 << n)).astype(dtype)
+    ph.real[::5] = -0.0
+    ph.imag[1::7] = -0.0
+    ph.imag[2::7] = 0.0
+    for a in (src, ph):
+        a.setflags(write=False)
+    return src, ph
+
+
+class TestComposer:
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_matches_per_element_fold_bitwise(self, n, dtype):
+        rng = np.random.default_rng(1000 + n)
+        dt = np.dtype(dtype)
+        for _ in range(25):
+            elems = _random_monomial_run(rng, n, int(rng.integers(1, 40)))
+            _assert_same_bytes(
+                _compose_elems((None, None), elems, n, dt),
+                _reference_compose((None, None), elems, n, dt),
+            )
+            start = _nontrivial_start(rng, n, dt)
+            _assert_same_bytes(
+                _compose_elems(start, elems, n, dt),
+                _reference_compose(start, elems, n, dt),
+            )
+            # A writable start is the caller's: copied, never written.
+            src0, ph0 = (a.copy() for a in start)
+            _compose_elems((src0, ph0), elems, n, dt)
+            _assert_same_bytes((src0, ph0), start)
+
+    @pytest.mark.parametrize("dtype", [None, np.complex64])
+    def test_cached_kernels_are_frozen(self, dtype):
+        """What ``full``/``partial``/multi-term ``diag`` cache is
+        read-only, and composing on top of cached pieces never changes
+        a cached byte."""
+        reset_compile_caches()
+        program = build_compiled_program("add", 4, 4, None, "2q", 0.01, "qiskit")
+        n = program.num_qubits
+        segs = [item for kind, item in program.exec_stream() if kind == "seg"]
+        seg = max(segs, key=lambda s: len(s.elems))
+        fused = [
+            e for e in seg.elems
+            if isinstance(e, DiagonalOp) and len(e.terms) > 1
+        ]
+        assert fused, "the 2q-noise QFA segment carries fused diagonals"
+        for op in fused:
+            assert not op.diag(n, dtype).flags.writeable
+        full = seg.full(n, dtype)
+        cached = [a for a in full if a is not None]
+        assert cached and not any(a.flags.writeable for a in cached)
+        before = [a.tobytes() for a in cached]
+        L = len(seg.elems)
+        for start, end in [(0, L // 2), (L // 4, 3 * L // 4), (L // 2, L),
+                           (1, L), (0, 1)]:
+            piece = seg.partial(n, start, end, dtype)
+            assert not any(
+                a.flags.writeable for a in piece if a is not None
+            )
+            # Compose the rest of the segment on top of the cached piece
+            # (and over the cached full run): both are read as inputs.
+            rest = _compose_elems(piece, seg.elems[end:], n, dtype)
+            _assert_same_bytes(
+                rest, _reference_compose(piece, seg.elems[end:], n, dtype)
+            )
+            _compose_elems(full, seg.elems[start:end], n, dtype)
+        assert [a.tobytes() for a in cached] == before
+        assert [a.tobytes() for a in seg.full(n, dtype) if a is not None] \
+            == before
+
+
+def _capture_final_states(monkeypatch):
+    """Record every batch the engines sample from, as bytes."""
+    import repro.sim.batch as batch_mod
+    import repro.sim.trajectories as traj_mod
+
+    seen = []
+
+    def recording(module):
+        real = module.probabilities
+
+        def probabilities(state, *args, **kwargs):
+            seen.append(np.ascontiguousarray(state).tobytes())
+            return real(state, *args, **kwargs)
+
+        monkeypatch.setattr(module, "probabilities", probabilities)
+
+    recording(traj_mod)
+    recording(batch_mod)
+    return seen
+
+
+def _count_compositions(monkeypatch, composer):
+    import repro.sim.program as program_mod
+
+    calls = []
+
+    def counted(cur, elems, n, dtype=None):
+        calls.append(len(elems))
+        return composer(cur, elems, n, dtype)
+
+    monkeypatch.setattr(program_mod, "_compose_elems", counted)
+    return calls
+
+
+#: ``None`` runs the active backend tier, so the ``REPRO_BACKEND``
+#: matrix lanes cover both; the explicit dtypes pin each tier anyway.
+_WALK_DTYPES = [None, np.complex128, np.complex64]
+
+
+class TestWalkerParity:
+    """The trajectory walker and the fused batch scheduler give
+    byte-identical final states with the composer and with the fold."""
+
+    @pytest.fixture(autouse=True)
+    def _canonical_backend(self):
+        """Bitwise parity holds on every tier: leave the backend as the
+        environment sets it."""
+
+    @pytest.mark.parametrize("dtype", _WALK_DTYPES)
+    def test_trajectory_engine(self, monkeypatch, dtype):
+        inst = generate_instances("add", 4, 4, (1, 1), 1, 5)[0]
+        init = inst.initial_statevector()
+        runs = []
+        for composer in (_reference_compose, _compose_elems):
+            with monkeypatch.context() as mp:
+                reset_compile_caches()
+                calls = _count_compositions(mp, composer)
+                states = _capture_final_states(mp)
+                program = build_compiled_program(
+                    "add", 4, 4, None, "1q", 0.005, "qiskit"
+                )
+                eng = TrajectoryEngine(trajectories=16, seed=123, dtype=dtype)
+                counts = eng.run(program, shots=2048, initial_state=init)
+            segs = [i for kind, i in program.exec_stream() if kind == "seg"]
+            # Beyond one full product per segment, the walker composed
+            # the pieces between fork and fire events.
+            assert len(calls) > len(segs)
+            runs.append((states, dict(counts.items())))
+        (ref_states, ref_counts), (new_states, new_counts) = runs
+        assert ref_states and new_states == ref_states
+        assert new_counts == ref_counts
+
+    @pytest.mark.parametrize("dtype", _WALK_DTYPES)
+    def test_fused_batch(self, monkeypatch, dtype):
+        from repro.sim.batch import FusedTrajectoryScheduler, TrajectoryTask
+
+        runs = []
+        for composer in (_reference_compose, _compose_elems):
+            with monkeypatch.context() as mp:
+                reset_compile_caches()
+                calls = _count_compositions(mp, composer)
+                states = _capture_final_states(mp)
+                tasks = [
+                    TrajectoryTask(
+                        key=i,
+                        program=build_compiled_program(
+                            "add", 4, 4, None, "1q", rate, "qiskit"
+                        ),
+                        shots=512,
+                        trajectories=16,
+                        rng=np.random.default_rng((77, i)),
+                    )
+                    for i, rate in enumerate((0.005, 0.01, 0.02))
+                ]
+                results = FusedTrajectoryScheduler(dtype=dtype).run(tasks)
+            assert calls
+            runs.append((
+                states,
+                {k: dict(r.counts.items()) for k, r in results.items()},
+            ))
+        (ref_states, ref_counts), (new_states, new_counts) = runs
+        assert ref_states and new_states == ref_states
+        assert new_counts == ref_counts

@@ -67,6 +67,30 @@ class TestValidation:
             _req().validate()  # 2 + 3 = 5 > 4
         assert any("cap" in e for e in exc.value.errors)
 
+    def test_density_capped_at_exact_lane_width(self):
+        # Density at 11-13 qubits runs for minutes on an executor slot:
+        # the service admits explicit density only where PTM is exact.
+        from repro.sim.density import DensityMatrixEngine
+        from repro.sim.engines import EXACT_MAX_QUBITS
+
+        assert EXACT_MAX_QUBITS == 10 < DensityMatrixEngine.max_qubits
+        _req(n=5, m=5, x=(3,), y=(7,), method="density").validate()
+        with pytest.raises(RequestValidationError) as exc:
+            _req(n=6, m=6, x=(3,), y=(7,), method="density").validate()
+        assert exc.value.status == 422
+        (message,) = exc.value.errors
+        assert "limited to 10 qubits, got 12" in message
+        assert 'method="cut"' in message
+        # The same width through the trajectory lane stays admitted.
+        _req(n=6, m=6, x=(3,), y=(7,), method="trajectory").validate()
+
+    def test_width_limit_with_schema_errors_is_400(self):
+        with pytest.raises(RequestValidationError) as exc:
+            _req(n=6, m=6, x=(3,), y=(7,), method="density",
+                 shots=0).validate()
+        assert exc.value.status == 400
+        assert len(exc.value.errors) == 2
+
     def test_mul_counts_product_register(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVICE_MAX_QUBITS", "7")
         # mul is 2*(n+m) = 8 wide even though n+m = 4.

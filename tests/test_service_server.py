@@ -149,6 +149,42 @@ def test_lint_gate_rejects_with_422(monkeypatch):
         assert any("REP999" in d for d in exc.value.details)
 
 
+def test_wide_density_request_gets_422_on_both_routes():
+    # QFA 6+6 (12 qubits) through explicit density is refused at the
+    # door with the engine's width-limit text, for /v1/simulate and for
+    # a /v1/sweep base alike; nothing reaches an executor slot.  Raw
+    # bodies, because the client validates before it sends.
+    wide = dict(REQ, n=6, m=6, x=[3], y=[7], method="density")
+    with make_server() as srv:
+        host, port = srv.address
+
+        def post(path: str, doc: dict):
+            conn = http.client.HTTPConnection(host, port, timeout=10)
+            try:
+                conn.request(
+                    "POST", path, body=json.dumps(doc).encode(),
+                    headers={"Content-Type": "application/json"},
+                )
+                resp = conn.getresponse()
+                return resp.status, json.loads(resp.read().decode())
+            finally:
+                conn.close()
+
+        status, doc = post("/v1/simulate", wide)
+        assert status == 422 and doc["error"] == "width limit"
+        assert any("limited to 10 qubits, got 12" in d for d in doc["details"])
+        base = {k: v for k, v in wide.items() if k != "error_rate"}
+        status, doc = post("/v1/sweep", {"base": base, "rates": [0.001, 0.002]})
+        assert status == 422
+        assert any(
+            d.startswith("base.") and "limited to 10 qubits" in d
+            for d in doc["details"]
+        )
+        counters = ServiceClient(host, port).stats()["metrics"]["counters"]
+        assert counters["requests_invalid_total"] == 2
+        assert "sweep_requests_total" not in counters
+
+
 def test_coalescing_collapses_identical_requests(monkeypatch):
     """N concurrent identical requests run exactly one simulation."""
     n_clients = 6
