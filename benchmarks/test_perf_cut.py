@@ -1,15 +1,11 @@
-"""Circuit-cutting benchmarks: wide registers and fragment parallelism.
+"""Circuit-cutting benchmarks: wide registers through fragments.
 
-Three claims need numbers (DESIGN.md row E22):
+Two claims need numbers (DESIGN.md row E22):
 
 * A **16-qubit QFA cell** — beyond the density (13q) and PTM (12q) caps,
   and a 65536-amplitude statevector per trajectory row if run uncut —
   evaluates end-to-end through ``method="cut"`` as 8-qubit fragments,
   ideal and noisy, with the correct arithmetic on top.
-* Fragment jobs **really parallelise**: a superposed operand register
-  yields independent branch jobs, and the pool runner spreads them over
-  at least two distinct worker processes (the ISSUE's parallelism
-  floor).
 * At widths every engine admits, cut and uncut **agree** (TV <= 1e-10
   ideal) — the cheap cross-check that the wide-register numbers mean
   what they say.
@@ -26,7 +22,6 @@ import numpy as np
 from conftest import save_artifact
 from repro.core.qint import QInteger
 from repro.cut import CutConfig, cut_distribution
-from repro.cut.parallel import PoolRunner
 from repro.experiments.instances import ArithmeticInstance
 from repro.experiments.runner import (
     build_arithmetic_circuit,
@@ -85,32 +80,6 @@ def test_wide_qfa_cell_runs_via_fragments(scale, artifact_dir):
             f" margin={verdict.min_diff}"
         )
     save_artifact(artifact_dir, "perf_cut_wide.txt", "\n".join(lines))
-
-
-def test_fragment_jobs_parallelise(scale):
-    """Branch jobs of a superposed operand spread over >= 2 processes."""
-    circuit = build_arithmetic_circuit("add", WIDE_N, WIDE_N, None)
-    inst = ArithmeticInstance(
-        "add", WIDE_N, WIDE_N,
-        QInteger.uniform([3, 40, 90, 200], WIDE_N),
-        QInteger.basis(41, WIDE_N),
-    )
-    noise = noise_model_for("2q", 0.01, "qiskit")
-    runner = PoolRunner(workers=4)
-    dist = cut_distribution(
-        circuit, noise,
-        config=CutConfig(max_fragment_qubits=WIDE_N),
-        initial_state=inst.initial_statevector(),
-        trajectories=_TRAJECTORIES.get(scale.name, 64),
-        seed=11,
-        runner=runner,
-    )
-    assert dist.cut_info["num_fragments"] == 2
-    # 4 superposed x values -> 4 independent branch jobs; the floor is
-    # 2 distinct PIDs so one slow fork can't flake the assertion.
-    assert len(runner.worker_pids) >= 2, (
-        f"fragment jobs did not spread: pids={runner.worker_pids}"
-    )
 
 
 def test_cut_uncut_parity_at_overlap_width():

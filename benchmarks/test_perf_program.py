@@ -6,11 +6,16 @@
 * What does composing the longest monomial segment of the paper-width
   QFA program cost, and is the in-place composer still bit-identical
   to the per-element fold it replaced?
+* That segment's ``cx`` pairs cancel: what does applying it to a batch
+  as a phase multiply save over a gather through the identity map, and
+  are the two byte-equal?
 
-Timings honour ``REPRO_SCALE``, except the composer benchmark, which
-always composes the paper-width (QFA 8+8) segment that ``paper-sweep``
-re-composes on every fork.
+Timings honour ``REPRO_SCALE``, except the two segment benchmarks,
+which always use the paper-width (QFA 8+8) segment that ``paper-sweep``
+re-composes on every fork and applies to every idle row.
 """
+
+import time
 
 import numpy as np
 import pytest
@@ -23,6 +28,7 @@ from repro.sim import TrajectoryEngine
 from repro.sim.program import (
     DiagonalOp,
     _compose_elems,
+    _mono_apply_rows,
     _perm_indices,
     compile_cache_stats,
     compile_circuit,
@@ -102,20 +108,64 @@ def _fold(elems, n):
     return src, ph
 
 
-def test_cold_compose_largest_qfa_segment(benchmark):
-    """Cold composition of the QFA 8+8 (1q 0.5%) program's longest
-    segment: 182 rz/cx elems with 111 noise sites, the piece a
-    trajectory fork re-composes.  Bit-identical to the fold."""
+def _largest_qfa_segment():
+    """The QFA 8+8 (1q 0.5%) program's longest segment: 182 rz/cx elems
+    with 111 noise sites."""
     program = build_compiled_program("add", 8, 8, None, "1q", 0.005, "qiskit")
-    n = program.num_qubits
     seg = max(
         (item for kind, item in program.exec_stream() if kind == "seg"),
         key=lambda s: len(s.elems),
     )
+    return seg, program.num_qubits
+
+
+def test_cold_compose_largest_qfa_segment(benchmark):
+    """Cold composition of the longest QFA 8+8 segment, the piece a
+    trajectory fork re-composes.  Bit-identical to the fold, whose
+    ``src`` is the identity map the composer returns as ``None``."""
+    seg, n = _largest_qfa_segment()
     src, ph = benchmark.pedantic(
         lambda: _compose_elems((None, None), seg.elems, n),
         rounds=5, iterations=1,
     )
     ref_src, ref_ph = _fold(seg.elems, n)
-    assert src.tobytes() == ref_src.tobytes()
+    assert src is None
+    assert np.array_equal(ref_src, np.arange(1 << n))
     assert ph.dtype == ref_ph.dtype and ph.tobytes() == ref_ph.tobytes()
+
+
+def test_apply_identity_segment_batch(benchmark):
+    """The longest QFA 8+8 segment applied to a 17-row batch (row 0
+    plus ``paper-sweep``'s 16 trajectories) two ways: a gather through
+    ``arange`` and a multiply per row, and the in-place phase multiply
+    the walker runs.  The benchmark times the multiply; the gather's
+    best of five is printed beside it.  The two are byte-equal."""
+    seg, n = _largest_qfa_segment()
+    src, ph = seg.full(n)
+    assert src is None
+    rng = np.random.default_rng(3)
+    batch = rng.normal(size=(17, 1 << n)) + 1j * rng.normal(size=(17, 1 << n))
+    identity = np.arange(1 << n, dtype=np.int32)
+
+    def gather(buf):
+        scratch = np.empty(buf.shape[1], dtype=buf.dtype)
+        for row in buf:
+            np.take(row, identity, out=scratch)
+            np.multiply(scratch, ph, out=row)
+
+    def multiply(buf):
+        _mono_apply_rows(buf, range(buf.shape[0]), (src, ph))
+
+    gathered, multiplied = batch.copy(), batch.copy()
+    gather(gathered)
+    multiply(multiplied)
+    assert multiplied.tobytes() == gathered.tobytes()
+
+    work = batch.copy()
+    benchmark.pedantic(lambda: multiply(work), rounds=5, iterations=1)
+    t_gather = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        gather(work)
+        t_gather.append(time.perf_counter() - t0)
+    print(f"\n[identity segment, 17 rows] gather best {min(t_gather) * 1e3:.2f} ms")

@@ -24,18 +24,17 @@ class CutConfig:
       circuit has no classically-controlled register within budget);
     * ``"wires"`` — force the generic Pauli wire-cut path.
 
-    ``workers`` parallelises fragment evaluation over a process pool
-    (0 = in-process serial).  ``fabric`` is a worker fleet — a registry
-    file path or comma-separated ``host:port`` list — to which fragment
-    jobs are shipped individually (degrading to local execution when no
-    worker answers, mirroring the sweep fabric's contract).
+    ``fabric`` is a worker fleet — a registry file path or
+    comma-separated ``host:port`` list — to which fragment jobs are
+    shipped individually (degrading to local execution when no worker
+    answers, mirroring the sweep fabric's contract).  Without one,
+    fragments run serially in-process.
     """
 
     max_fragment_qubits: int = DEFAULT_MAX_FRAGMENT_QUBITS
     #: generic path: reconstruction terms grow as 4**cuts — hard cap.
     max_cuts: int = 8
     strategy: str = "auto"
-    workers: int = 0
     fabric: str = ""
 
     def __post_init__(self) -> None:
@@ -51,8 +50,6 @@ class CutConfig:
                 f"strategy must be 'auto', 'registers' or 'wires', "
                 f"got {self.strategy!r}"
             )
-        if self.workers < 0:
-            raise ValueError(f"workers must be >= 0, got {self.workers}")
 
     def with_overrides(self, **kwargs) -> "CutConfig":
         """A copy with the given fields replaced."""

@@ -46,7 +46,7 @@ CUT_COUNTERS = (
     "variants_evaluated",  # fragment variants (basis/value conditionings)
     "reconstructions",  # full-register reconstructions performed
     "jobs_local",  # fragment jobs executed in-process
-    "jobs_pool",  # fragment jobs executed on a process pool
+    "jobs_pool",  # always 0: kept for readers of cut_stats()
     "jobs_fabric",  # fragment jobs executed by fabric workers
     "jobs_fabric_fallback",  # fabric jobs that fell back to local execution
 )
@@ -91,7 +91,7 @@ def cut_distribution(
         rng = np.random.default_rng(seed if seed is not None else 1234567)
     plan = find_cuts(circuit, config)
     check_plan(plan, config)
-    use_runner = resolve_runner(config.workers, config.fabric, runner)
+    use_runner = resolve_runner(config.fabric, runner)
     base_seed = int(rng.integers(2**62))
     if plan.kind == "registers":
         probs, variants = _run_register_plan(

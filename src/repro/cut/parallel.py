@@ -1,4 +1,4 @@
-"""Fragment-job runners: serial, process pool, fabric workers.
+"""Fragment-job runners: serial and fabric workers.
 
 A cut evaluation reduces to a list of independent jobs
 (:class:`~repro.cut.fragments.ValueJob` branches of a register cut, or
@@ -6,9 +6,6 @@ A cut evaluation reduces to a list of independent jobs
 Runners execute a job list and return results in order:
 
 * :class:`SerialRunner` — in-process, the default;
-* :class:`PoolRunner` — a ``ProcessPoolExecutor`` with chunk size 1,
-  so fragments genuinely spread over cores (jobs are picklable by
-  construction), each worker on one BLAS thread;
 * :class:`FabricRunner` — ships each job to a ``repro-serve`` /
   ``repro.fabric.worker`` fleet over the existing ``POST /v1/work``
   endpoint (payload ``kind`` distinguishes fragment jobs from sweep
@@ -35,13 +32,11 @@ from ..circuits.qasm import from_qasm, to_qasm
 from ..fabric.wire import WORK_PATH
 from ..noise.model import NoiseModel
 from ..runtime import obs
-from ..runtime.blas import process_pool
 from .fragments import ValueJob, VariantJob, run_value_job, run_variant_job
 
 __all__ = [
     "CutJob",
     "SerialRunner",
-    "PoolRunner",
     "FabricRunner",
     "resolve_runner",
     "job_to_wire",
@@ -63,16 +58,6 @@ def run_cut_job(job: CutJob) -> Any:
     return run_variant_job(job)
 
 
-def _run_wire_job_with_pid(payload: Dict[str, Any]) -> Tuple[int, Any]:
-    """Pool entry point: wire payload in, (worker PID, wire result) out.
-
-    Jobs cross the process boundary in the same QASM+JSON wire format
-    fabric workers consume — gate objects hold matrix closures and are
-    deliberately not picklable.
-    """
-    return os.getpid(), execute_wire_job(payload)
-
-
 class SerialRunner:
     """Run jobs one after another in this process."""
 
@@ -84,35 +69,6 @@ class SerialRunner:
             out.append(run_cut_job(job))
             obs.add({"cut.jobs_local": 1})
         return out
-
-
-class PoolRunner:
-    """Run jobs across a process pool, one job per dispatch.
-
-    ``worker_pids`` records which processes executed jobs in the last
-    :meth:`run` — benchmarks assert fragments really spread out.
-    """
-
-    name = "pool"
-
-    def __init__(self, workers: int) -> None:
-        self.workers = max(1, int(workers))
-        self.worker_pids: Tuple[int, ...] = ()
-
-    def run(self, jobs: Sequence[CutJob]) -> List[Any]:
-        if len(jobs) <= 1:
-            return SerialRunner().run(jobs)
-        payloads = [job_to_wire(job) for job in jobs]
-        with process_pool(min(self.workers, len(jobs))) as pool:
-            tagged = list(
-                pool.map(_run_wire_job_with_pid, payloads, chunksize=1)
-            )
-        self.worker_pids = tuple(sorted({pid for pid, _ in tagged}))
-        obs.add({"cut.jobs_pool": len(jobs)})
-        return [
-            result_from_wire(job, result)
-            for job, (_, result) in zip(jobs, tagged)
-        ]
 
 
 class FabricRunner:
@@ -209,16 +165,12 @@ def _parse_fleet(fleet: str) -> List[Tuple[str, int]]:
     return out
 
 
-def resolve_runner(
-    workers: int = 0, fabric: str = "", runner: Optional[Any] = None
-) -> Any:
+def resolve_runner(fabric: str = "", runner: Optional[Any] = None) -> Any:
     """The runner a cut evaluation should use for its jobs."""
     if runner is not None:
         return runner
     if fabric:
         return FabricRunner(fabric)
-    if workers > 0:
-        return PoolRunner(workers)
     return SerialRunner()
 
 

@@ -48,7 +48,10 @@ is two strided scalar multiplies and ``x``/``cx``/``swap``/``ccx`` are
 block swaps, so a trajectory fork that re-composes a piece of a segment
 builds no ``2**n`` vector and runs no gather per gate.  Its result is
 bit-identical to multiplying in each op's full vector and gathering
-through each permutation's index map.
+through each permutation's index map.  A run whose permutations cancel
+(transpiled ``cp`` is ``rz·cx·rz·cx·rz``, so many Fourier-basis
+segments do) composes to ``src=None`` and applies as an in-place phase
+multiply, with no gather at all.
 """
 
 from __future__ import annotations
@@ -346,6 +349,10 @@ def _compose_elems(cur, elems, n: int, dtype=None):
       generic diagonals) multiplies in its full vector.  A masked
       multiply that skipped the ``1+0j`` entries would not be bitwise:
       it keeps an imaginary ``-0.0`` that the multiply turns to ``+0.0``.
+
+    A ``src`` the composer built from two or more permutations that
+    comes out as the identity map is returned as ``None``, the
+    canonical identity, so appliers multiply instead of gathering.
     """
     src, ph = cur
     own_src = own_ph = False
@@ -385,7 +392,18 @@ def _compose_elems(cur, elems, n: int, dtype=None):
             if not own_ph:
                 ph, own_ph = ph.copy(), True
             op.apply(ph[None], n)
+    if own_src and np.array_equal(src, _identity_indices(n)):
+        src = None
     return src, ph
+
+
+@lru_cache(maxsize=None)
+def _identity_indices(n: int) -> np.ndarray:
+    """The read-only identity index map, in :func:`_build_perm_indices`'s
+    dtype, that the composer compares an owned ``src`` against."""
+    idx = np.arange(1 << n, dtype=np.int32 if n < 31 else np.int64)
+    idx.setflags(write=False)
+    return idx
 
 
 def _frozen(mono):
@@ -396,31 +414,6 @@ def _frozen(mono):
     return mono
 
 
-def _mono_apply(
-    state: np.ndarray, mono, scratch: Optional[np.ndarray] = None
-) -> None:
-    """Apply a monomial ``(src, ph)`` to a ``(B, 2**n)`` batch in place.
-
-    The gather runs row by row through :func:`np.take` — an order of
-    magnitude faster than ``state[:, src]`` column fancy-indexing on a
-    C-order batch — into ``scratch`` (allocated when not supplied, so
-    hot callers should pass a reusable buffer).
-    """
-    src, ph = mono
-    if src is None:
-        if ph is not None:
-            state *= ph
-        return
-    if scratch is None or scratch.shape != state.shape:
-        scratch = np.empty_like(state)
-    for b in range(state.shape[0]):
-        np.take(state[b], src, out=scratch[b])
-    if ph is None:
-        state[...] = scratch
-    else:
-        np.multiply(scratch, ph, out=state)
-
-
 def _mono_apply_rows(
     buf: np.ndarray,
     rows: Iterable[int],
@@ -429,9 +422,13 @@ def _mono_apply_rows(
 ) -> None:
     """Apply a monomial to selected rows of ``buf`` in place.
 
-    ``rows`` need not be contiguous; each row is gathered independently
-    (``buf[r]`` is a view), so this is the cheap path when only a few
-    trajectories of a batch need advancing.
+    The one monomial applier.  ``rows`` need not be contiguous; each
+    row is gathered independently through :func:`np.take` into
+    ``scratch`` (``buf[r]`` is a view) — an order of magnitude faster
+    than column fancy-indexing a C-order batch, and never slower than
+    one 2-D gather.  A pure phase (``src`` is ``None``) gathers
+    nothing: ``row *= ph`` is byte-equal to gathering through the
+    identity map and then multiplying.
     """
     src, ph = mono
     if src is None:
@@ -706,8 +703,9 @@ class _MonoSegment:
     are ``(elem_pos, noise_op, site_ordinal)`` markers, where
     ``elem_pos`` is the number of elems preceding the site and
     ``site_ordinal`` indexes :meth:`CompiledProgram.pauli_sites`.  When
-    no site fires, the whole run executes as one cached
-    gather-and-multiply (:meth:`full`); a firing site only forces the
+    no site fires, the whole run executes as one cached monomial
+    (:meth:`full`): a phase multiply when its permutations cancel, a
+    gather-and-multiply otherwise.  A firing site only forces the
     walker to materialise the partial product up to that point.
     """
 

@@ -227,21 +227,22 @@ class TrajectoryEngine:
 
         Row 0 evolves clean; a row forks off it at its pre-sampled
         first-fire site and then fires independently at every later
-        site.  The walk is organised around *events*: per segment every site's fire/fork draws happen
-        up front (one uniform batch per site, in site order, so the
-        stream consumption is deterministic), which pins down the small
-        set of **active** rows — rows that fire here, rows forked here,
-        and row 0 while forking continues.  Only active rows are walked
-        chunk-by-chunk between their event sites (cheap per-row
-        gathers); every other live row crosses the whole segment in one
-        kernel-cached gather-and-multiply shared across runs and
-        instances.  At paper noise levels most rows cross most segments
-        untouched, so gate work collapses to roughly one batched gather
-        per segment.
+        site.  The walk is organised around *events*: per segment every
+        site's fire/fork draws happen up front (one uniform batch per
+        site, in site order, so the stream consumption is
+        deterministic), which pins down the small set of **active**
+        rows — rows that fire here, rows forked here, and row 0 while
+        forking continues.  Only active rows are walked piece by piece
+        between their event sites; every other live row crosses the
+        whole segment through its one kernel-cached monomial
+        (``seg.full``), shared across runs and instances.  At paper
+        noise levels most rows cross most segments untouched.  In many
+        segments the ``cx`` pairs cancel, so that crossing is an in-place
+        phase multiply per row, not a gather; only a segment with a net
+        permutation gathers, row by row.
         """
-        from .program import _compose_elems, _mono_apply, _mono_apply_rows
+        from .program import _compose_elems, _mono_apply_rows
 
-        scratch = np.empty_like(buf)
         row_scratch = np.empty(buf.shape[1], dtype=buf.dtype)
         k = 0
         for tag, item in program.exec_stream():
@@ -277,11 +278,8 @@ class TrajectoryEngine:
                 if fire_rows is not None or m:
                     events.append((elem_pos, noise_op, fire_rows, m))
                 kv += m
-            if not events:
-                if seg.elems:
-                    _mono_apply(buf[:live], seg.full(n, buf.dtype), scratch[:live])
-                continue
             # -- active rows: fire rows + fork source/targets ------------
+            # With no events every live row is idle.
             active = set()
             if any(m for _, _, _, m in events):
                 active.add(0)

@@ -499,10 +499,10 @@ def test_fragment_job_wire_roundtrip_bit_identical():
 
 def test_resolve_runner_precedence():
     explicit = SerialRunner()
-    assert resolve_runner(4, "", explicit) is explicit
-    assert resolve_runner(0, "", None).name == "serial"
-    assert resolve_runner(4, "", None).name == "pool"
-    assert resolve_runner(4, "127.0.0.1:1", None).name == "fabric"
+    assert resolve_runner("", explicit) is explicit
+    assert resolve_runner("127.0.0.1:1", explicit) is explicit
+    assert resolve_runner("", None).name == "serial"
+    assert resolve_runner("127.0.0.1:1", None).name == "fabric"
 
 
 def test_cut_stats_counters():

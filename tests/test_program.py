@@ -52,6 +52,7 @@ from repro.sim.program import (
     NoiseOp,
     PermutationOp,
     _compose_elems,
+    _mono_apply_rows,
     _perm_indices,
     circuit_fingerprint,
 )
@@ -442,17 +443,25 @@ def _reference_compose(cur, elems, n, dtype=None):
 
     Every diagonal op multiplies in its full ``2**n`` vector and every
     permutation gathers ``src`` and ``ph`` through its index map; no
-    array is ever written in place.
+    array is ever written in place.  A gathered ``src`` that comes out
+    as the identity map is returned as ``None``, the composer's
+    canonical form, so the comparison stays exact.
     """
     src, ph = cur
+    gathered = False
     for op in elems:
         if isinstance(op, DiagonalOp):
             d = op.diag(n, dtype)
             ph = d if ph is None else ph * d
             continue
         t = _perm_indices(n, op.name, op.qubits)
-        src = t if src is None else np.take(src, t)
+        if src is None:
+            src = t
+        else:
+            src, gathered = np.take(src, t), True
         ph = None if ph is None else np.take(ph, t)
+    if gathered and np.array_equal(src, np.arange(1 << n)):
+        src = None
     return src, ph
 
 
@@ -517,6 +526,24 @@ def _nontrivial_start(rng, n, dtype):
     return src, ph
 
 
+def _rz(q, lam):
+    return DiagonalOp([("rz", (q,), (lam,))])
+
+
+#: Monomial runs whose permutations compose to the identity.
+_CANCELLING_RUNS = {
+    "cx.cx": [PermutationOp("cx", (0, 2)), PermutationOp("cx", (0, 2))],
+    "x.x": [PermutationOp("x", (1,)), PermutationOp("x", (1,))],
+    "swap.swap": [PermutationOp("swap", (3, 1)), PermutationOp("swap", (1, 3))],
+    "ccx.ccx": [
+        PermutationOp("ccx", (0, 1, 3)), PermutationOp("ccx", (1, 0, 3)),
+    ],
+    # The transpiled cp: rz . cx . rz . cx . rz.
+    "cp": [_rz(0, 0.3), PermutationOp("cx", (0, 1)), _rz(1, -0.3),
+           PermutationOp("cx", (0, 1)), _rz(1, 0.3)],
+}
+
+
 class TestComposer:
     @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
     @pytest.mark.parametrize("n", [3, 5, 7])
@@ -577,6 +604,85 @@ class TestComposer:
         assert [a.tobytes() for a in cached] == before
         assert [a.tobytes() for a in seg.full(n, dtype) if a is not None] \
             == before
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    @pytest.mark.parametrize("run", sorted(_CANCELLING_RUNS))
+    def test_cancelling_run_composes_to_no_permutation(self, run, dtype):
+        """A run whose permutations cancel composes to ``src=None``,
+        from the identity and from a start whose permutation it inverts,
+        with the phase of the per-element fold."""
+        n, dt = 4, np.dtype(dtype)
+        elems = _CANCELLING_RUNS[run]
+        got = _compose_elems((None, None), elems, n, dt)
+        assert got[0] is None
+        _assert_same_bytes(got, _reference_compose((None, None), elems, n, dt))
+        # Split after the first permutation: the prefix's permutation
+        # is the start, and the rest of the run undoes it.
+        cut = 1 + next(
+            i for i, e in enumerate(elems) if isinstance(e, PermutationOp)
+        )
+        start = _compose_elems((None, None), elems[:cut], n, dt)
+        assert start[0] is not None
+        got = _compose_elems(start, elems[cut:], n, dt)
+        assert got[0] is None
+        _assert_same_bytes(got, _reference_compose(start, elems[cut:], n, dt))
+        ph0 = _nontrivial_start(np.random.default_rng(5), n, dt)[1]
+        got = _compose_elems((start[0], ph0), elems[cut:], n, dt)
+        assert got[0] is None
+        _assert_same_bytes(
+            got, _reference_compose((start[0], ph0), elems[cut:], n, dt)
+        )
+
+    @pytest.mark.parametrize("run", [
+        (("cx", (0, 1)), ("cx", (1, 2))),
+        (("x", (0,)), ("cx", (0, 1))),
+        (("swap", (0, 3)), ("swap", (0, 2))),
+        (("cx", (0, 1)), ("x", (2,)), ("cx", (0, 1))),
+        (("ccx", (0, 1, 2)), ("ccx", (0, 2, 1))),
+    ])
+    def test_non_cancelling_run_keeps_its_index_map(self, run):
+        n = 4
+        elems = [PermutationOp(name, qubits) for name, qubits in run]
+        got = _compose_elems((None, None), elems, n)
+        assert got[0] is not None
+        assert not np.array_equal(got[0], np.arange(1 << n))
+        _assert_same_bytes(got, _reference_compose((None, None), elems, n))
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    def test_pure_phase_rows_match_identity_gather(self, dtype):
+        """``(None, ph)`` multiplies rows in place, byte-equal to a
+        gather through ``arange`` followed by the multiply."""
+        n = 6
+        rng = np.random.default_rng(9)
+        buf = (
+            rng.normal(size=(5, 1 << n)) + 1j * rng.normal(size=(5, 1 << n))
+        ).astype(dtype)
+        buf.real[:, ::7] = -0.0
+        ph = _nontrivial_start(rng, n, np.dtype(dtype))[1]
+        rows = [0, 2, 3]
+        want = buf.copy()
+        for r in rows:
+            np.multiply(np.take(want[r], np.arange(1 << n)), ph, out=want[r])
+        got = buf.copy()
+        _mono_apply_rows(got, rows, (None, ph))
+        assert got.tobytes() == want.tobytes()
+
+    def test_paper_width_qfa_segments_have_no_permutation(self):
+        """Transpiled ``cp`` is ``rz·cx·rz·cx·rz``: at paper width every
+        QFA 8+8 segment that carries ``cx`` gates composes to a pure
+        phase.  A lowering or transpile change that breaks the
+        cancellation fails here rather than silently slowing the walk."""
+        program = build_compiled_program(
+            "add", 8, 8, None, "1q", 0.005, "qiskit"
+        )
+        n = program.num_qubits
+        segs = [item for kind, item in program.exec_stream() if kind == "seg"]
+        permuting = [
+            s for s in segs
+            if any(isinstance(e, PermutationOp) for e in s.elems)
+        ]
+        assert (len(segs), len(permuting)) == (17, 15)
+        assert sum(s.full(n)[0] is None for s in permuting) == 15
 
 
 def _capture_final_states(monkeypatch):
