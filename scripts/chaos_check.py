@@ -7,14 +7,9 @@ and asserts every recovery path lands on the bit-for-bit identical
 result.  A final scenario injects a permanent failure and checks the
 sweep still completes with a structured ``FailedCell`` record.
 
-With ``--fabric`` the same discipline is applied to the distributed
-sweep fabric: an in-process fleet of real HTTP workers is subjected to
-coordinator-side kills, partitions, slow workers and a dead fleet, and
-every recovery path must again be bit-identical to the fault-free run.
-
 Exit status 0 means all scenarios passed; 1 means at least one failed.
 
-Usage: python scripts/chaos_check.py [--workers N] [--fabric] [--verbose]
+Usage: python scripts/chaos_check.py [--workers N] [--verbose]
 """
 
 from __future__ import annotations
@@ -26,13 +21,7 @@ import time
 from pathlib import Path
 
 from repro.experiments import SweepConfig, run_sweep
-from repro.runtime import (
-    FabricFaultPlan,
-    FaultPlan,
-    FaultSpec,
-    RetryPolicy,
-    WorkerFaultSpec,
-)
+from repro.runtime import FaultPlan, FaultSpec, RetryPolicy
 
 
 def lint_preflight(config: SweepConfig) -> bool:
@@ -166,107 +155,14 @@ SCENARIOS = (
 )
 
 
-# ----------------------------------------------------------------------
-# Distributed fabric scenarios (--fabric): in-process HTTP worker fleet
-# ----------------------------------------------------------------------
-def _fleet(count: int = 2):
-    """Context manager yielding ``count`` live worker addresses."""
-    import contextlib
-
-    from repro.service.server import ServerThread
-
-    @contextlib.contextmanager
-    def manager():
-        with contextlib.ExitStack() as stack:
-            servers = [
-                stack.enter_context(ServerThread()) for _ in range(count)
-            ]
-            yield [f"{s.address[0]}:{s.address[1]}" for s in servers]
-
-    return manager()
-
-
-def scenario_fabric_clean(reference, workers: int) -> None:
-    with _fleet(2) as addresses:
-        res = run_sweep(_config(), workers=1, fabric=addresses)
-    _assert_identical(reference, res, "fabric clean")
-
-
-def scenario_fabric_kill(reference, workers: int) -> None:
-    with _fleet(2) as addresses:
-        plan = FabricFaultPlan(
-            {addresses[0]: WorkerFaultSpec("kill", after_units=1)}
-        )
-        res = run_sweep(
-            _config(), workers=1, fabric=addresses,
-            fabric_fault_plan=plan, retry=_retry(),
-        )
-    _assert_identical(reference, res, "fabric worker kill")
-
-
-def scenario_fabric_partition(reference, workers: int) -> None:
-    with _fleet(2) as addresses:
-        plan = FabricFaultPlan(
-            {addresses[0]: WorkerFaultSpec(
-                "partition", after_units=1, duration=1
-            )}
-        )
-        res = run_sweep(
-            _config(), workers=1, fabric=addresses,
-            fabric_fault_plan=plan, retry=_retry(),
-        )
-    _assert_identical(reference, res, "fabric partition")
-
-
-def scenario_fabric_slow(reference, workers: int) -> None:
-    with _fleet(2) as addresses:
-        plan = FabricFaultPlan(
-            {addresses[0]: WorkerFaultSpec(
-                "slow", after_units=1, slow_seconds=5.0
-            )}
-        )
-        res = run_sweep(
-            _config(), workers=1, fabric=addresses,
-            fabric_fault_plan=plan, lease_timeout=0.25, retry=_retry(),
-        )
-    _assert_identical(reference, res, "fabric slow worker")
-
-
-def scenario_fabric_dead_fleet(reference, workers: int) -> None:
-    messages = []
-    res = run_sweep(
-        _config(), workers=1, fabric=["127.0.0.1:1"],
-        progress=messages.append,
-    )
-    if not any("degrading to local execution" in m for m in messages):
-        raise AssertionError(
-            "dead fleet: sweep did not announce the local downgrade"
-        )
-    _assert_identical(reference, res, "fabric dead fleet")
-
-
-FABRIC_SCENARIOS = (
-    ("clean two-worker fabric run", scenario_fabric_clean),
-    ("worker killed mid-sweep, units reassigned", scenario_fabric_kill),
-    ("network partition healed within the retry budget",
-     scenario_fabric_partition),
-    ("slow worker defeated by lease expiry", scenario_fabric_slow),
-    ("dead fleet degrades to local execution", scenario_fabric_dead_fleet),
-)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workers", type=int, default=2,
                         help="worker processes for the chaos runs (default 2)")
-    parser.add_argument("--fabric", action="store_true",
-                        help="run the distributed-fabric chaos scenarios "
-                        "(in-process HTTP worker fleet) instead of the "
-                        "local-pool ones")
     parser.add_argument("--verbose", action="store_true",
                         help="print per-scenario timing")
     args = parser.parse_args(argv)
-    scenarios = FABRIC_SCENARIOS if args.fabric else SCENARIOS
+    scenarios = SCENARIOS
 
     print("chaos_check: lint pre-flight over the sweep circuits ...")
     if not lint_preflight(_config()):

@@ -7,8 +7,7 @@ tracing on, and cross-compares the portable trace stages
 (``counts``/``task``/``point`` — see :mod:`repro.runtime.sanitizer`):
 the service executor thread tier (``workers=0``) vs process tier
 (``workers=2``) — worker events ride home on the result payload and
-must match the in-process trace exactly.  (Local and fabric-coordinated
-sweeps are compared point for point by ``tests/test_fabric.py``.)
+must match the in-process trace exactly.
 
 Exits non-zero on any divergence — this is the ``sanitizer-parity``
 CI lane (the dynamic complement of ``repro-arith audit``'s DET rules).

@@ -6,9 +6,7 @@ Commands
 ``table1``        — regenerate the paper's Table I and print it.
 ``fig3`` / ``fig4`` — run the figure panels at the current REPRO_SCALE
                     and print each ASCII panel (optionally save JSON).
-``sweep``         — run one ad-hoc (rate x depth) sweep, locally or
-                    distributed over a fabric worker fleet
-                    (``--fabric workers.txt``; docs/distributed.md).
+``sweep``         — run one ad-hoc (rate x depth) sweep.
 ``depth-profile`` — AQFT-vs-QFT fidelity per depth (paper §2).
 ``lint``          — static analysis: lint QASM files or the paper
                     corpus, optionally verifying transpiled circuits
@@ -140,7 +138,6 @@ def _cmd_sweep(args) -> int:
     retry = RetryPolicy(
         max_attempts=args.max_attempts,
         timeout=args.timeout,
-        jitter=args.jitter,
     )
     result = run_sweep(
         config,
@@ -149,8 +146,6 @@ def _cmd_sweep(args) -> int:
         checkpoint=args.checkpoint,
         resume=args.resume,
         retry=retry,
-        fabric=args.fabric,
-        lease_timeout=args.lease_timeout,
     )
     print(render_panel(result))
     if args.out:
@@ -348,13 +343,8 @@ def main(argv=None) -> int:
         )
     p = sub.add_parser(
         "sweep",
-        help="run one (rate x depth) sweep, locally or over a fabric",
-        description="Run a single sweep panel with explicit knobs. "
-        "With --fabric, cells are dispatched to a fleet of "
-        "repro-fabric-worker / repro-serve processes (registry file or "
-        "comma-separated host:port list); the sweep degrades to local "
-        "execution when no worker is reachable, with bit-identical "
-        "results either way.",
+        help="run one (rate x depth) sweep",
+        description="Run a single sweep panel with explicit knobs.",
     )
     p.add_argument("--operation", choices=("add", "mul"), default="add")
     p.add_argument("-n", type=int, default=3, help="first register width")
@@ -399,14 +389,6 @@ def main(argv=None) -> int:
     p.add_argument(
         "--workers", type=int, help="local worker processes (default: cores-1)"
     )
-    p.add_argument(
-        "--fabric",
-        help="worker fleet: registry file or comma-separated host:port list",
-    )
-    p.add_argument(
-        "--lease-timeout", type=float, default=60.0,
-        help="seconds before a dispatched unit is reassigned",
-    )
     p.add_argument("--checkpoint", help="JSONL journal file for resume")
     p.add_argument(
         "--no-resume", dest="resume", action="store_false",
@@ -414,10 +396,6 @@ def main(argv=None) -> int:
     )
     p.add_argument("--timeout", type=float, help="per-cell timeout (seconds)")
     p.add_argument("--max-attempts", type=int, default=3)
-    p.add_argument(
-        "--jitter", type=float, default=0.0,
-        help="retry backoff jitter fraction in [0, 1)",
-    )
     p.add_argument("--out", help="JSON result file")
     p.add_argument("-v", "--verbose", action="store_true")
 

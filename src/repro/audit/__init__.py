@@ -7,7 +7,7 @@ contracts the paper reproduction depends on:
   ``(seed, content_key)`` threading; no wall-clock or environment
   value can reach a result, key, or fingerprint.
 * **ASYNC** — loop hygiene: no blocking calls or thread-lock-held
-  awaits inside the service/fabric coroutines.
+  awaits inside the service coroutines.
 * **RACE** — shared-state discipline: module-level mutable state
   reached from executor threads must be lock-guarded.
 * **SUP** — the ``# repro: allow[RULE] reason=...`` allowlist is

@@ -1,8 +1,7 @@
 """ASYNC rules: blocking work and lock discipline inside coroutines.
 
-The service and fabric layers run on a single asyncio loop; one
-blocking call inside a coroutine stalls every queued request, lease
-watchdog, and drain.  Four rules:
+The service runs on a single asyncio loop; one blocking call inside a
+coroutine stalls every queued request, stream, and drain.  Four rules:
 
 * **ASYNC001 blocking-call-in-async** — known-blocking calls
   (``time.sleep``, the ``subprocess`` family, ``urllib.request.urlopen``,
@@ -18,8 +17,8 @@ watchdog, and drain.  Four rules:
   ``Path.read_text``/``write_text``/...) inside an ``async def``
   (warning: fine for tiny config reads, lethal on hot paths).
 
-Only modules under ``repro.service`` and ``repro.fabric`` are checked —
-the zones the house style requires to be loop-clean.  Function bodies
+Only modules under ``repro.service`` are checked — the zone the house
+style requires to be loop-clean.  Function bodies
 nested *inside* a coroutine (sync helpers destined for an executor)
 are excluded.
 """
@@ -33,7 +32,7 @@ from .modinfo import AuditModule, RawFinding, dotted_name
 
 __all__ = ["check_async", "ASYNC_ZONE_PREFIXES"]
 
-ASYNC_ZONE_PREFIXES = ("repro.service", "repro.fabric")
+ASYNC_ZONE_PREFIXES = ("repro.service",)
 
 _BLOCKING_CALLS = {
     "time.sleep",

@@ -11,7 +11,7 @@ key, fingerprint, or result.  Four rules enforce it statically:
 * **DET002 wall-clock-in-result-path** — wall-clock reads
   (``time.time``, ``datetime.now``, ...) inside the result-producing
   zones (sim, experiments, core, noise, transpile, metrics,
-  mitigation, analysis, the service executor/model, fabric units/wire).
+  mitigation, analysis, the service executor/model/cache).
   Monotonic interval clocks (``time.monotonic``, ``time.perf_counter``)
   are allowed — they cannot masquerade as timestamps in keys and are
   the correct tool for latency metadata.
@@ -49,8 +49,6 @@ RESULT_ZONE_PREFIXES = (
     "repro.service.executor",
     "repro.service.model",
     "repro.service.cache",
-    "repro.fabric.units",
-    "repro.fabric.wire",
 )
 
 #: numpy legacy module-global stream functions.

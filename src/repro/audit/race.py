@@ -43,7 +43,6 @@ __all__ = ["PackageIndex", "check_race", "RACE_ZONE_PREFIXES"]
 RACE_ZONE_PREFIXES = (
     "repro.sim",
     "repro.service",
-    "repro.fabric",
     "repro.experiments",
     "repro.runtime",
 )

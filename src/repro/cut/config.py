@@ -23,19 +23,12 @@ class CutConfig:
     * ``"registers"`` — require the structural cut (error if the
       circuit has no classically-controlled register within budget);
     * ``"wires"`` — force the generic Pauli wire-cut path.
-
-    ``fabric`` is a worker fleet — a registry file path or
-    comma-separated ``host:port`` list — to which fragment jobs are
-    shipped individually (degrading to local execution when no worker
-    answers, mirroring the sweep fabric's contract).  Without one,
-    fragments run serially in-process.
     """
 
     max_fragment_qubits: int = DEFAULT_MAX_FRAGMENT_QUBITS
     #: generic path: reconstruction terms grow as 4**cuts — hard cap.
     max_cuts: int = 8
     strategy: str = "auto"
-    fabric: str = ""
 
     def __post_init__(self) -> None:
         if self.max_fragment_qubits < 1:

@@ -1,4 +1,4 @@
-"""Cut evaluation: search -> fragment jobs -> runner -> reconstruction.
+"""Cut evaluation: search -> fragment jobs -> reconstruction.
 
 The subsystem's front door, reached via ``simulate_counts(...,
 method="cut")`` or directly:
@@ -9,6 +9,7 @@ Register cuts evaluate exactly (ideal lane) or by site-faithful
 trajectory replay (noisy lane); wire cuts evaluate each fragment
 variant with the best engine its width admits (statevector when ideal,
 PTM up to its cap, density one qubit beyond, trajectories above that).
+Fragment jobs run one after another in this process.
 Readout error is folded once on the reconstructed full-register
 distribution — outcome statistics see it exactly as the uncut engines
 apply it.
@@ -16,7 +17,7 @@ apply it.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -26,8 +27,15 @@ from ..runtime import obs
 from ..sim.density import _apply_readout_to_distribution
 from ..sim.result import Counts, Distribution
 from .config import CutConfig
-from .fragments import CutError, ValueJob, build_variant_jobs, decompose_initial_state
-from .parallel import resolve_runner
+from .fragments import (
+    CutError,
+    ValueJob,
+    VariantJob,
+    build_variant_jobs,
+    decompose_initial_state,
+    run_value_job,
+    run_variant_job,
+)
 from .reconstruct import (
     assemble_register_terms,
     contract_wire_plan,
@@ -47,9 +55,9 @@ CUT_COUNTERS = (
     "reconstructions",  # full-register reconstructions performed
     "jobs_local",  # fragment jobs executed in-process
     "jobs_pool",  # always 0: kept for readers of cut_stats()
-    "jobs_fabric",  # fragment jobs executed by fabric workers
-    "jobs_fabric_fallback",  # fabric jobs that fell back to local execution
 )
+
+CutJob = Union[ValueJob, VariantJob]
 
 
 def cut_stats() -> Dict[str, int]:
@@ -72,7 +80,6 @@ def cut_distribution(
     trajectories: int = 128,
     rng: Optional[np.random.Generator] = None,
     seed: Optional[int] = None,
-    runner: Optional[Any] = None,
 ) -> Distribution:
     """Evaluate ``circuit`` by cutting, returning the full distribution.
 
@@ -91,17 +98,16 @@ def cut_distribution(
         rng = np.random.default_rng(seed if seed is not None else 1234567)
     plan = find_cuts(circuit, config)
     check_plan(plan, config)
-    use_runner = resolve_runner(config.fabric, runner)
     base_seed = int(rng.integers(2**62))
     if plan.kind == "registers":
         probs, variants = _run_register_plan(
             circuit, noise, plan, initial_state, trajectories,
-            base_seed, use_runner,
+            base_seed,
         )
     else:
         probs, variants = _run_wire_plan(
             circuit, noise, plan, initial_state, trajectories,
-            base_seed, use_runner,
+            base_seed,
         )
     probs = _apply_readout_to_distribution(
         Distribution(_sanitize(probs), plan.num_qubits), noise,
@@ -137,6 +143,22 @@ def cut_counts(
     return counts
 
 
+def run_cut_job(job: CutJob) -> Any:
+    """Execute one fragment job in this process."""
+    if isinstance(job, ValueJob):
+        return run_value_job(job)
+    return run_variant_job(job)
+
+
+def _run_jobs(jobs: Sequence[CutJob]) -> List[Any]:
+    """Execute ``jobs`` one after another; results in job order."""
+    out = []
+    for job in jobs:
+        out.append(run_cut_job(job))
+        obs.add({"cut.jobs_local": 1})
+    return out
+
+
 def _sanitize(probs: np.ndarray) -> np.ndarray:
     """Clip reconstruction round-off/statistical negatives, renormalise."""
     probs = np.clip(np.asarray(probs, dtype=float), 0.0, None)
@@ -153,7 +175,6 @@ def _run_register_plan(
     initial_state: Optional[np.ndarray],
     trajectories: int,
     base_seed: int,
-    runner: Any,
 ) -> Tuple[np.ndarray, int]:
     branches = decompose_initial_state(
         initial_state, plan.num_qubits, plan.classical, plan.fragment
@@ -173,7 +194,7 @@ def _run_register_plan(
         for j, (value, weight, frag_state) in enumerate(branches)
     ]
     merged: Dict[int, np.ndarray] = {}
-    for terms in runner.run(jobs):
+    for terms in _run_jobs(jobs):
         for cls_out, vec in terms:
             acc = merged.get(cls_out)
             if acc is None:
@@ -193,7 +214,6 @@ def _run_wire_plan(
     initial_state: Optional[np.ndarray],
     trajectories: int,
     base_seed: int,
-    runner: Any,
 ) -> Tuple[np.ndarray, int]:
     if initial_state is not None:
         vec = np.asarray(initial_state).reshape(-1)
@@ -214,7 +234,7 @@ def _run_wire_plan(
         circuit, plan, None if noise.is_ideal else noise,
         trajectories, (base_seed,),
     )
-    results = runner.run(jobs)
+    results = _run_jobs(jobs)
     tensors = []
     for meta in frag_meta:
         dists_by_basis = {

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -44,7 +44,6 @@ __all__ = [
     "config_dtype",
     "run_instance",
     "run_point",
-    "run_unit",
     "poison_point",
     "check_point_health",
     "PointResult",
@@ -83,15 +82,10 @@ def noise_model_for(
     if rate <= 0.0:
         return NoiseModel.ideal()
     if error_axis == "1q":
-        model = NoiseModel.depolarizing(p1q=rate, convention=convention)
-    elif error_axis == "2q":
-        model = NoiseModel.depolarizing(p2q=rate, convention=convention)
-    else:
-        raise ValueError(f"unknown error axis {error_axis!r}")
-    # Tag the sweep spec so fragment jobs (repro.cut) can ship this
-    # model to fabric workers by value.
-    model.sweep_spec = (error_axis, float(rate), convention)
-    return model
+        return NoiseModel.depolarizing(p1q=rate, convention=convention)
+    if error_axis == "2q":
+        return NoiseModel.depolarizing(p2q=rate, convention=convention)
+    raise ValueError(f"unknown error axis {error_axis!r}")
 
 
 def config_dtype(config: SweepConfig):
@@ -291,31 +285,6 @@ def _run_point_cut(
         cut_count=cut_count,
         variants_evaluated=variants,
     )
-
-
-def run_unit(
-    config: SweepConfig,
-    instances: List[ArithmeticInstance],
-    cells: Sequence[Tuple[float, Optional[int]]],
-    programs: Optional[Sequence[Optional[CompiledProgram]]] = None,
-) -> Dict[Tuple[float, Optional[int]], PointResult]:
-    """Execute one work unit of cells, one :func:`run_point` per cell.
-
-    This is the single entry point shared by every execution venue —
-    local supervisor workers, the arithmetic service, and fabric
-    workers — so a unit's results are bit-identical no matter where it
-    runs: every cell draws from its own deterministic per-cell stream,
-    independent of which other cells share the unit.
-    """
-    cells = list(cells)
-    if programs is None:
-        programs = [None] * len(cells)
-    return {
-        (rate, depth): run_point(
-            config, instances, rate, depth, program=program
-        )
-        for (rate, depth), program in zip(cells, programs)
-    }
 
 
 def poison_point(point: PointResult) -> PointResult:

@@ -189,108 +189,6 @@ def _cell_key(jkey: Tuple) -> CellKey:
     return (float(jkey[0]), depth_from_json(jkey[1]))
 
 
-def _cell_fusion_key(config, programs, key) -> tuple:
-    """The unit-grouping key of one cell.
-
-    Compiled cells group by the program's ``fusion_key``; cut cells
-    carry no full-width program (``programs[key] is None``) and group
-    by circuit skeleton — same operation/widths/depth.
-    """
-    program = programs[key]
-    if program is None:
-        return ("cut", config.operation, config.n, config.m, key[1])
-    return program.fusion_key
-
-
-# ----------------------------------------------------------------------
-# Distributed dispatch
-# ----------------------------------------------------------------------
-def _run_fabric(
-    config,
-    instances,
-    fingerprint: str,
-    pending: List[CellKey],
-    programs: Dict[CellKey, object],
-    *,
-    fabric,
-    retry,
-    journal,
-    fault_plan,
-    fabric_fault_plan,
-    lease_timeout: float,
-    on_result,
-    progress,
-    points: Dict[CellKey, PointResult],
-    failures: List[FailedCell],
-) -> List[CellKey]:
-    """Dispatch pending cells over the worker fabric.
-
-    Merges completed points into ``points`` (journalling each through
-    ``on_result``) and unit failures into ``failures``; returns the
-    cells still needing local execution — all of them when no worker is
-    reachable (graceful degradation), the unfinished remainder when the
-    fleet was lost mid-run, or ``[]`` on a fully distributed sweep.
-    """
-    from ..fabric import FabricCoordinator, NoWorkersError, parse_workers
-
-    def note(message: str) -> None:
-        if progress:
-            progress(message)
-
-    addresses = parse_workers(fabric)
-    if not addresses:
-        note("[fabric] empty fleet spec; degrading to local execution")
-        if journal is not None:
-            journal.record_event("downgrade", reason="empty fleet spec")
-        return pending
-    coordinator = FabricCoordinator(
-        config,
-        instances,
-        addresses,
-        fingerprint,
-        retry=retry,
-        journal=journal,
-        fault_plan=fabric_fault_plan,
-        cell_fault_plan=fault_plan,
-        lease_timeout=lease_timeout,
-        on_result=on_result,
-        progress=progress,
-    )
-    try:
-        fabric_points, unit_failures, leftover = coordinator.run(
-            pending, lambda key: _cell_fusion_key(config, programs, key)
-        )
-    except NoWorkersError as exc:
-        note(f"[fabric] {exc}; degrading to local execution")
-        if journal is not None:
-            journal.record_event("downgrade", reason=str(exc))
-        return pending
-    points.update(fabric_points)
-    for uf in unit_failures:
-        for k in uf.cells:
-            failures.append(
-                FailedCell(
-                    error_rate=k[0],
-                    depth=k[1],
-                    error_type=uf.error_type,
-                    message=uf.message,
-                    attempts=uf.attempts,
-                    retryable=uf.retryable,
-                )
-            )
-    if leftover:
-        note(
-            f"[fabric] fleet lost mid-run; finishing {len(leftover)} "
-            f"cell(s) locally"
-        )
-        if journal is not None:
-            journal.record_event(
-                "downgrade",
-                reason=f"fleet lost with {len(leftover)} cell(s) pending",
-            )
-    return leftover
-
-
 # ----------------------------------------------------------------------
 def run_sweep(
     config: SweepConfig,
@@ -302,9 +200,6 @@ def run_sweep(
     resume: bool = True,
     retry: Optional[RetryPolicy] = None,
     fault_plan: Optional[FaultPlan] = None,
-    fabric: Optional[Union[str, Path, List[str]]] = None,
-    fabric_fault_plan=None,
-    lease_timeout: float = 60.0,
 ) -> SweepResult:
     """Run every (rate, depth) cell of ``config``.
 
@@ -319,17 +214,6 @@ def run_sweep(
     existing journal first.  ``retry`` tunes the supervisor's recovery
     ladder (attempts, backoff, per-cell timeout, pool respawns);
     ``fault_plan`` deterministically injects failures for chaos testing.
-
-    ``fabric`` switches the dispatch backend from the local process-pool
-    supervisor to the distributed fabric: a registry file path,
-    comma-separated address string, or address list naming the worker
-    fleet (see :mod:`repro.fabric`).  The sweep degrades gracefully —
-    an unreachable fleet, or a fleet lost mid-run, hands the remaining
-    cells back to the local path, and results are bit-identical either
-    way.  ``fabric_fault_plan`` injects deterministic worker faults
-    (kill/partition/slow) for chaos runs; ``lease_timeout`` bounds how
-    long a dispatched unit may stay un-acknowledged before it is
-    reassigned.
     """
     if instances is None:
         instances = generate_instances(
@@ -341,9 +225,6 @@ def run_sweep(
             config.seed,
         )
     workers = default_workers() if workers is None else max(1, workers)
-    # The fabric defaults to a jittered ladder when no explicit policy
-    # is given (thundering-herd protection); local retries stay exact.
-    fabric_retry = retry
     retry = retry or RetryPolicy()
     fault_plan = fault_plan or FaultPlan()
     fingerprint = sweep_fingerprint(config, instances)
@@ -397,10 +278,8 @@ def run_sweep(
 
     def on_result(key: CellKey, point: PointResult, attempts: int) -> None:
         if sanitizer.enabled():
-            # The single choke point every venue funnels through —
-            # local pool and fabric-coordinated cells both deliver
-            # fresh points here, so a local and a fabric run of one
-            # sweep produce comparable "point" traces.
+            # The single choke point every fresh point passes through,
+            # whether it ran in a pool worker or in-process.
             sanitizer.record("point", point_to_dict(point), key=repr(key))
         if journal is not None:
             journal.record(_journal_key(key), point_to_dict(point))
@@ -411,22 +290,6 @@ def run_sweep(
                 f"[{state['done']}/{total}] rate={key[0]:.4f} "
                 f"depth={point.depth_label}: {point.summary}{note}"
             )
-
-    failures: List[FailedCell] = []
-    if fabric is not None and pending:
-        pending = _run_fabric(
-            config, instances, fingerprint, pending, programs,
-            fabric=fabric,
-            retry=fabric_retry,
-            journal=journal,
-            fault_plan=fault_plan,
-            fabric_fault_plan=fabric_fault_plan,
-            lease_timeout=lease_timeout,
-            on_result=on_result,
-            progress=progress,
-            points=points,
-            failures=failures,
-        )
 
     cell_failures: List = []
     if pending:
@@ -458,18 +321,18 @@ def run_sweep(
         if (rate, depth) in points
     }
 
-    for cf in cell_failures:
-        failures.append(
-            FailedCell(
-                error_rate=cf.key[0],
-                depth=cf.key[1],
-                error_type=cf.error_type,
-                message=cf.message,
-                traceback=cf.traceback,
-                attempts=cf.attempts,
-                retryable=cf.retryable,
-            )
+    failures = [
+        FailedCell(
+            error_rate=cf.key[0],
+            depth=cf.key[1],
+            error_type=cf.error_type,
+            message=cf.message,
+            traceback=cf.traceback,
+            attempts=cf.attempts,
+            retryable=cf.retryable,
         )
+        for cf in cell_failures
+    ]
     if progress:
         for f in failures:
             progress(f"[FAILED] {f}")

@@ -19,20 +19,12 @@ See ``docs/reliability.md`` for the end-to-end story.
 from .checkpoint import CheckpointJournal, config_fingerprint, locked_append
 from .envutil import env_flag, env_float, env_mb_bytes
 from .errors import CellTimeoutError, NumericalHealthError, classify_retryable
-from .faults import (
-    FabricFaultPlan,
-    FaultPlan,
-    FaultSpec,
-    InjectedFault,
-    WorkerFaultSpec,
-    inject,
-)
+from .faults import FaultPlan, FaultSpec, InjectedFault, inject
 from .health import check_finite, check_norms, check_trace, norm_tolerance
 from .supervisor import (
     CellFailure,
     RetryPolicy,
     Supervisor,
-    partition_weighted,
     run_supervised,
 )
 
@@ -40,8 +32,6 @@ __all__ = [
     "CheckpointJournal",
     "config_fingerprint",
     "locked_append",
-    "FabricFaultPlan",
-    "WorkerFaultSpec",
     "CellTimeoutError",
     "NumericalHealthError",
     "classify_retryable",
@@ -57,7 +47,6 @@ __all__ = [
     "RetryPolicy",
     "Supervisor",
     "run_supervised",
-    "partition_weighted",
     "env_flag",
     "env_float",
     "env_mb_bytes",

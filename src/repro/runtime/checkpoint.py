@@ -10,13 +10,9 @@ The format is deliberately dumb:
 
     {"v": 1, "fp": "<hex>", "key": [0.003, "full"], "cell": {...}}
 
-Schema v2 adds *event* records — lease/ack bookkeeping written by the
-distributed sweep fabric (see ``docs/distributed.md``):
-
-    {"v": 2, "fp": "<hex>", "type": "lease", "unit": "u0003-...", ...}
-
-v1 readers skip v2 lines (and vice versa: ``load_events`` never yields
-cell records), so journals stay forward- and backward-loadable.
+Lines of any other version are skipped.  Older releases wrote v2
+lease/ack/downgrade event records beside the cells; such journals
+still resume, with exactly their v1 cells restored.
 
 Corrupt or truncated trailing lines (the typical artifact of a hard
 kill mid-write) are skipped, not fatal — the cells they would have
@@ -25,7 +21,7 @@ recorded are simply re-run.
 Multi-writer safety: every append goes through :func:`locked_append` —
 an ``O_APPEND`` file descriptor, an ``fcntl`` advisory exclusive lock
 (where the platform provides one), and a single ``os.write`` of the
-whole line — so a restarted coordinator racing a stale writer can never
+whole line — so a restarted sweep racing a stale writer can never
 interleave partial records inside one line.
 """
 
@@ -35,7 +31,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Tuple, Union
 
 try:  # pragma: no cover - absent only on non-POSIX platforms
     import fcntl
@@ -47,12 +43,9 @@ __all__ = [
     "config_fingerprint",
     "locked_append",
     "JOURNAL_VERSION",
-    "EVENT_VERSION",
 ]
 
 JOURNAL_VERSION = 1
-#: Schema version of unit-level event records (lease/ack bookkeeping).
-EVENT_VERSION = 2
 
 
 def config_fingerprint(payload: Any) -> str:
@@ -142,38 +135,6 @@ class CheckpointJournal:
             "cell": cell,
         }
         locked_append(self.path, json.dumps(rec, separators=(",", ":")))
-
-    # ------------------------------------------------------------------
-    def record_event(self, kind: str, **fields: Any) -> None:
-        """Append one v2 event record (lease/ack/downgrade bookkeeping).
-
-        Events are *observability*, not state the resume path depends
-        on: a journal with every event line stripped resumes exactly
-        the same cells.
-        """
-        rec: Dict[str, Any] = {
-            "v": EVENT_VERSION,
-            "fp": self.fingerprint,
-            "type": str(kind),
-        }
-        rec.update(fields)
-        locked_append(self.path, json.dumps(rec, separators=(",", ":")))
-
-    def load_events(
-        self, kinds: Optional[Sequence[str]] = None
-    ) -> List[Dict[str, Any]]:
-        """Event records for this fingerprint, in write order.
-
-        ``kinds`` filters by event type; ``None`` returns everything.
-        """
-        out: List[Dict[str, Any]] = []
-        for rec in self._lines():
-            if rec.get("v") != EVENT_VERSION or "type" not in rec:
-                continue
-            if kinds is not None and rec["type"] not in kinds:
-                continue
-            out.append(rec)
-        return out
 
     def reset(self) -> None:
         """Discard any existing journal (fresh, non-resumed run)."""

@@ -42,8 +42,6 @@ __all__ = [
     "FaultPlan",
     "inject",
     "CRASH_EXIT_CODE",
-    "WorkerFaultSpec",
-    "FabricFaultPlan",
 ]
 
 #: Exit status used by ``crash`` faults (recognisable in worker logs).
@@ -125,80 +123,3 @@ def inject(spec: Optional[FaultSpec], key: Any, attempt: int) -> bool:
             f"injected hang at cell {key!r} outlived its {spec.hang_seconds}s"
         )
     return True  # "nan"
-
-
-# ----------------------------------------------------------------------
-# Worker-level faults for the distributed sweep fabric
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class WorkerFaultSpec:
-    """A deterministic fault pinned to one fabric worker.
-
-    Faults trigger on the worker's *dispatch counter* — the Nth work
-    request routed to that worker fires the fault — so runs reproduce
-    exactly regardless of wall-clock timing.
-
-    ``kill``
-        The worker dies: every request from ``after_units`` on fails
-        with a connection error, forever (the remote-process-crash
-        shape; the real-process variant is ``repro-fabric-worker
-        --kill-after-units``).
-    ``partition``
-        A transient network partition: requests in the window
-        ``[after_units, after_units + duration)`` fail with connection
-        errors, then the worker is reachable again.
-    ``slow``
-        A straggler: every request from ``after_units`` on is delayed
-        by ``slow_seconds`` before it is sent — exercises lease
-        timeouts and work-stealing without failing anything.
-    """
-
-    kind: str  # "kill" | "partition" | "slow"
-    after_units: int = 1
-    #: Requests affected by a partition (< 0 = forever); ignored for
-    #: ``kill`` (always forever) and ``slow`` (always from trigger on).
-    duration: int = -1
-    slow_seconds: float = 0.25
-
-    _KINDS = ("kill", "partition", "slow")
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(
-                f"unknown worker fault kind {self.kind!r}; expected one of "
-                f"{self._KINDS}"
-            )
-        if self.after_units < 1:
-            raise ValueError("after_units is 1-based and must be >= 1")
-
-    def blocks(self, dispatch: int) -> bool:
-        """Whether the ``dispatch``-th (1-based) request must fail."""
-        if self.kind == "slow" or dispatch < self.after_units:
-            return False
-        if self.kind == "kill" or self.duration < 0:
-            return True
-        return dispatch < self.after_units + self.duration
-
-    def delay(self, dispatch: int) -> float:
-        """Injected latency (seconds) before the ``dispatch``-th request."""
-        if self.kind == "slow" and dispatch >= self.after_units:
-            return self.slow_seconds
-        return 0.0
-
-
-@dataclass(frozen=True)
-class FabricFaultPlan:
-    """Worker address -> fault to inject there.  Empty plan = no faults.
-
-    Applied on the coordinator side of the fabric transport, so chaos
-    runs can cover worker loss, partitions and stragglers without
-    spawning (and killing) real processes.
-    """
-
-    specs: Mapping[str, WorkerFaultSpec] = field(default_factory=dict)
-
-    def for_worker(self, address: str) -> Optional[WorkerFaultSpec]:
-        return self.specs.get(address)
-
-    def __bool__(self) -> bool:
-        return bool(self.specs)

@@ -19,8 +19,8 @@ the sweep driver hash what they produce into a trace of
 
 Two runs of the same work through different machinery — thread-tier
 vs process-tier executors, a fused service batch vs solo requests, a
-local sweep vs a fabric-coordinated one — must produce traces whose portable
-stages compare equal; :func:`compare_traces` reports every divergence.
+pooled sweep vs a serial one — must produce traces whose portable stages
+compare equal; :func:`compare_traces` reports every divergence.
 Events recorded inside :func:`capture` (the executor wraps each
 payload in one) are returned to the caller instead of accumulating
 globally, so worker results carry their own evidence across process

@@ -29,7 +29,6 @@ injection (:mod:`repro.runtime.faults`) possible across processes.
 
 from __future__ import annotations
 
-import hashlib
 import time
 import traceback
 from collections import deque
@@ -46,44 +45,7 @@ __all__ = [
     "CellFailure",
     "Supervisor",
     "run_supervised",
-    "partition_weighted",
 ]
-
-
-def partition_weighted(
-    items: Sequence[Any],
-    weights: Sequence[float],
-    max_weight: float,
-) -> List[List[Any]]:
-    """Greedy in-order chunking of ``items`` under a weight ceiling.
-
-    Consecutive items accumulate into one chunk until adding the next
-    would push the chunk past ``max_weight``; an item heavier than the
-    ceiling still gets a chunk of its own (work must not be dropped).
-    Order is preserved — the batched sweep relies on this so a fused
-    work group is a contiguous slice of the cell grid.
-    """
-    if len(items) != len(weights):
-        raise ValueError(
-            f"items ({len(items)}) and weights ({len(weights)}) "
-            f"must have equal length"
-        )
-    if max_weight <= 0:
-        raise ValueError(f"max_weight must be > 0, got {max_weight}")
-    chunks: List[List[Any]] = []
-    current: List[Any] = []
-    load = 0.0
-    for item, w in zip(items, weights):
-        if w < 0:
-            raise ValueError(f"negative weight {w} for item {item!r}")
-        if current and load + w > max_weight:
-            chunks.append(current)
-            current, load = [], 0.0
-        current.append(item)
-        load += w
-    if current:
-        chunks.append(current)
-    return chunks
 
 
 @dataclass(frozen=True)
@@ -100,37 +62,15 @@ class RetryPolicy:
     timeout: Optional[float] = None
     #: Pool re-creations tolerated before degrading to serial execution.
     max_pool_respawns: int = 2
-    #: Backoff jitter fraction in [0, 1]: each delay is scattered over
-    #: ``[delay * (1 - jitter), delay]`` so a herd of units retrying
-    #: against one recovering worker desynchronises.  The scatter is
-    #: *deterministic* — derived from ``(token, attempt)`` — so runs
-    #: remain exactly reproducible.  0 (the default) keeps the legacy
-    #: pure-exponential schedule.
-    jitter: float = 0.0
 
-    def backoff(self, attempt: int, token: Any = None) -> float:
-        """Delay before re-running a cell that failed ``attempt`` times.
-
-        ``token`` identifies the retrying unit (a cell key, a fabric
-        unit id); with ``jitter`` enabled, distinct tokens spread over
-        the jitter window while the same token always lands on the same
-        delay.
-        """
+    def backoff(self, attempt: int) -> float:
+        """Delay before re-running a cell that failed ``attempt`` times."""
         if self.backoff_base <= 0:
             return 0.0
-        delay = min(
+        return min(
             self.backoff_max,
             self.backoff_base * self.backoff_factor ** (attempt - 1),
         )
-        if self.jitter > 0.0:
-            delay *= 1.0 - self.jitter * _jitter_unit(token, attempt)
-        return delay
-
-
-def _jitter_unit(token: Any, attempt: int) -> float:
-    """Deterministic uniform-ish sample in [0, 1) from (token, attempt)."""
-    seed = f"{token!r}:{attempt}".encode()
-    return int.from_bytes(hashlib.sha256(seed).digest()[:8], "big") / 2**64
 
 
 @dataclass(frozen=True)

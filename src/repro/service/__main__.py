@@ -80,12 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=30.0,
         help="seconds to let the queue drain on shutdown",
     )
-    parser.add_argument(
-        "--registry",
-        default=None,
-        help="fabric registry file to self-register this worker's "
-        "host:port in once listening (see docs/distributed.md)",
-    )
     # Accepted and ignored: the queue has no hold window any more.
     parser.add_argument(
         "--fusion-window-ms", type=float, default=None, help=argparse.SUPPRESS
@@ -124,12 +118,6 @@ async def _serve(args: argparse.Namespace) -> int:
         f"max_queue={args.max_queue})",
         flush=True,
     )
-    if args.registry:
-        from ..fabric.registry import WorkerRegistry
-
-        WorkerRegistry(args.registry).register(host, port)
-        print(f"repro-serve: registered {host}:{port} in {args.registry}",
-              flush=True)
 
     loop = asyncio.get_running_loop()
     stop = asyncio.Event()
@@ -153,7 +141,6 @@ async def _serve(args: argparse.Namespace) -> int:
     print(
         "repro-serve: bye "
         f"(uptime={final.get('uptime_seconds', 0.0):.1f}s, "
-        f"work_units={final.get('work', {}).get('units_completed', 0)}, "
         f"requests={sum(v for k, v in served.items() if k.startswith('http_requests_total'))})",
         flush=True,
     )

@@ -23,14 +23,13 @@ Endpoints
     stream as ``error`` lines.  A mid-stream client disconnect cancels
     the not-yet-executed cells without touching batches already
     running.
-``POST /v1/work``  — a fabric work unit (see :mod:`repro.service.work`
-    and :mod:`repro.fabric`).  200 with per-cell results; 400 on
-    malformed/skewed payloads; 500 on execution failure (retryable
-    from the coordinator's view); 503 while draining.
 ``GET /healthz``  — liveness and drain state.
 ``GET /stats``    — JSON: queue, executor, result-cache, compile-cache,
     kernel-cache, fusion-gate counters plus latency summaries.
 ``GET /metrics``  — Prometheus text exposition.
+
+A request whose ``Content-Length`` is not a non-negative integer gets
+400; a body over 1 MiB gets 413 and is never read.
 
 Every response carries an ``X-Request-Id`` header (pid + monotone
 sequence — no clock, no RNG) for log correlation; the client surfaces
@@ -44,10 +43,7 @@ import json
 import os
 import threading
 import time
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Set, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .work import WorkHandler
+from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from .cache import ResultCache
 from .executor import (
@@ -70,9 +66,6 @@ from .stats import cache_stats_snapshot
 __all__ = ["ArithmeticService", "ServerThread"]
 
 _MAX_BODY = 1 << 20  # 1 MiB of JSON is far beyond any valid request
-#: Work units carry a full sweep config + operand instances per request
-#: (deliberate wire redundancy; see repro.fabric.wire) — allow more.
-_MAX_WORK_BODY = 8 << 20
 
 _STATUS_TEXT = {
     200: "OK",
@@ -87,6 +80,14 @@ _STATUS_TEXT = {
 }
 
 
+class _BadRequest(Exception):
+    """A request rejected while reading it, with its 4xx status."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
 class ArithmeticService:
     """The long-lived service: scheduler + executor + HTTP front end."""
 
@@ -98,12 +99,8 @@ class ArithmeticService:
         max_queue: int = 256,
         concurrency: int = 4,
         lint_requests: bool = True,
-        work: Optional["WorkHandler"] = None,
         fusion: Optional[FusionGate] = None,
     ) -> None:
-        from .work import WorkHandler
-
-        self.work = work if work is not None else WorkHandler()
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self.executor = executor if executor is not None else SimulationExecutor(
             workers=0, concurrency=concurrency
@@ -214,9 +211,8 @@ class ArithmeticService:
         A graceful (``drain=True``) shutdown finishes the work already
         accepted before the listener closes: new requests get 503 the
         moment ``draining`` flips, the scheduler queue drains, and then
-        in-flight HTTP requests (including fabric work units executing
-        off-loop) get the rest of the ``timeout`` budget to write their
-        responses.  The final stats snapshot is flushed to
+        in-flight HTTP requests get the rest of the ``timeout`` budget to
+        write their responses.  The final stats snapshot is flushed to
         :attr:`final_stats` so callers can log it after the loop dies.
         """
         self.draining = True
@@ -270,6 +266,8 @@ class ArithmeticService:
                 )
         except asyncio.IncompleteReadError:
             status, headers, payload = 400, {}, _err("truncated request")
+        except _BadRequest as exc:
+            status, headers, payload = exc.status, {}, _err(str(exc))
         except Exception as exc:  # noqa: BLE001 — last-resort 500
             status, headers, payload = 500, {}, _err(
                 f"{type(exc).__name__}: {exc}"
@@ -307,16 +305,20 @@ class ArithmeticService:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             if name.strip().lower() == "content-length":
-                content_length = int(value.strip())
-        from ..fabric.wire import WORK_PATH
-
-        limit = (
-            _MAX_WORK_BODY
-            if path.split("?", 1)[0] == WORK_PATH
-            else _MAX_BODY
-        )
-        if content_length > limit:
-            raise ValueError(f"body of {content_length} bytes exceeds limit")
+                try:
+                    content_length = int(value.strip())
+                except ValueError:
+                    content_length = -1
+                if content_length < 0:
+                    raise _BadRequest(
+                        400, f"invalid Content-Length {value.strip()!r}"
+                    )
+        if content_length > _MAX_BODY:
+            raise _BadRequest(
+                413,
+                f"body of {content_length} bytes exceeds the "
+                f"{_MAX_BODY}-byte limit",
+            )
         body = (
             await reader.readexactly(content_length)
             if content_length
@@ -348,32 +350,24 @@ class ArithmeticService:
     async def _route(
         self, method: str, path: str, body: bytes
     ) -> Tuple[int, Dict[str, str], bytes]:
-        from ..fabric.wire import WORK_PATH
-
         path = path.split("?", 1)[0]
         if path == "/v1/simulate":
             if method != "POST":
                 return 405, {"Allow": "POST"}, _err("use POST")
             return await self._handle_simulate(body)
-        if path == WORK_PATH:
-            if method != "POST":
-                return 405, {"Allow": "POST"}, _err("use POST")
-            if self.draining:
-                return 503, {}, _err("server is draining")
-            return await self.work.handle(body)
+        if path not in ("/healthz", "/stats", "/metrics"):
+            return 404, {}, _err(f"no route {path!r}")
         if method != "GET":
             return 405, {"Allow": "GET"}, _err("use GET")
         if path == "/healthz":
             return self._handle_healthz()
         if path == "/stats":
             return 200, {}, _json_bytes(self.stats())
-        if path == "/metrics":
-            return (
-                200,
-                {"Content-Type": "text/plain; version=0.0.4"},
-                self.metrics.render_prometheus().encode(),
-            )
-        return 404, {}, _err(f"no route {path!r}")
+        return (
+            200,
+            {"Content-Type": "text/plain; version=0.0.4"},
+            self.metrics.render_prometheus().encode(),
+        )
 
     async def _handle_simulate(
         self, body: bytes
@@ -626,7 +620,6 @@ class ArithmeticService:
                 "queue": self.scheduler.queue_stats(),
                 "executor": self.executor.describe(),
                 "metrics": self.metrics.stats_dict(),
-                "work": self.work.stats(),
                 "fusion": {
                     **self.fusion.describe(),
                     "totals": fusion_stats(),

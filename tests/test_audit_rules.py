@@ -199,7 +199,7 @@ class TestDet004:
 
 
 # ---------------------------------------------------------------------------
-# ASYNC: loop hygiene (zone-gated to service/fabric)
+# ASYNC: loop hygiene (zone-gated to the service)
 # ---------------------------------------------------------------------------
 
 class TestAsyncRules:
@@ -243,7 +243,7 @@ class TestAsyncRules:
             async def handler(path):
                 with open(path) as fh:
                     return fh.read()
-        """, module="repro.fabric.fixture")
+        """, module="repro.service.fixture")
         assert ids(report) == ["ASYNC004"]
 
     def test_sync_helper_nested_in_coroutine_is_exempt(self):

@@ -45,7 +45,7 @@ def test_discovery_covers_the_package(audited):
         "repro.sim.program",
         "repro.experiments.sweep",
         "repro.service.executor",
-        "repro.fabric.coordinator",
+        "repro.service.server",
         "repro.runtime.sanitizer",
         "repro.audit.engine",
     ):

@@ -21,7 +21,6 @@ from repro.experiments.results import sweep_from_dict, sweep_to_dict
 from repro.experiments.runner import build_compiled_program, run_point
 from repro.experiments.serialize import point_from_dict, point_to_dict
 from repro.experiments.sweep import run_sweep
-from repro.fabric.wire import config_from_wire, config_to_wire
 from repro.sim.batch import (
     FusedTrajectoryScheduler,
     TrajectoryTask,
@@ -193,8 +192,8 @@ class TestSweepIntegration:
             assert pr == direct
 
     def test_retired_scheduler_keys_still_load(self):
-        """Results JSON, checkpoint point records and fabric wire
-        configs written with the retired sweep-scheduler knobs load."""
+        """Results JSON and checkpoint point records written with the
+        retired sweep-scheduler knobs load."""
         retired_config = dict(
             batching="group", dedup=True, adaptive=True,
             adaptive_rounds=4, adaptive_delta=0.01, batch_rows=64,
@@ -218,9 +217,6 @@ class TestSweepIntegration:
         point = res.point(0.003, None)
         record = dict(point_to_dict(point), **retired_point)
         assert point_from_dict(record) == point
-
-        wire = dict(config_to_wire(cfg), **retired_config)
-        assert config_from_wire(wire) == cfg
 
     def test_config_validation(self):
         for knob in ("batching", "dedup", "adaptive", "adaptive_rounds",

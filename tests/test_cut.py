@@ -39,12 +39,6 @@ from repro.cut import (
     reset_cut_stats,
 )
 from repro.cut.fragments import build_variant_jobs
-from repro.cut.parallel import (
-    SerialRunner,
-    job_from_wire,
-    job_to_wire,
-    resolve_runner,
-)
 from repro.experiments.config import SweepConfig
 from repro.experiments.instances import ArithmeticInstance
 from repro.experiments.runner import (
@@ -475,48 +469,20 @@ def test_variant_jobs_share_programs_across_preps():
     )
 
 
-def test_fragment_job_wire_roundtrip_bit_identical():
-    qc = build_arithmetic_circuit("add", 3, 3, None)
-    noise = noise_model_for("2q", 0.02, "qiskit")
-    init = _instance("add", 3, 3, [3], [5]).initial_statevector()
-    config = CutConfig(max_fragment_qubits=3)
-    direct = cut_distribution(
-        qc, noise, config=config, initial_state=init,
-        trajectories=64, seed=9,
-    )
-
-    class WireRunner(SerialRunner):
-        def run(self, jobs):
-            decoded = [job_from_wire(job_to_wire(j)) for j in jobs]
-            return super().run(decoded)
-
-    shipped = cut_distribution(
-        qc, noise, config=config, initial_state=init,
-        trajectories=64, seed=9, runner=WireRunner(),
-    )
-    np.testing.assert_array_equal(direct.probs, shipped.probs)
-
-
-def test_resolve_runner_precedence():
-    explicit = SerialRunner()
-    assert resolve_runner("", explicit) is explicit
-    assert resolve_runner("127.0.0.1:1", explicit) is explicit
-    assert resolve_runner("", None).name == "serial"
-    assert resolve_runner("127.0.0.1:1", None).name == "fabric"
-
-
 def test_cut_stats_counters():
     reset_cut_stats()
     qc = build_arithmetic_circuit("add", 2, 2, None)
     init = _instance("add", 2, 2, [1], [2]).initial_statevector()
-    cut_distribution(
+    dist = cut_distribution(
         qc, None, config=CutConfig(max_fragment_qubits=2),
         initial_state=init, seed=3,
     )
     s = cut_stats()
     assert s["plans"] == 1 and s["plans_registers"] == 1
     assert s["reconstructions"] == 1
-    assert s["jobs_local"] >= 1
+    # One register-cut branch job per value, each run in-process.
+    assert s["jobs_local"] == dist.cut_info["variants_evaluated"] >= 1
+    assert s["jobs_pool"] == 0
 
 
 # ---------------------------------------------------------------------------

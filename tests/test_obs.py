@@ -120,8 +120,7 @@ CACHE_STATS_KEYS = {
     "circuit_lru.maxsize", "circuit_lru.misses",
     "compile_cache", "compile_cache.bind_hits", "compile_cache.binds",
     "compile_cache.lower_hits", "compile_cache.lowerings",
-    "cut", "cut.fragments_compiled", "cut.jobs_fabric",
-    "cut.jobs_fabric_fallback", "cut.jobs_local", "cut.jobs_pool",
+    "cut", "cut.fragments_compiled", "cut.jobs_local", "cut.jobs_pool",
     "cut.plans", "cut.plans_registers", "cut.plans_wires",
     "cut.reconstructions", "cut.variants_evaluated",
     "fusion", "fusion.admitted", "fusion.batch_occupancy",

@@ -129,20 +129,20 @@ class TestMultiWriterSafety:
         assert path.read_text() == "one\ntwo\n"
 
 
-class TestEventRecords:
-    def test_events_and_cells_do_not_cross_contaminate(self, tmp_path):
-        j = CheckpointJournal(tmp_path / "j.jsonl", "fp")
-        j.record((0.1, 3), {"ok": 1})
-        j.record_event("lease", unit="u-1", worker="w", attempt=1)
-        j.record_event("ack", unit="u-1", worker="w", attempt=1)
-        j.record_event("downgrade", reason="fleet lost")
-        assert j.load() == {(0.1, 3): {"ok": 1}}
-        events = j.load_events()
-        assert [e["type"] for e in events] == ["lease", "ack", "downgrade"]
-        assert j.load_events(["ack"])[0]["unit"] == "u-1"
-
-    def test_events_scoped_by_fingerprint(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        CheckpointJournal(path, "fp1").record_event("lease", unit="u-1")
-        CheckpointJournal(path, "fp2").record_event("lease", unit="u-2")
-        assert [e["unit"] for e in CheckpointJournal(path, "fp1").load_events()] == ["u-1"]
+def test_journal_with_legacy_v2_event_lines_loads_only_its_cells(tmp_path):
+    """Journals written by releases that logged v2 lease/ack/downgrade
+    event records beside the cells still resume, cells only."""
+    path = tmp_path / "j.jsonl"
+    j = CheckpointJournal(path, "fp")
+    j.record((0.1, 3), {"ok": 1})
+    with path.open("a", encoding="utf-8") as fh:
+        for rec in (
+            {"v": 2, "fp": "fp", "type": "lease", "unit": "u-1",
+             "worker": "w", "attempt": 1},
+            {"v": 2, "fp": "fp", "type": "ack", "unit": "u-1",
+             "worker": "w", "attempt": 1},
+            {"v": 2, "fp": "fp", "type": "downgrade", "reason": "fleet lost"},
+        ):
+            fh.write(json.dumps(rec) + "\n")
+    j.record((0.2, "full"), {"ok": 2})
+    assert j.load() == {(0.1, 3): {"ok": 1}, (0.2, "full"): {"ok": 2}}

@@ -200,32 +200,3 @@ class TestPooledSupervisor:
         assert failures == []
         assert set(results.values()) == {"ran-serially"}
         assert sup.degraded_serial
-
-
-class TestBackoffJitter:
-    def test_zero_jitter_keeps_legacy_schedule(self):
-        p = RetryPolicy(backoff_base=1.0, backoff_factor=2.0, backoff_max=8.0)
-        assert p.backoff(2, token="u-1") == p.backoff(2)
-
-    def test_jitter_deterministic_per_token(self):
-        p = RetryPolicy(backoff_base=1.0, jitter=0.5)
-        assert p.backoff(2, token="u-1") == p.backoff(2, token="u-1")
-
-    def test_jitter_spreads_tokens_within_window(self):
-        p = RetryPolicy(
-            backoff_base=1.0, backoff_factor=2.0, backoff_max=8.0, jitter=0.5
-        )
-        base = RetryPolicy(
-            backoff_base=1.0, backoff_factor=2.0, backoff_max=8.0
-        ).backoff(3)
-        delays = {p.backoff(3, token=f"u-{i}") for i in range(16)}
-        assert len(delays) > 1  # distinct tokens desynchronise
-        for d in delays:
-            assert base * 0.5 <= d <= base  # scatter stays in the window
-
-    def test_jitter_respects_backoff_cap(self):
-        p = RetryPolicy(
-            backoff_base=4.0, backoff_factor=4.0, backoff_max=5.0, jitter=0.25
-        )
-        for i in range(8):
-            assert p.backoff(4, token=i) <= 5.0

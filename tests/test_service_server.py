@@ -10,6 +10,7 @@ simulations deterministically.
 
 import http.client
 import json
+import socket
 import threading
 import time
 
@@ -130,6 +131,62 @@ def test_server_side_validation_of_raw_bodies():
         bad = dict(REQ, shots=-5, operation="sub")
         status, doc = post(json.dumps(bad).encode())
         assert status == 400 and len(doc["details"]) >= 2
+
+
+def _raw_post(address, content_length: str, body: bytes = b""):
+    """POST /v1/simulate over a bare socket with a verbatim
+    ``Content-Length`` header; returns (status, JSON body)."""
+    head = (
+        f"POST /v1/simulate HTTP/1.1\r\nHost: test\r\n"
+        f"Content-Type: application/json\r\n"
+        f"Content-Length: {content_length}\r\n\r\n"
+    ).encode("latin-1")
+    with socket.create_connection(address, timeout=10) as sock:
+        sock.sendall(head + body)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    raw = b"".join(chunks)
+    status_line, _, rest = raw.partition(b"\r\n")
+    _, _, payload = rest.partition(b"\r\n\r\n")
+    return int(status_line.split()[1]), json.loads(payload.decode())
+
+
+@pytest.mark.parametrize(
+    "content_length, status, reason",
+    [
+        ("2000000", 413, "exceeds"),
+        ("abc", 400, "Content-Length"),
+        ("-5", 400, "Content-Length"),
+    ],
+)
+def test_bad_content_length_is_4xx_not_500(content_length, status, reason):
+    with make_server() as srv:
+        got, doc = _raw_post(srv.address, content_length)
+        assert got == status and reason in doc["error"]
+        metrics = srv.service.metrics
+        assert _poll(
+            lambda: metrics.counter_value(
+                "http_requests_total", labels={"status": str(status)}
+            ) == 1
+        )
+        assert metrics.counter_value(
+            "http_requests_total", labels={"status": "500"}
+        ) == 0
+        # The server is still healthy afterwards.
+        assert ServiceClient(*srv.address).health()["status"] == "ok"
+
+
+def test_work_route_is_gone():
+    with make_server() as srv:
+        client = ServiceClient(*srv.address)
+        with pytest.raises(ServiceError) as exc:
+            client._json("POST", "/v1/work", {"cells": []})
+        assert exc.value.status == 404
+        assert "work" not in client.stats()
 
 
 def test_lint_gate_rejects_with_422(monkeypatch):
@@ -384,7 +441,6 @@ def test_drain_captures_final_stats_and_refuses_after_stop():
     final = srv.service.final_stats
     assert final is not None
     assert final["queue"]["accepting"] is False
-    assert final["work"]["units_received"] == 0
     counters = final["metrics"]["counters"]
     assert sum(
         v for k, v in counters.items() if k.startswith("http_requests_total")
