@@ -131,7 +131,6 @@ def _cmd_sweep(args) -> int:
         trajectories=args.trajectories,
         seed=args.seed,
         method=args.method,
-        backend=args.backend,
         label=args.label,
         max_fragment_qubits=args.max_fragment_qubits,
     )
@@ -362,7 +361,6 @@ def main(argv=None) -> int:
     p.add_argument("--shots", type=int, default=64)
     p.add_argument("--trajectories", type=int, default=4)
     p.add_argument("--seed", type=int, default=1234)
-    from repro.sim.backend import BACKEND_NAMES
     from repro.sim.methods import METHODS, method_help
 
     p.add_argument(
@@ -377,13 +375,6 @@ def main(argv=None) -> int:
         default=0,
         help="method=cut: fragment-width budget for the cut searcher "
         "(0 = subsystem default; see docs/cutting.md)",
-    )
-    p.add_argument(
-        "--backend",
-        choices=BACKEND_NAMES,
-        default="",
-        help="array backend / precision tier (default: REPRO_BACKEND "
-        "or numpy64)",
     )
     p.add_argument("--label", default="sweep")
     p.add_argument(

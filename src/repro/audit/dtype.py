@@ -1,15 +1,14 @@
-"""DTYPE rules: dtype policy belongs to the ArrayBackend seam.
+"""DTYPE rules: dtype policy belongs to the ``resolve_complex_dtype`` seam.
 
-The array-backend refactor centralises complex-dtype policy in
-:mod:`repro.sim.backend` — engines resolve their state dtype through
-``resolve_complex_dtype``, kernels build at ``canonical_complex`` and
-cast once, and wrapper classes convert through ``as_complex``.  Two
-rules keep the seam from eroding:
+Complex-dtype policy lives in :mod:`repro.sim.backend` — engines
+resolve their state dtype through ``resolve_complex_dtype``, kernels
+build at ``canonical_complex`` and cast once, and wrapper classes
+convert through ``as_complex``.  Two rules keep the seam from eroding:
 
 * **DTYPE001 backend-bypass-alloc** — a direct NumPy allocation
   (``np.zeros``/``empty``/``asarray``/...) with a *literal* complex
   dtype argument inside :mod:`repro.sim`.  Such an array is pinned to
-  one precision tier no matter which backend is active; allocate at
+  one precision tier no matter which tier is selected; allocate at
   ``resolve_complex_dtype(dtype)`` (or through ``as_complex`` for
   exact-contract wrappers) instead.
 * **DTYPE002 complex-dtype-literal** — any other ``np.complex128`` /
@@ -30,7 +29,7 @@ from .modinfo import AuditModule, RawFinding, dotted_name
 
 __all__ = ["check_dtype", "DTYPE_ZONE_PREFIXES", "DTYPE_EXEMPT_MODULES"]
 
-#: Modules whose allocations must take their dtype from the ArrayBackend.
+#: Modules whose allocations must take their dtype from resolve_complex_dtype.
 DTYPE_ZONE_PREFIXES = ("repro.sim", "repro.cut")
 
 #: The dtype-policy seam itself: the only sim module allowed to name
@@ -102,7 +101,7 @@ def check_dtype(mod: AuditModule) -> List[RawFinding]:
                     line=node.lineno,
                     message=(
                         f"{fn} allocates with a hard-coded complex "
-                        f"dtype, bypassing the ArrayBackend"
+                        f"dtype, bypassing resolve_complex_dtype"
                     ),
                     fix_hint=(
                         "allocate at repro.sim.backend."

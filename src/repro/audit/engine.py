@@ -89,7 +89,7 @@ RULES: Dict[str, Rule] = {
         _rule(
             "DTYPE001", "backend-bypass-alloc", Severity.ERROR,
             "direct NumPy allocation with a hard-coded complex dtype "
-            "in repro.sim, bypassing the ArrayBackend seam",
+            "in repro.sim, bypassing the resolve_complex_dtype seam",
         ),
         _rule(
             "DTYPE002", "complex-dtype-literal", Severity.WARNING,

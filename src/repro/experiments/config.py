@@ -21,7 +21,6 @@ from typing import Optional, Tuple
 
 from ..runtime.envutil import env_str
 from ..runtime.errors import width_limit_error
-from ..sim.backend import BACKEND_NAMES
 from ..sim.methods import METHODS, method_width_cap
 
 __all__ = [
@@ -102,9 +101,6 @@ class SweepConfig:
     method: str = "trajectory"
     convention: str = "qiskit"
     label: str = ""
-    #: Array backend for every engine in the sweep ("" = the process
-    #: default from ``REPRO_BACKEND``).
-    backend: str = ""
     #: method="cut": fragment-width budget for the cut searcher
     #: (0 = the subsystem default).  Ignored by other methods.
     max_fragment_qubits: int = 0
@@ -125,11 +121,6 @@ class SweepConfig:
             raise ValueError(
                 f"method must be one of {sorted(SWEEP_METHODS)}, "
                 f"got {self.method!r}"
-            )
-        if self.backend and self.backend not in BACKEND_NAMES:
-            raise ValueError(
-                f"backend must be one of {list(BACKEND_NAMES)} (or '' "
-                f"for the REPRO_BACKEND default), got {self.backend!r}"
             )
         if self.instances < 1 or self.shots < 1:
             raise ValueError("instances and shots must be >= 1")

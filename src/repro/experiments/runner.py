@@ -30,7 +30,6 @@ from ..metrics.success import (
 )
 from ..noise.model import NoiseModel
 from ..runtime.errors import NumericalHealthError
-from ..sim.backend import get_backend
 from ..sim.engines import simulate_counts
 from ..sim.program import CompiledProgram, compile_circuit
 from ..transpile.passes import transpile
@@ -41,7 +40,6 @@ __all__ = [
     "build_arithmetic_circuit",
     "build_compiled_program",
     "noise_model_for",
-    "config_dtype",
     "run_instance",
     "run_point",
     "poison_point",
@@ -88,14 +86,6 @@ def noise_model_for(
     raise ValueError(f"unknown error axis {error_axis!r}")
 
 
-def config_dtype(config: SweepConfig):
-    """The state dtype a config's ``backend`` field selects (None = the
-    process default, resolved later by the engines)."""
-    if not config.backend:
-        return None
-    return get_backend(config.backend).complex_dtype
-
-
 @lru_cache(maxsize=128)
 def build_compiled_program(
     operation: str,
@@ -128,7 +118,6 @@ def run_instance(
     rng: np.random.Generator,
     method: str = "trajectory",
     program: Optional[CompiledProgram] = None,
-    dtype=None,
     cut=None,
 ) -> InstanceOutcome:
     """Simulate one instance and apply the paper's success criterion.
@@ -150,7 +139,6 @@ def run_instance(
         trajectories=trajectories,
         rng=rng,
         initial_state=instance.initial_statevector(),
-        dtype=dtype,
         cut=cut,
     )
     return evaluate_instance(counts, instance.correct_outcomes())
@@ -219,7 +207,6 @@ def run_point(
             rng,
             config.method,
             program=program,
-            dtype=config_dtype(config),
         )
         for inst in instances
     ]
@@ -266,7 +253,6 @@ def _run_point_cut(
             trajectories=config.trajectories,
             rng=rng,
             initial_state=inst.initial_statevector(),
-            dtype=config_dtype(config),
             cut=cut_cfg,
         )
         info = counts.cut_info

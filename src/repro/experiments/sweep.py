@@ -36,6 +36,7 @@ from ..runtime import (
     inject,
 )
 from ..runtime import sanitizer
+from ..sim.backend import dtype_tag, resolve_complex_dtype
 from .config import SweepConfig
 from .instances import ArithmeticInstance, generate_instances
 from .runner import (
@@ -45,7 +46,7 @@ from .runner import (
     poison_point as _poison_point,
     run_point,
 )
-from .serialize import depth_from_json, depth_to_json, point_from_dict, point_to_dict
+from .serialize import depth_to_json, point_from_dict, point_to_dict
 
 __all__ = [
     "SweepResult",
@@ -166,13 +167,15 @@ def sweep_fingerprint(
 ) -> str:
     """The checkpoint-compatibility fingerprint of a sweep.
 
-    Covers everything that determines cell results: the full config and
-    the exact operand sets.  Two runs resume from each other's journals
-    iff their fingerprints match.
+    Covers everything that determines cell results: the full config,
+    the exact operand sets, and the precision tier ``REPRO_BACKEND``
+    selects (pool workers inherit it).  Two runs resume from each
+    other's journals iff their fingerprints match.
     """
     return config_fingerprint(
         {
             "config": dataclasses.asdict(config),
+            "dtype": dtype_tag(resolve_complex_dtype()),
             "instances": [
                 [list(inst.x.values), list(inst.y.values)]
                 for inst in instances
@@ -183,10 +186,6 @@ def sweep_fingerprint(
 
 def _journal_key(key: CellKey) -> Tuple:
     return (key[0], depth_to_json(key[1]))
-
-
-def _cell_key(jkey: Tuple) -> CellKey:
-    return (float(jkey[0]), depth_from_json(jkey[1]))
 
 
 # ----------------------------------------------------------------------

@@ -156,11 +156,6 @@ def payload_digest(payload: Any) -> str:
     return h.hexdigest()[:24]
 
 
-def rng_digest(rng: Any) -> str:
-    """Digest of a numpy Generator's bit-generator state."""
-    return payload_digest(rng.bit_generator.state)
-
-
 # ---------------------------------------------------------------------------
 # Recording
 # ---------------------------------------------------------------------------

@@ -17,8 +17,7 @@ fused micro-batch.
 
 Tuning knobs also honour the environment: ``REPRO_RESULT_CACHE_MB``,
 ``REPRO_RESULT_CACHE_TTL``, ``REPRO_SERVICE_MAX_QUBITS``,
-``REPRO_KERNEL_CACHE_MB``, and the queue's ``REPRO_FUSION_MAX_BATCH`` /
-``REPRO_FUSION_QUANTUM`` (see docs/service.md).
+and ``REPRO_KERNEL_CACHE_MB`` (see docs/service.md).
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ free it takes what is waiting, at once — there is no hold timer:
   the head chosen by the tenant rotation plus the waiting requests of
   that head's circuit family (from every tenant), as one
   :meth:`SimulationExecutor.run_batch` call capped at
-  ``REPRO_FUSION_MAX_BATCH`` requests.  Requests that cannot fuse
+  :data:`MAX_BATCH` requests.  Requests that cannot fuse
   (see :func:`repro.service.executor.fusion_eligible`) go alone.
 
 Correctness contract: fusion is **bit-invisible per request**.  Every
@@ -24,7 +24,7 @@ are identical whether it ran alone or fused with a hundred neighbours
 — batch membership and chunk geometry never leak into results.
 
 Fairness: the head of each take is chosen by deficit round robin (DRR)
-over tenants.  A tenant's turn credits it ``REPRO_FUSION_QUANTUM``
+over tenants.  A tenant's turn credits it :data:`QUANTUM`
 cost units (cost = requested shots) and its head request goes when it
 fits the tenant's deficit; a tenant whose queue was empty goes before
 the tenants that stayed backlogged, so an interactive request waits
@@ -37,12 +37,6 @@ sweep cells.  Every request in a take is charged to its own tenant's
 deficit; a tenant that empties its queue forfeits its balance
 (standard DRR), and a progress guard serves the oldest head when no
 deficit suffices.
-
-Knobs (env, read at construction; ctor args override):
-
-* ``REPRO_FUSION_MAX_BATCH`` — requests per take (default 64).
-* ``REPRO_FUSION_QUANTUM``   — DRR credit per tenant turn, in shots
-  (default 4096).
 
 The waiting backlog is bounded by ``max_queue`` (``--max-queue``);
 past it :class:`FusionSaturated` becomes HTTP 429 with ``Retry-After``.
@@ -60,7 +54,6 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from ..runtime import obs
-from ..runtime.envutil import env_float, env_int
 from .cache import ResultCache
 from .executor import SimulationExecutor, fusion_eligible
 from .metrics import ServiceMetrics
@@ -72,6 +65,11 @@ __all__ = [
     "fusion_stats",
     "reset_fusion_stats",
 ]
+
+#: Requests per take (one executor batch).
+MAX_BATCH = 64
+#: DRR credit per tenant turn, in cost units (shots).
+QUANTUM = 4096.0
 
 #: Per-sample clamp feeding the execution-time EWMA: one pathological
 #: batch (a hang that eventually returned, a cold compile) must not drag
@@ -218,16 +216,8 @@ class FusionGate:
             1, executor.concurrency if concurrency is None else concurrency
         )
         self.max_queue = max_queue
-        self.max_batch = (
-            env_int("REPRO_FUSION_MAX_BATCH", 64, minimum=1)
-            if max_batch is None
-            else int(max_batch)
-        )
-        self.quantum = (
-            env_float("REPRO_FUSION_QUANTUM", 4096.0, minimum=1.0)
-            if quantum is None
-            else float(quantum)
-        )
+        self.max_batch = MAX_BATCH if max_batch is None else int(max_batch)
+        self.quantum = QUANTUM if quantum is None else float(quantum)
         #: Called with each entry's content key once its batch settles;
         #: the scheduler registers its inflight-map cleanup here.
         self.done_hooks: List[Callable[[str], None]] = []

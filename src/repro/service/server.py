@@ -29,7 +29,11 @@ Endpoints
 ``GET /metrics``  — Prometheus text exposition.
 
 A request whose ``Content-Length`` is not a non-negative integer gets
-400; a body over 1 MiB gets 413 and is never read.
+400; a body over 1 MiB gets 413 and is never read.  A request line or
+header line over the stream's 64 KiB line limit gets 414 or 431, and
+a request not fully received within :data:`_READ_DEADLINE_S` seconds
+(a stalled client, a body shorter than its ``Content-Length``) gets
+408.
 
 Every response carries an ``X-Request-Id`` header (pid + monotone
 sequence — no clock, no RNG) for log correlation; the client surfaces
@@ -43,7 +47,7 @@ import json
 import os
 import threading
 import time
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
 from .cache import ResultCache
 from .executor import (
@@ -67,14 +71,20 @@ __all__ = ["ArithmeticService", "ServerThread"]
 
 _MAX_BODY = 1 << 20  # 1 MiB of JSON is far beyond any valid request
 
+#: Seconds to receive one whole request (request line, headers, body).
+_READ_DEADLINE_S = 10.0
+
 _STATUS_TEXT = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     413: "Payload Too Large",
+    414: "URI Too Long",
     422: "Unprocessable Entity",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -151,25 +161,6 @@ class ArithmeticService:
             "trajectories_spent_total",
             lambda: scheduler_stats()["trajectories_sampled"],
         )
-        # Per-backend kernel-cache traffic: one gauge per (tier, field)
-        # so mixed-precision traffic (numpy64 vs numpy32 requests, plus
-        # the dtype-independent "shared" pool) is observable.
-        from ..sim.program import kernel_cache_stats
-
-        def _kernel_tier_gauge(tier: str, field: str) -> Callable[[], float]:
-            def read() -> float:
-                by_backend = kernel_cache_stats()["by_backend"]
-                assert isinstance(by_backend, dict)
-                return float(by_backend.get(tier, {}).get(field, 0))
-
-            return read
-
-        for tier in ("numpy64", "numpy32", "shared"):
-            for field in ("hits", "misses", "bytes"):
-                self.metrics.register_gauge(
-                    f"kernel_cache_{tier}_{field}",
-                    _kernel_tier_gauge(tier, field),
-                )
         # Queue observability: hit rate / occupancy come from the
         # process-wide counters, slots and deficits from the live queue.
         # Waits ride the "queue_wait" histogram.
@@ -251,7 +242,15 @@ class ArithmeticService:
         streamed = False
         status, headers, payload = 500, {}, b""
         try:
-            method, path, body = await self._read_request(reader)
+            try:
+                method, path, body = await asyncio.wait_for(
+                    self._read_request(reader), _READ_DEADLINE_S
+                )
+            except asyncio.TimeoutError:
+                raise _BadRequest(
+                    408,
+                    f"request not received within {_READ_DEADLINE_S:g} s",
+                ) from None
             if path.split("?", 1)[0] == "/v1/sweep":
                 early = await self._handle_sweep(
                     method, body, reader, writer, rid
@@ -293,14 +292,14 @@ class ArithmeticService:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> Tuple[str, str, bytes]:
-        request_line = await reader.readline()
+        request_line = await _read_line(reader, 414, "request line")
         parts = request_line.decode("latin-1").split()
         if len(parts) < 2:
             raise asyncio.IncompleteReadError(request_line, None)
         method, path = parts[0].upper(), parts[1]
         content_length = 0
         while True:
-            line = await reader.readline()
+            line = await _read_line(reader, 431, "header line")
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
@@ -627,6 +626,16 @@ class ArithmeticService:
             }
         )
         return snapshot
+
+
+async def _read_line(
+    reader: asyncio.StreamReader, status: int, what: str
+) -> bytes:
+    """One CRLF line; a line over the stream limit is a ``status`` 4xx."""
+    try:
+        return await reader.readline()
+    except ValueError:  # StreamReader wraps LimitOverrunError
+        raise _BadRequest(status, f"{what} exceeds the line limit") from None
 
 
 def _json_bytes(obj: Any) -> bytes:

@@ -27,8 +27,8 @@ def cache_stats_snapshot(
     * ``program_lru`` — the per-cell memo on
       :func:`repro.experiments.runner.build_compiled_program`;
     * ``ptm_cache`` — the PTM engine's bound-plan cache;
-    * ``backend`` — the active :mod:`repro.sim.backend` tier (name,
-      kernel tag, dtype, and the ``REPRO_BACKEND`` value requested),
+    * ``backend`` — the :mod:`repro.sim.backend` tier ``REPRO_BACKEND``
+      selects (name, kernel tag, dtype, and the value requested),
       plus ``blas``: the OpenBLAS library basename and its thread
       count in this process (``None`` when no OpenBLAS is found);
     * ``cut`` — the circuit-cutting subsystem's counters (plans found,
@@ -38,18 +38,15 @@ def cache_stats_snapshot(
       per-tenant served cost);
     * ``result_cache`` — the service's content-addressed response
       cache, when one is supplied.
-
-    The ``kernel_cache`` entry includes a ``by_backend`` breakdown
-    (hits/misses/entries/bytes per tier) so mixed-precision service
-    traffic is observable.
     """
+    import numpy as np
+
     from ..experiments.runner import (
         build_arithmetic_circuit,
         build_compiled_program,
     )
     from ..runtime.blas import blas_info
-    from ..runtime.envutil import env_str
-    from ..sim.backend import BACKEND_ENV, DEFAULT_BACKEND, active_backend
+    from ..sim.backend import BACKEND_NAMES, dtype_tag, resolve_complex_dtype
     from ..cut import cut_stats
     from ..sim.program import compile_cache_stats, kernel_cache_stats
     from ..sim.ptm import ptm_cache_stats
@@ -64,9 +61,15 @@ def cache_stats_snapshot(
             "maxsize": info.maxsize,
         }
 
-    backend = active_backend().describe()
-    backend["requested"] = env_str(BACKEND_ENV, DEFAULT_BACKEND).lower()
-    backend["blas"] = blas_info()
+    dtype = resolve_complex_dtype()
+    name = next(n for n, dt in BACKEND_NAMES.items() if dt is dtype)
+    backend = {
+        "name": name,
+        "tag": dtype_tag(dtype),
+        "complex_dtype": str(np.dtype(dtype)),
+        "requested": name,
+        "blas": blas_info(),
+    }
     snapshot: Dict[str, Any] = {
         "backend": backend,
         "compile_cache": compile_cache_stats().as_dict(),

@@ -55,6 +55,7 @@ from .ops import BitCache, apply_pauli_string_rows, probabilities
 from .program import CompiledProgram, _mono_apply_rows
 from .result import Counts
 from .statevector import zero_state
+from .trajectories import apply_readout, multinomial_outcomes, sample_outcomes
 
 __all__ = [
     "TrajectoryTask",
@@ -505,30 +506,18 @@ class FusedTrajectoryScheduler:
         task = plan.task
         rng = task.rng
         outs: List[np.ndarray] = []
-        probs = plan.probs
         if plan.n_clean:
-            outs.append(self._multinomial(rng, probs[0], plan.n_clean))
+            outs.append(multinomial_outcomes(rng, plan.probs[0], plan.n_clean))
         if plan.B:
-            base, extra = divmod(plan.n_err, plan.B)
-            per_row = np.full(plan.B, base, dtype=int)
-            if extra:
-                lucky = rng.choice(plan.B, size=extra, replace=False)
-                per_row[lucky] += 1
-            for b in range(plan.B):
-                if per_row[b] == 0:
-                    continue
-                # ``row_of_traj`` already accounts for the clean row.
-                row = plan.row_of_traj[b]
-                outs.append(
-                    self._multinomial(rng, probs[row], per_row[b])
-                )
+            # ``row_of_traj`` already accounts for the clean row.
+            outs.append(sample_outcomes(
+                rng, plan.probs, plan.n_err, plan.row_of_traj
+            ))
             plan.probs = None  # free the task's distributions
         outcomes = (
             np.concatenate(outs) if outs else np.empty(0, dtype=int)
         )
-        outcomes = self._apply_readout(
-            rng, outcomes, task.program.readout
-        )
+        outcomes = apply_readout(rng, outcomes, task.program.readout)
         if sanitizer.enabled():
             # One portable event per task: the sampled outcome stream
             # plus the RNG state it left behind.  Identical across fused
@@ -544,30 +533,6 @@ class FusedTrajectoryScheduler:
                 key=repr(task.key),
             )
         plan.outcomes = outcomes
-
-    @staticmethod
-    def _multinomial(
-        rng: np.random.Generator, pv: np.ndarray, shots: int
-    ) -> np.ndarray:
-        pv = pv.astype(np.float64, copy=True)
-        pv /= pv.sum()
-        cnt = rng.multinomial(shots, pv)
-        nz = np.flatnonzero(cnt)
-        return np.repeat(nz, cnt[nz])
-
-    @staticmethod
-    def _apply_readout(
-        rng: np.random.Generator, outcomes: np.ndarray, readout
-    ) -> np.ndarray:
-        if not readout or outcomes.size == 0:
-            return outcomes
-        out = outcomes.copy()
-        for q, p01, p10 in readout:
-            bit = (out >> q) & 1
-            flip_p = np.where(bit == 1, p10, p01)
-            flips = rng.random(out.size) < flip_p
-            out[flips] ^= 1 << q
-        return out
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,7 @@ from ..noise.channels import PauliError, QuantumError, ResetError
 from ..noise.model import NoiseModel
 from ..runtime import obs
 from ..runtime.envutil import env_mb_bytes
-from .backend import canonical_complex, dtype_tag, kernel_group
+from .backend import canonical_complex, dtype_tag
 from .ops import (
     _GLOBAL_BITS,
     _apply_phase_on_mask,
@@ -119,9 +119,7 @@ class KernelCache:
     gates anywhere — across ops, programs, engines — share one array.
     Dtype-dependent kernels carry their :func:`~repro.sim.backend.
     dtype_tag` in the key, so a float32 kernel can never collide with
-    a float64 one; ``group`` attributes each entry to a backend tier
-    for the per-backend hit/miss/bytes breakdown ("shared" covers
-    dtype-independent kernels such as index permutations).
+    a float64 one.
     """
 
     def __init__(self, budget_bytes: Optional[int] = None) -> None:
@@ -130,25 +128,13 @@ class KernelCache:
         self.budget_bytes = budget_bytes
         self._entries: Dict[tuple, object] = {}
         self._nbytes: Dict[tuple, int] = {}
-        self._group_of: Dict[tuple, str] = {}
         self._lock = threading.RLock()
         self.total_bytes = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.groups: Dict[str, Dict[str, int]] = {}
 
-    def _group_counters(self, group: str) -> Dict[str, int]:
-        # Reentrant: every caller already holds self._lock (an RLock),
-        # so this stands alone safely too.
-        with self._lock:
-            g = self.groups.get(group)
-            if g is None:
-                g = {"hits": 0, "misses": 0, "entries": 0, "bytes": 0}
-                self.groups[group] = g
-            return g
-
-    def get(self, key: tuple, builder, group: str = "shared") -> object:
+    def get(self, key: tuple, builder) -> object:
         # The whole read-modify-write (recency refresh, eviction loop,
         # byte accounting) must be atomic: thread-tier executor workers
         # share this instance.  A duplicate builder() run under
@@ -158,7 +144,6 @@ class KernelCache:
             value = self._entries.get(key)
             if value is not None:
                 self.hits += 1
-                self._group_counters(group)["hits"] += 1
                 # Refresh recency (dicts preserve insertion order).
                 del self._entries[key]
                 self._entries[key] = value
@@ -174,44 +159,26 @@ class KernelCache:
                 and self._entries
             ):
                 old_key = next(iter(self._entries))
-                old_bytes = self._nbytes.pop(old_key)
-                self.total_bytes -= old_bytes
+                self.total_bytes -= self._nbytes.pop(old_key)
                 del self._entries[old_key]
-                old_group = self._group_counters(self._group_of.pop(old_key))
-                old_group["entries"] -= 1
-                old_group["bytes"] -= old_bytes
                 self.evictions += 1
             self._entries[key] = value
             self._nbytes[key] = nbytes
-            self._group_of[key] = group
             self.total_bytes += nbytes
-            g = self._group_counters(group)
-            g["misses"] += 1
-            g["entries"] += 1
-            g["bytes"] += nbytes
             return value
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
             self._nbytes.clear()
-            self._group_of.clear()
             self.total_bytes = 0
-            for g in self.groups.values():
-                g["entries"] = 0
-                g["bytes"] = 0
 
 
 _KERNELS = KernelCache()
 
 
 def kernel_cache_stats() -> Dict[str, object]:
-    """Hit/miss/byte counters of the process-wide kernel cache.
-
-    ``by_backend`` breaks hits/misses/entries/bytes down per backend
-    tier (``numpy64``/``numpy32``/``shared``) so mixed-tier traffic is
-    observable from ``/stats``, ``/metrics`` and ``cache-stats``.
-    """
+    """Hit/miss/byte counters of the process-wide kernel cache."""
     with _KERNELS._lock:
         return {
             "hits": _KERNELS.hits,
@@ -219,9 +186,6 @@ def kernel_cache_stats() -> Dict[str, object]:
             "evictions": _KERNELS.evictions,
             "total_bytes": _KERNELS.total_bytes,
             "entries": len(_KERNELS._entries),
-            "by_backend": {
-                group: dict(g) for group, g in sorted(_KERNELS.groups.items())
-            },
         }
 
 
@@ -488,7 +452,6 @@ class DiagonalOp(ProgramOp):
         return _KERNELS.get(
             ("diag", n, self.terms, tag),
             lambda: _build_diag(n, self.terms, dtype),
-            group=kernel_group(tag),
         )
 
     def apply(self, state: np.ndarray, n: int) -> None:
@@ -732,7 +695,6 @@ class _MonoSegment:
             lambda: _frozen(
                 _compose_elems((None, None), self.elems, n, dtype)
             ),
-            group=kernel_group(tag),
         )
 
     def partial(self, n: int, start: int, end: int, dtype=None):
@@ -752,7 +714,6 @@ class _MonoSegment:
             lambda: _frozen(_compose_elems(
                 (None, None), self.elems[start:end], n, dtype
             )),
-            group=kernel_group(tag),
         )
 
     def __repr__(self) -> str:

@@ -51,7 +51,6 @@ from ..runtime.health import NumericalHealthError, check_finite, norm_tolerance
 from .backend import (
     as_complex,
     dtype_tag,
-    kernel_group,
     resolve_complex_dtype,
 )
 from .program import (
@@ -169,7 +168,6 @@ def _gate_ptm(term, real_dtype, tag: str) -> np.ndarray:
             ),
             real_dtype,
         ),
-        group=kernel_group(tag),
     )
 
 
@@ -179,7 +177,6 @@ def _channel_ptm(err: QuantumError, real_dtype, tag: str) -> np.ndarray:
     return _KERNELS.get(
         ("ptm-chan", err.fingerprint(), k, tag),
         lambda: _cast(_build_kraus_ptm(err.kraus_operators(), k), real_dtype),
-        group=kernel_group(tag),
     )
 
 
@@ -189,7 +186,6 @@ def _reset_ptm(real_dtype, tag: str) -> np.ndarray:
     return _KERNELS.get(
         ("ptm-reset", tag),
         lambda: _cast(_build_kraus_ptm([k0, k1], 1), real_dtype),
-        group=kernel_group(tag),
     )
 
 

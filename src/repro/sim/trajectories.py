@@ -62,7 +62,67 @@ from .program import CompiledProgram, as_program
 from .result import Counts
 from .statevector import zero_state
 
-__all__ = ["TrajectoryEngine"]
+__all__ = [
+    "TrajectoryEngine",
+    "apply_readout",
+    "multinomial_outcomes",
+    "sample_outcomes",
+]
+
+
+def multinomial_outcomes(
+    rng: np.random.Generator, probs: np.ndarray, shots: int
+) -> np.ndarray:
+    """``shots`` outcome integers drawn from one row's distribution."""
+    # float32 states need an exact-sum float64 pvals vector.
+    pv = probs.astype(np.float64, copy=True)
+    pv /= pv.sum()
+    cnt = rng.multinomial(shots, pv)
+    nz = np.flatnonzero(cnt)
+    return np.repeat(nz, cnt[nz])
+
+
+def sample_outcomes(
+    rng: np.random.Generator,
+    probs: np.ndarray,
+    shots: int,
+    rows: Optional[Sequence[int]] = None,
+) -> np.ndarray:
+    """One outcome integer per shot, spreading shots over trajectories.
+
+    Trajectory ``b`` samples from ``probs[rows[b]]`` (``probs[b]`` when
+    ``rows`` is None); the remainder of an uneven split goes to
+    trajectories drawn without replacement, then one multinomial is
+    drawn per trajectory in order.
+    """
+    B = probs.shape[0] if rows is None else len(rows)
+    base, extra = divmod(shots, B)
+    per_row = np.full(B, base, dtype=int)
+    if extra:
+        lucky = rng.choice(B, size=extra, replace=False)
+        per_row[lucky] += 1
+    outs: List[np.ndarray] = []
+    for b in range(B):
+        if per_row[b] == 0:
+            continue
+        row = b if rows is None else rows[b]
+        outs.append(multinomial_outcomes(rng, probs[row], per_row[b]))
+    return np.concatenate(outs) if outs else np.empty(0, dtype=int)
+
+
+def apply_readout(
+    rng: np.random.Generator, outcomes: np.ndarray, readout: Sequence
+) -> np.ndarray:
+    """Flip measured bits per a program's resolved readout table."""
+    if not readout or outcomes.size == 0:
+        return outcomes
+    out = outcomes.copy()
+    for q, p01, p10 in readout:
+        bit = (out >> q) & 1
+        flip_p = np.where(bit == 1, p10, p01)
+        flips = rng.random(out.size) < flip_p
+        out[flips] ^= 1 << q
+    return out
 
 
 class TrajectoryEngine:
@@ -153,8 +213,8 @@ class TrajectoryEngine:
         check_norms(
             state, "trajectory engine", atol=norm_tolerance(self.dtype)
         )
-        outcomes = self._sample(probabilities(state), shots)
-        outcomes = self._apply_readout_table(outcomes, program.readout)
+        outcomes = sample_outcomes(self.rng, probabilities(state), shots)
+        outcomes = apply_readout(self.rng, outcomes, program.readout)
         return Counts.from_outcome_list(outcomes, n)
 
     def _run_program_split(
@@ -207,13 +267,17 @@ class TrajectoryEngine:
         )
         pieces = []
         if n_clean:
-            pieces.append(self._sample(probabilities(buf[:1]), n_clean))
+            pieces.append(
+                sample_outcomes(self.rng, probabilities(buf[:1]), n_clean)
+            )
         if n_err:
-            pieces.append(self._sample(probabilities(buf[1:]), n_err))
+            pieces.append(
+                sample_outcomes(self.rng, probabilities(buf[1:]), n_err)
+            )
         outcomes = (
             np.concatenate(pieces) if pieces else np.empty(0, dtype=int)
         )
-        outcomes = self._apply_readout_table(outcomes, program.readout)
+        outcomes = apply_readout(self.rng, outcomes, program.readout)
         return Counts.from_outcome_list(outcomes, n)
 
     def _walk_split_segments(
@@ -343,22 +407,6 @@ class TrajectoryEngine:
                         state, ch, op.qubits[pos], sub, n, self._bits
                     )
 
-    def _apply_readout_table(
-        self,
-        outcomes: np.ndarray,
-        readout: Sequence,
-    ) -> np.ndarray:
-        """Flip measured bits per the program's resolved readout table."""
-        if not readout or outcomes.size == 0:
-            return outcomes
-        out = outcomes.copy()
-        for q, p01, p10 in readout:
-            bit = (out >> q) & 1
-            flip_p = np.where(bit == 1, p10, p01)
-            flips = self.rng.random(out.size) < flip_p
-            out[flips] ^= 1 << q
-        return out
-
     # ------------------------------------------------------------------
     # Clean-shot splitting
     # ------------------------------------------------------------------
@@ -478,27 +526,3 @@ class TrajectoryEngine:
         new /= nrm[:, None]
         state[rows] = new
         return state
-
-    # ------------------------------------------------------------------
-    # Sampling
-    # ------------------------------------------------------------------
-    def _sample(self, probs: np.ndarray, shots: int) -> np.ndarray:
-        """One outcome integer per shot, spreading shots over rows."""
-        B = probs.shape[0]
-        base, extra = divmod(shots, B)
-        per_row = np.full(B, base, dtype=int)
-        if extra:
-            lucky = self.rng.choice(B, size=extra, replace=False)
-            per_row[lucky] += 1
-        outs: List[np.ndarray] = []
-        dim = probs.shape[1]
-        for b in range(B):
-            if per_row[b] == 0:
-                continue
-            # float32 states need an exact-sum float64 pvals vector.
-            pv = probs[b].astype(np.float64, copy=True)
-            pv /= pv.sum()
-            cnt = self.rng.multinomial(per_row[b], pv)
-            nz = np.flatnonzero(cnt)
-            outs.append(np.repeat(nz, cnt[nz]))
-        return np.concatenate(outs) if outs else np.empty(0, dtype=int)

@@ -1,15 +1,17 @@
-"""ArrayBackend strategy: registry, env knob, dtype keying, precision.
+"""Precision tiers: env knob, dtype keying, precision, sweep journals.
 
-Covers the pluggable-backend seam end to end:
+Covers the ``resolve_complex_dtype`` seam end to end:
 
-* registry semantics — names, defaults and the ``REPRO_BACKEND`` knob;
+* tier selection — names, defaults and the ``REPRO_BACKEND`` knob;
 * kernel-cache dtype keying — float32 kernels never collide with (or
-  pollute) float64 entries, and the per-backend stats breakdown moves;
+  pollute) float64 entries;
 * ``probabilities()`` — float64 bit-identity on the default tier and
   the clip/renormalise guard on complex64;
 * engine-level contracts — seeded float64 runs stay bit-identical
   (hypothesis-pinned), and the float32 tier tracks float64 within a
-  documented tolerance envelope per engine.
+  documented tolerance envelope per engine;
+* sweeps — ``REPRO_BACKEND`` is the only selector, and a journal
+  written at one tier never restores into a run at another.
 """
 
 import numpy as np
@@ -23,14 +25,9 @@ from repro.noise.model import NoiseModel
 from repro.sim.backend import (
     BACKEND_ENV,
     BACKEND_NAMES,
-    ArrayBackend,
-    active_backend,
     as_complex,
-    available_backends,
     canonical_complex,
     dtype_tag,
-    get_backend,
-    kernel_group,
     resolve_complex_dtype,
 )
 from repro.sim.engines import simulate_counts, simulate_distribution
@@ -64,32 +61,29 @@ def noisy_model(p1=0.01, p2=0.02):
 class TestRegistry:
     def test_default_backend_is_numpy64(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV, raising=False)
-        backend = active_backend()
-        assert backend.name == "numpy64"
-        assert backend.complex_dtype == canonical_complex
-        assert backend.tag == "c128"
+        assert resolve_complex_dtype() == canonical_complex
+        assert dtype_tag(resolve_complex_dtype()) == "c128"
 
     def test_env_knob_selects_tier(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "numpy32")
-        backend = active_backend()
-        assert backend.name == "numpy32"
-        assert np.dtype(backend.complex_dtype) == np.dtype("complex64")
-        assert backend.tag == "c64"
+        assert np.dtype(resolve_complex_dtype()) == np.dtype("complex64")
+        assert dtype_tag(resolve_complex_dtype()) == "c64"
 
     def test_env_knob_case_insensitive(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "NumPy32")
-        assert active_backend().name == "numpy32"
+        assert np.dtype(resolve_complex_dtype()) == np.dtype("complex64")
 
-    def test_unknown_name_rejected(self):
-        for name in ("numpy16", "cupy64", "cupy32"):
-            with pytest.raises(ValueError, match="unknown backend"):
-                get_backend(name)
+    def test_unknown_name_rejected(self, monkeypatch):
+        for name in ("numpy16", "cupy64", "bogus"):
+            monkeypatch.setenv(BACKEND_ENV, name)
+            with pytest.raises(ValueError, match="numpy64.*numpy32"):
+                resolve_complex_dtype()
 
-    def test_every_name_resolves(self):
-        assert available_backends() == BACKEND_NAMES
-        for name in BACKEND_NAMES:
-            backend = get_backend(name)
-            assert isinstance(backend, ArrayBackend)
+    def test_every_name_resolves(self, monkeypatch):
+        assert list(BACKEND_NAMES) == ["numpy64", "numpy32"]
+        for name, dtype in BACKEND_NAMES.items():
+            monkeypatch.setenv(BACKEND_ENV, name)
+            assert resolve_complex_dtype() == dtype
 
     def test_resolve_complex_dtype(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "numpy32")
@@ -100,9 +94,9 @@ class TestRegistry:
     def test_dtype_tag_and_group(self):
         assert dtype_tag(canonical_complex) == "c128"
         assert dtype_tag(np.dtype("complex64")) == "c64"
-        assert kernel_group("c128") == "numpy64"
-        assert kernel_group("c64") == "numpy32"
-        assert kernel_group("weird") == "weird"
+        assert dtype_tag(np.dtype("float32")) == "float32"
+        tags = {name: dtype_tag(dt) for name, dt in BACKEND_NAMES.items()}
+        assert tags == {"numpy64": "c128", "numpy32": "c64"}
 
     def test_as_complex_is_canonical(self):
         arr = as_complex([1, 2, 3])
@@ -126,8 +120,9 @@ class TestKernelDtypeKeying:
         assert op.diag(5) is d128
         assert op.diag(5, np.dtype("complex64")) is d64
 
-    def test_by_backend_stats_move(self):
+    def test_tiers_count_as_separate_entries(self):
         reset_compile_caches()
+        before = kernel_cache_stats()
         op = DiagonalOp((
             ("rz", (1,), (0.11,)),
             ("p", (0,), (0.53,)),
@@ -135,11 +130,12 @@ class TestKernelDtypeKeying:
         op.diag(4)
         op.diag(4, np.dtype("complex64"))
         op.diag(4)  # hit on the c128 entry
-        stats = kernel_cache_stats()["by_backend"]
-        assert stats["numpy64"]["entries"] == 1
-        assert stats["numpy32"]["entries"] == 1
-        assert stats["numpy64"]["hits"] >= 1
-        assert stats["numpy64"]["bytes"] == 2 * stats["numpy32"]["bytes"]
+        stats = kernel_cache_stats()
+        assert stats["entries"] == 2
+        assert stats["misses"] - before["misses"] == 2
+        assert stats["hits"] - before["hits"] == 1
+        # One 16-amplitude vector per tier: 16 * (16 + 8) bytes.
+        assert stats["total_bytes"] == 16 * 24
 
     def test_program_segments_keyed_by_dtype(self):
         reset_compile_caches()
@@ -250,44 +246,77 @@ class TestPrecisionEnvelopes:
         assert zero_state(3).dtype == np.dtype("complex64")
 
 
+def _sweep_config(**over):
+    from repro.experiments.config import SweepConfig
+
+    base = dict(
+        operation="add", n=3, m=3, orders=(1, 1), error_axis="2q",
+        error_rates=(0.0, 0.05), depths=(None,), instances=1, shots=16,
+        trajectories=2,
+    )
+    base.update(over)
+    return SweepConfig(**base)
+
+
 class TestSweepConfigBackend:
     def test_backend_field_validates(self):
-        from repro.experiments.config import SweepConfig
-
-        base = dict(
-            operation="add", n=3, m=3, orders=(1, 1), error_axis="2q",
-            error_rates=(0.0,), depths=(None,), instances=1, shots=8,
-            trajectories=2,
-        )
-        cfg = SweepConfig(backend="numpy32", **base)
-        assert cfg.backend == "numpy32"
-        with pytest.raises(ValueError, match="backend"):
-            SweepConfig(backend="tpu", **base)
+        # REPRO_BACKEND is the only tier selector: a sweep config
+        # carries no backend field to validate.
+        with pytest.raises(TypeError, match="backend"):
+            _sweep_config(backend="numpy32")
         with pytest.raises(ValueError, match="method"):
-            SweepConfig(method="exact", **base)
+            _sweep_config(method="exact")
 
-    def test_config_dtype_resolution(self):
-        from repro.experiments.config import SweepConfig
-        from repro.experiments.runner import config_dtype
+    def test_cli_has_no_backend_flag(self, capsys):
+        from repro.__main__ import main
 
-        base = dict(
-            operation="add", n=3, m=3, orders=(1, 1), error_axis="2q",
-            error_rates=(0.0,), depths=(None,), instances=1, shots=8,
-            trajectories=2,
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--backend", "numpy32"])
+        assert exc.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+
+    def test_resume_across_tiers_restores_nothing(
+        self, monkeypatch, tmp_path
+    ):
+        from repro.experiments.sweep import run_sweep, sweep_fingerprint
+
+        journal = tmp_path / "panel.jsonl"
+        monkeypatch.setenv(BACKEND_ENV, "numpy32")
+        fp32 = sweep_fingerprint(_sweep_config(), [])
+        run_sweep(_sweep_config(), workers=1, checkpoint=journal)
+        monkeypatch.setenv(BACKEND_ENV, "numpy64")
+        assert sweep_fingerprint(_sweep_config(), []) != fp32
+        msgs = []
+        res = run_sweep(
+            _sweep_config(), workers=1, checkpoint=journal,
+            progress=msgs.append,
         )
-        assert config_dtype(SweepConfig(**base)) is None
-        assert np.dtype(
-            config_dtype(SweepConfig(backend="numpy32", **base))
-        ) == np.dtype("complex64")
+        assert res.complete
+        assert not any("restored" in m for m in msgs)
+        # Control: the same tier resumes from its own journal.
+        msgs.clear()
+        run_sweep(
+            _sweep_config(), workers=1, checkpoint=journal,
+            progress=msgs.append,
+        )
+        assert any("restored from checkpoint" in m for m in msgs)
 
 
-def test_stats_snapshot_has_backend_sections():
+def test_stats_snapshot_has_backend_sections(monkeypatch):
     from repro.service.stats import cache_stats_snapshot, render_cache_stats
 
+    monkeypatch.setenv(BACKEND_ENV, "NumPy32")
     snap = cache_stats_snapshot()
-    assert snap["backend"]["name"] in ("numpy64", "numpy32")
-    assert "requested" in snap["backend"]
-    assert "by_backend" in snap["kernel_cache"]
+    assert set(snap["backend"]) == {
+        "name", "tag", "complex_dtype", "requested", "blas",
+    }
+    assert snap["backend"]["name"] == "numpy32"
+    assert snap["backend"]["requested"] == "numpy32"
+    assert snap["backend"]["tag"] == "c64"
+    assert snap["backend"]["complex_dtype"] == "complex64"
+    assert set(snap["kernel_cache"]) == {
+        "hits", "misses", "evictions", "total_bytes", "entries",
+    }
     assert set(snap["ptm_cache"]) == {"plans", "binds", "bind_hits"}
     text = render_cache_stats(snap)
-    assert "by_backend" in text and "ptm_cache" in text
+    assert "kernel_cache" in text and "ptm_cache" in text

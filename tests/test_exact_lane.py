@@ -32,7 +32,7 @@ from repro.noise.channels import (
     thermal_relaxation_error,
 )
 from repro.noise.model import NoiseModel
-from repro.sim.backend import active_backend
+from repro.sim.backend import dtype_tag, resolve_complex_dtype
 from repro.sim.density import DensityMatrixEngine
 from repro.sim.engines import simulate_distribution
 from repro.sim.program import compile_circuit
@@ -92,7 +92,7 @@ def _initial_state(op, n, m, state):
 
 def _parity_tolerance() -> float:
     """1e-10 on the float64 tier, 1e-4 on complex64 (docs/backends.md)."""
-    return EXACT_TV if active_backend().tag == "c128" else 1e-4
+    return EXACT_TV if dtype_tag(resolve_complex_dtype()) == "c128" else 1e-4
 
 
 @pytest.mark.parametrize("op,n,m,noise,state", CASES)
@@ -108,7 +108,7 @@ def test_auto_matches_density_oracle(op, n, m, noise, state):
     assert _tv(got.probs, ref.probs) <= EXACT_TV
 
 
-def test_auto_route_on_active_backend():
+def test_auto_route_on_env_tier():
     circuit = build_arithmetic_circuit("add", 3, 3, None)
     model = noise_model_for("2q", 0.01)
     vec = _initial_state("add", 3, 3, "superposed")

@@ -101,7 +101,7 @@ def test_labelled_counters_form_rows():
     obs.reset("test_obs.")
 
 
-def _key_tree(doc, data_keyed=("by_backend", "tenants")):
+def _key_tree(doc, data_keyed=("tenants",)):
     """Dotted paths of every key; maps keyed by data are leaves."""
     paths = set()
     for key, value in doc.items():
@@ -127,7 +127,7 @@ CACHE_STATS_KEYS = {
     "fusion.batch_requests", "fusion.batches", "fusion.cancelled",
     "fusion.executed", "fusion.failures", "fusion.fused_requests",
     "fusion.hit_rate", "fusion.rejected", "fusion.tenants",
-    "kernel_cache", "kernel_cache.by_backend", "kernel_cache.entries",
+    "kernel_cache", "kernel_cache.entries",
     "kernel_cache.evictions", "kernel_cache.hits", "kernel_cache.misses",
     "kernel_cache.total_bytes",
     "program_lru", "program_lru.entries", "program_lru.hits",

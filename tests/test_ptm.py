@@ -39,13 +39,13 @@ def parity_atol():
     """Documented PTM-vs-density tolerance (docs/backends.md).
 
     Both lanes are exact, so parity is limited only by round-off —
-    1e-10 TV on the canonical float64 tier, 1e-4 when the active
-    backend (``REPRO_BACKEND``) selects the complex64 tier, so the CI
-    backend matrix exercises parity *within* each tier.
+    1e-10 TV on the canonical float64 tier, 1e-4 when
+    ``REPRO_BACKEND`` selects the complex64 tier, so the CI backend
+    matrix exercises parity *within* each tier.
     """
-    from repro.sim.backend import active_backend
+    from repro.sim.backend import dtype_tag, resolve_complex_dtype
 
-    return 1e-10 if active_backend().tag == "c128" else 1e-4
+    return 1e-10 if dtype_tag(resolve_complex_dtype()) == "c128" else 1e-4
 
 
 #: Paper corpus cells that keep the density reference fast while

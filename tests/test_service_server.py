@@ -180,6 +180,72 @@ def test_bad_content_length_is_4xx_not_500(content_length, status, reason):
         assert ServiceClient(*srv.address).health()["status"] == "ok"
 
 
+def _raw_exchange(address, data: bytes):
+    """Send ``data`` verbatim over a bare socket, keep it open, and
+    return (status, JSON body) of the server's answer."""
+    with socket.create_connection(address, timeout=10) as sock:
+        sock.sendall(data)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    raw = b"".join(chunks)
+    status_line, _, rest = raw.partition(b"\r\n")
+    _, _, payload = rest.partition(b"\r\n\r\n")
+    return int(status_line.split()[1]), json.loads(payload.decode())
+
+
+def _assert_counted_once(srv, status):
+    metrics = srv.service.metrics
+    assert _poll(
+        lambda: metrics.counter_value(
+            "http_requests_total", labels={"status": str(status)}
+        ) == 1
+    )
+    assert metrics.counter_value(
+        "http_requests_total", labels={"status": "500"}
+    ) == 0
+    assert _poll(lambda: srv.service._inflight_http == 0)
+    assert ServiceClient(*srv.address).health()["status"] == "ok"
+
+
+def test_truncated_body_times_out_with_408(monkeypatch):
+    import repro.service.server as server_mod
+
+    monkeypatch.setattr(server_mod, "_READ_DEADLINE_S", 0.2)
+    with make_server() as srv:
+        head = (
+            b"POST /v1/simulate HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Length: 100\r\n\r\n{}"
+        )
+        t0 = time.monotonic()
+        status, doc = _raw_exchange(srv.address, head)
+        assert status == 408 and "not received" in doc["error"]
+        assert time.monotonic() - t0 < 5
+        _assert_counted_once(srv, 408)
+
+
+def test_overlong_header_line_is_431():
+    with make_server() as srv:
+        data = (
+            b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 70_000
+            + b"\r\n\r\n"
+        )
+        status, doc = _raw_exchange(srv.address, data)
+        assert status == 431 and "header line" in doc["error"]
+        _assert_counted_once(srv, 431)
+
+
+def test_overlong_request_line_is_414():
+    with make_server() as srv:
+        data = b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n"
+        status, doc = _raw_exchange(srv.address, data)
+        assert status == 414 and "request line" in doc["error"]
+        _assert_counted_once(srv, 414)
+
+
 def test_work_route_is_gone():
     with make_server() as srv:
         client = ServiceClient(*srv.address)
