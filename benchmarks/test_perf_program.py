@@ -9,8 +9,11 @@
 * That segment's ``cx`` pairs cancel: what does applying it to a batch
   as a phase multiply save over a gather through the identity map, and
   are the two byte-equal?
+* What does composing a short piece of that segment on the few qubits
+  it touches cost against composing it at full width, and is it still
+  bit-identical to the fold?
 
-Timings honour ``REPRO_SCALE``, except the two segment benchmarks,
+Timings honour ``REPRO_SCALE``, except the three segment benchmarks,
 which always use the paper-width (QFA 8+8) segment that ``paper-sweep``
 re-composes on every fork and applies to every idle row.
 """
@@ -28,6 +31,8 @@ from repro.sim import TrajectoryEngine
 from repro.sim.program import (
     DiagonalOp,
     _compose_elems,
+    _compose_full,
+    _local_support,
     _mono_apply_rows,
     _perm_indices,
     compile_cache_stats,
@@ -169,3 +174,47 @@ def test_apply_identity_segment_batch(benchmark):
         gather(work)
         t_gather.append(time.perf_counter() - t0)
     print(f"\n[identity segment, 17 rows] gather best {min(t_gather) * 1e3:.2f} ms")
+
+
+def test_compose_short_piece_paper_width(benchmark):
+    """The longest run of the QFA 8+8 segment that touches at most 8 of
+    the 16 qubits, composed from the identity as the walker composes
+    the piece between two events: on its support, then expanded.  The
+    benchmark times that; the full-width composition's best of five is
+    printed beside it.  Both are bit-identical to the fold."""
+    seg, n = _largest_qfa_segment()
+    elems = seg.elems
+    best = (0, 0)
+    for start in range(len(elems)):
+        end = start
+        while end < len(elems) and len(
+            _local_support(elems[start:end + 1], n)
+        ) <= 8:
+            end += 1
+        if end - start > best[1] - best[0]:
+            best = (start, end)
+    piece = elems[best[0]:best[1]]
+    assert len(piece) > 1 and len(_local_support(piece, n)) <= 8
+
+    src, ph = benchmark.pedantic(
+        lambda: _compose_elems((None, None), piece, n),
+        rounds=5, iterations=1,
+    )
+    ref_src, ref_ph = _fold(piece, n)
+    if src is None:
+        assert np.array_equal(ref_src, np.arange(1 << n))
+    else:
+        assert src.tobytes() == ref_src.tobytes()
+    assert ph.dtype == ref_ph.dtype and ph.tobytes() == ref_ph.tobytes()
+
+    t_full = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        full = _compose_full((None, None), piece, n)
+        t_full.append(time.perf_counter() - t0)
+    assert full[1].tobytes() == ph.tobytes()
+    print(
+        f"\n[{len(piece)}-element piece on "
+        f"{len(_local_support(piece, n))} qubits] full width best "
+        f"{min(t_full) * 1e3:.2f} ms"
+    )

@@ -299,23 +299,31 @@ def apply_pauli_rows(
 ) -> None:
     """Apply a single-qubit Pauli to a subset of batch rows, in place.
 
-    ``pauli`` in {"I","X","Y","Z"}; ``rows`` is an integer index array.
-    X is an index permutation, Z a sign flip, Y their product with the
-    ±i phase — none require a matrix product.
+    ``pauli`` in {"I","X","Y","Z"}; ``rows`` is an integer index array
+    of **distinct** rows of the C-contiguous ``state`` — a repeated row
+    gets the Pauli once per occurrence.  Each row is updated through a
+    view: X is the block swap of :func:`_apply_x`, Z a sign flip, Y the
+    swap followed by the ±i phase.  None needs a matrix product or a
+    2-D gather, and the moves and multiplies are the ones a gather
+    through ``i ^ 2**q`` would make, so the bytes are the same.
     """
     if pauli == "I" or rows.size == 0:
         return
     if pauli == "Z":
-        state[rows] *= bits.sign_z(n, qubit)
+        sign = bits.sign_z(n, qubit)
+        for r in rows:
+            state[r] *= sign
         return
-    perm = bits.perm_flip(n, qubit)
     if pauli == "X":
-        state[rows] = state[np.ix_(rows, perm)]
+        for r in rows:
+            _apply_x(state[r:r + 1], qubit, n)
         return
     if pauli == "Y":
         # (Y psi)[i] = i * (2 b_q(i) - 1) * psi[i ^ 2**q]
         yfac = 1j * (-bits.sign_z(n, qubit))
-        state[rows] = state[np.ix_(rows, perm)] * yfac
+        for r in rows:
+            _apply_x(state[r:r + 1], qubit, n)
+            state[r] *= yfac
         return
     raise ValueError(f"unknown Pauli {pauli!r}")
 

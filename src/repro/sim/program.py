@@ -51,7 +51,9 @@ bit-identical to multiplying in each op's full vector and gathering
 through each permutation's index map.  A run whose permutations cancel
 (transpiled ``cp`` is ``rz·cx·rz·cx·rz``, so many Fourier-basis
 segments do) composes to ``src=None`` and applies as an in-place phase
-multiply, with no gather at all.
+multiply, with no gather at all.  On a wide register a run that touches
+few qubits composes on those qubits and is expanded to ``2**n`` once,
+with the same bytes.
 """
 
 from __future__ import annotations
@@ -168,10 +170,12 @@ class KernelCache:
             return value
 
     def clear(self) -> None:
+        """Drop every entry and zero the hit/miss/eviction counters."""
         with self._lock:
             self._entries.clear()
             self._nbytes.clear()
             self.total_bytes = 0
+            self.hits = self.misses = self.evictions = 0
 
 
 _KERNELS = KernelCache()
@@ -297,12 +301,157 @@ def _rz_factors(lam: float, dtype) -> np.ndarray:
 def _compose_elems(cur, elems, n: int, dtype=None):
     """Compose ``elems`` (applied in order, after ``cur``) onto ``cur``.
 
-    The one monomial composer.  It writes in place: the arrays of
-    ``cur`` and any cached factor are copied once, on their first
-    write, and never mutated.  Each element then acts on ``(src, ph)``
-    directly, and the result is bit-identical to folding the full
-    ``2**n`` kernels (``ph * diag``, ``np.take(a, perm)``) element by
-    element:
+    The one monomial composer.  From the identity ``(None, None)`` a
+    run of two or more elements on a wide register composes on the
+    qubits it touches (:func:`_compose_on_support`); everything else
+    composes at full width (:func:`_compose_full`).  Both give the same
+    bytes.
+    """
+    if (
+        cur[0] is None
+        and cur[1] is None
+        and len(elems) > 1
+        and n >= _SUPPORT_MIN_QUBITS
+    ):
+        support = _local_support(elems, n)
+        if len(support) < n:
+            return _compose_on_support(elems, support, n, dtype)
+    return _compose_full(cur, elems, n, dtype)
+
+
+#: Registers of at least this many qubits compose runs on their
+#: support.  Measured on pieces of the paper's QFA/QFM segments and on
+#: random runs (docs/execution_ir.md): at 16 qubits a local run takes
+#: 0.1-0.5x the full-width time, at 12 qubits per-element overhead
+#: makes it a wash, and at 10 and below it is 1.2-1.9x slower.  A lone
+#: element stays at full width everywhere: it is a cached kernel or
+#: two strided fills, cheaper than the expansion.
+_SUPPORT_MIN_QUBITS = 13
+
+#: A support that reaches below this qubit takes every qubit under it.
+_SUPPORT_LOW_QUBITS = 6
+
+
+def _local_support(elems, n: int) -> Tuple[int, ...]:
+    """The sorted qubits a run composes on: the ones it touches, padded.
+
+    Two paddings keep the local run fast and byte-identical:
+
+    * every in-place multiply must cover two or more entries.  NumPy
+      multiplies a one-entry array in place through its scalar loop,
+      which rounds differently from the vector loop that full-width
+      arrays take.  A ``w``-qubit diagonal multiplies ``2**(k - w)``
+      entries in place, so spare high qubits join until ``k > w``;
+    * the expansion's inner loop runs over the lowest axis of the
+      layout, so a support that reaches below ``_SUPPORT_LOW_QUBITS``
+      takes every qubit under it and that axis spans at least
+      ``2**_SUPPORT_LOW_QUBITS`` entries.
+    """
+    support = set()
+    widest = 0
+    for op in elems:
+        if isinstance(op, DiagonalOp):
+            for _, qubits, _ in op.terms:
+                support.update(qubits)
+                widest = max(widest, len(qubits))
+        else:
+            support.update(op.qubits)
+    spare = [q for q in range(n - 1, -1, -1) if q not in support]
+    support.update(spare[: max(0, widest + 1 - len(support))])
+    if min(support) < _SUPPORT_LOW_QUBITS:
+        support.update(range(min(_SUPPORT_LOW_QUBITS, n)))
+    return tuple(sorted(support))
+
+
+def _compose_on_support(elems, support: Tuple[int, ...], n: int, dtype):
+    """Compose ``elems`` on the ``k`` qubits of ``support``.
+
+    ``support`` holds every qubit the elems touch (see
+    :func:`_local_support`).  The elems are relabelled onto local qubits (``support[i]`` becomes
+    qubit ``i``, so the order is kept), composed at width ``k`` by
+    :func:`_compose_full`, and expanded once to ``2**n``.  A local
+    C-order tensor lists its qubits in the same order as the full one,
+    so the expansion is a broadcast with no transpose:
+
+    * ``ph[j] = ph_l[l]``, where ``l`` collects the support bits of
+      ``j``;
+    * ``src[j] = j + dep[src_l[l]] - dep[l]``, where ``dep`` deposits
+      local bits onto the support.
+
+    Every amplitude gets the same factors in the same order as at full
+    width, so the result is byte-identical; a run whose permutations
+    cancel still comes back ``src=None``.
+    """
+    local = {q: i for i, q in enumerate(support)}
+    relabelled = [
+        DiagonalOp([
+            (name, tuple(local[q] for q in qubits), params)
+            for name, qubits, params in op.terms
+        ])
+        if isinstance(op, DiagonalOp)
+        else PermutationOp(op.name, tuple(local[q] for q in op.qubits))
+        for op in elems
+    ]
+    src_l, ph_l = _compose_full((None, None), relabelled, len(support), dtype)
+    full_shape, local_shape, dep = _support_layout(n, support)
+    src = ph = None
+    if src_l is not None:
+        delta = dep[src_l]
+        delta -= dep
+        src = np.empty(1 << n, dtype=src_l.dtype)
+        np.add(
+            _identity_indices(n).reshape(full_shape),
+            delta.reshape(local_shape),
+            out=src.reshape(full_shape),
+        )
+    if ph_l is not None:
+        ph = np.empty(1 << n, dtype=ph_l.dtype)
+        ph.reshape(full_shape)[...] = ph_l.reshape(local_shape)
+    return src, ph
+
+
+@lru_cache(maxsize=1024)
+def _support_layout(n: int, support: Tuple[int, ...]):
+    """Broadcast shapes and deposit map of a support at width ``n``.
+
+    ``full_shape`` views a ``2**n`` vector with each maximal run of
+    support (or non-support) qubits as one axis, high qubits first;
+    ``local_shape`` is the same with non-support axes of length 1.
+    ``dep[l]`` places the bits of local index ``l`` on the support.
+    All three are ``2**len(support)`` or smaller; nothing full-size is
+    kept.
+    """
+    inside = set(support)
+    full_shape: List[int] = []
+    local_shape: List[int] = []
+    last = None
+    for q in range(n - 1, -1, -1):
+        flag = q in inside
+        if flag == last:
+            full_shape[-1] *= 2
+            if flag:
+                local_shape[-1] *= 2
+        else:
+            full_shape.append(2)
+            local_shape.append(2 if flag else 1)
+            last = flag
+    k = len(support)
+    dep = np.zeros(1 << k, dtype=np.int32 if n < 31 else np.int64)
+    lidx = np.arange(1 << k)
+    for i, q in enumerate(support):
+        dep |= ((lidx >> i) & 1) << q
+    dep.setflags(write=False)
+    return tuple(full_shape), tuple(local_shape), dep
+
+
+def _compose_full(cur, elems, n: int, dtype=None):
+    """Compose ``elems`` onto ``cur`` at full width ``2**n``.
+
+    It writes in place: the arrays of ``cur`` and any cached factor are
+    copied once, on their first write, and never mutated.  Each element
+    then acts on ``(src, ph)`` directly, and the result is bit-identical
+    to folding the full ``2**n`` kernels (``ph * diag``,
+    ``np.take(a, perm)``) element by element:
 
     * a single-term ``rz`` is two strided scalar multiplies, ``hi`` on
       the half where its bit is set and ``lo`` on the other;
@@ -519,7 +668,15 @@ class DenseOp(ProgramOp):
     large enough for BLAS to win; lowering only emits this op for
     ``q >= _DENSE_MATMUL_MIN_QUBIT`` (6, inner stride 64).  That
     crossover was measured with threaded BLAS, before repro's
-    processes ran OpenBLAS on one thread (see docs/simulation.md).
+    processes ran OpenBLAS on one thread (see docs/simulation.md), and
+    applying row by row leaves it where it was.
+
+    The batch is applied in blocks of whole rows, each about
+    ``2**_DENSE_BLOCK_QUBITS`` amplitudes (one row at a time from 14
+    qubits up, so at paper width): each block's matmul writes a scratch
+    of one block, which is copied back.  Every block makes the same
+    ``(2, 2) @ (2, 2**q)`` products as one matmul over the whole batch,
+    so the bytes are equal, and no ``(B, 2**n)`` temporary is built.
     """
 
     __slots__ = ("term",)
@@ -532,8 +689,15 @@ class DenseOp(ProgramOp):
         U = _term_instruction(name, qubits, params).gate.matrix
         q = qubits[0]
         B = state.shape[0]
-        s = state.reshape(B << (n - 1 - q), 2, 1 << q)
-        s[...] = np.matmul(U, s)
+        rows = max(1, min(B, (1 << _DENSE_BLOCK_QUBITS) >> n))
+        scratch = np.empty(
+            (rows << (n - 1 - q), 2, 1 << q), dtype=np.result_type(U, state)
+        )
+        for start in range(0, B, rows):
+            s = state[start:start + rows].reshape(-1, 2, 1 << q)
+            out = scratch[: s.shape[0]]
+            np.matmul(U, s, out=out)
+            s[...] = out
 
     def term_list(self) -> Tuple[Term, ...]:
         return (self.term,)
@@ -1002,6 +1166,11 @@ def circuit_fingerprint(circuit: QuantumCircuit) -> str:
 
 
 _DENSE_MATMUL_MIN_QUBIT = 6  # inner stride 64: measured BLAS crossover
+#: DenseOp blocks hold about ``2**_DENSE_BLOCK_QUBITS`` amplitudes
+#: (256 KB at complex128).  Against blocks of 2**12, 2**16 and 2**18 at
+#: 8-16 qubits and 4-256 rows, none was more than 6% faster than this
+#: one (docs/execution_ir.md).
+_DENSE_BLOCK_QUBITS = 14
 
 
 def _lower(circuit: QuantumCircuit, noise: NoiseModel) -> _Skeleton:

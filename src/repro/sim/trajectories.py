@@ -297,7 +297,8 @@ class TrajectoryEngine:
         deterministic), which pins down the small set of **active**
         rows — rows that fire here, rows forked here, and row 0 while
         forking continues.  Only active rows are walked piece by piece
-        between their event sites; every other live row crosses the
+        between their event sites (a piece is composed on the few
+        qubits it touches, then expanded); every other live row crosses the
         whole segment through its one kernel-cached monomial
         (``seg.full``), shared across runs and instances.  At paper
         noise levels most rows cross most segments untouched.  In many

@@ -72,6 +72,35 @@ class TestCheckers:
         with pytest.raises(NumericalHealthError, match="norm drifted"):
             check_norms(state, "t")
 
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_check_norms_rejects_nonfinite_entry(self, dtype, bad):
+        """One NaN or ±Inf in one row of a batch still raises with
+        ``check_finite``'s message, in either component."""
+        for part in ("real", "imag"):
+            state = np.zeros((4, 8), dtype=dtype)
+            state[:, 0] = 1.0
+            getattr(state, part)[2, 5] = bad
+            with pytest.raises(NumericalHealthError, match="non-finite"):
+                check_norms(state, "t")
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    def test_check_norms_names_the_drifting_row(self, dtype):
+        state = np.zeros((5, 8), dtype=dtype)
+        state[:, 0] = 1.0
+        state[3, 0] = 1.1
+        with pytest.raises(NumericalHealthError, match="batch row 3"):
+            check_norms(state, "t")
+
+    def test_check_norms_overflowing_finite_state_is_drift(self):
+        """Finite amplitudes whose squares overflow fail the norm
+        check, not the finiteness check."""
+        state = np.zeros((2, 4), dtype=complex)
+        state[:, 0] = 1.0
+        state[1, 1] = 1e200
+        with pytest.raises(NumericalHealthError, match="norm drifted"):
+            check_norms(state, "t")
+
     def test_norm_tolerance_wider_for_single_precision(self):
         assert norm_tolerance(np.complex64) > norm_tolerance(np.complex128)
 

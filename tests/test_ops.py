@@ -168,6 +168,31 @@ class TestPauliRows:
         with pytest.raises(ValueError):
             apply_pauli_rows(state, "Q", 0, np.array([0]), 1)
 
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    @pytest.mark.parametrize("pauli", ["X", "Y", "Z"])
+    @pytest.mark.parametrize("q", [0, 3, 6])
+    def test_row_views_match_2d_gather_bytewise(self, rng, dtype, pauli, q):
+        """The per-row form makes the moves and multiplies of the 2-D
+        ``np.ix_`` gather it replaced, so the bytes are equal."""
+        n, bits = 7, BitCache()
+        state = random_state(rng, n, 6).astype(dtype)
+        state.real[:, ::5] = -0.0
+        state.imag[:, 1::7] = -0.0
+        rows = np.array([5, 0, 3])
+        want = state.copy()
+        perm = bits.perm_flip(n, q)
+        if pauli == "Z":
+            want[rows] *= bits.sign_z(n, q)
+        elif pauli == "X":
+            want[rows] = want[np.ix_(rows, perm)]
+        else:
+            yfac = 1j * (-bits.sign_z(n, q))
+            want[rows] = want[np.ix_(rows, perm)] * yfac
+        got = state.copy()
+        apply_pauli_rows(got, pauli, q, rows, n, bits)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
 
 class TestBitCache:
     def test_mask(self):

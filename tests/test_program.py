@@ -52,9 +52,12 @@ from repro.sim.program import (
     NoiseOp,
     PermutationOp,
     _compose_elems,
+    _compose_on_support,
+    _local_support,
     _mono_apply_rows,
     _perm_indices,
     circuit_fingerprint,
+    kernel_cache_stats,
 )
 from repro.transpile import transpile
 
@@ -331,6 +334,16 @@ class TestCompileCache:
         assert a is b
         assert build_compiled_program.cache_info().hits == 1
 
+    def test_reset_zeroes_kernel_counters(self):
+        DiagonalOp((("rz", (1,), (0.11,)), ("p", (0,), (0.53,)))).diag(4)
+        DiagonalOp((("rz", (1,), (0.11,)), ("p", (0,), (0.53,)))).diag(4)
+        assert kernel_cache_stats()["hits"] > 0
+        reset_compile_caches()
+        assert kernel_cache_stats() == {
+            "hits": 0, "misses": 0, "evictions": 0,
+            "total_bytes": 0, "entries": 0,
+        }
+
     def test_ideal_model_compiles_to_noise_free_program(self):
         prog = compile_circuit(bell(), NoiseModel.ideal())
         assert prog.num_noise_sites == 0
@@ -544,7 +557,142 @@ _CANCELLING_RUNS = {
 }
 
 
+def _run_on_support(rng, support, length):
+    """A mixed monomial run confined to the qubits of ``support``: single
+    ``rz``, fused multi-term diagonals (``p``, ``crz``, ``cp``, ``rz``)
+    and ``x``/``cx``/``swap``/``ccx``."""
+    kinds = ["rz", "rz", "fused", "x"]
+    if len(support) >= 2:
+        kinds += ["cx", "cx", "swap"]
+    if len(support) >= 3:
+        kinds.append("ccx")
+
+    def pick(k):
+        return tuple(
+            int(q) for q in rng.choice(support, size=k, replace=False)
+        )
+
+    elems = []
+    for _ in range(length):
+        kind = str(rng.choice(kinds))
+        if kind == "rz":
+            elems.append(_rz(pick(1)[0], _angle(rng)))
+        elif kind == "fused":
+            terms = []
+            for _ in range(int(rng.integers(2, 5))):
+                name = str(rng.choice(["p", "crz", "cp", "rz"]))
+                width = 2 if name in ("crz", "cp") else 1
+                if width > len(support):
+                    name, width = "p", 1
+                terms.append((name, pick(width), (_angle(rng),)))
+            elems.append(DiagonalOp(terms))
+        else:
+            width = {"x": 1, "cx": 2, "swap": 2, "ccx": 3}[kind]
+            elems.append(PermutationOp(kind, pick(width)))
+    return elems
+
+
+def _cp_run(c, t, lam):
+    """The transpiled ``cp`` on ``(c, t)``: ``rz·cx·rz·cx·rz``."""
+    return [_rz(c, lam / 2), PermutationOp("cx", (c, t)), _rz(t, -lam / 2),
+            PermutationOp("cx", (c, t)), _rz(t, lam / 2)]
+
+
+#: ``(n, support)``: 1-6 touched qubits at low, high and mixed
+#: positions of 10-, 12- and 16-qubit registers.
+_WIDE_SUPPORTS = [
+    (10, (0,)), (10, (9,)), (10, (4, 5)), (10, (0, 9)), (10, (1, 3, 8)),
+    (10, (2, 4, 6, 7, 9)),
+    (12, (11,)), (12, (0, 1, 2)), (12, (6, 7, 8, 9)),
+    (12, (2, 5, 7, 10, 11)), (12, (0, 3, 5, 6, 9, 11)),
+    (16, (15,)), (16, (8,)), (16, (7, 8)), (16, (0, 15)), (16, (9, 10, 11)),
+    (16, (0, 2, 4, 6)), (16, (3, 6, 9, 12, 15)),
+    (16, (10, 11, 12, 13, 14, 15)), (16, (0, 1, 2, 3, 4, 5)),
+]
+
+
 class TestComposer:
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    @pytest.mark.parametrize("n,support", _WIDE_SUPPORTS)
+    def test_small_support_on_wide_register_matches_fold(
+        self, n, support, dtype
+    ):
+        """Composed on its support (and through the composer, which
+        picks local or full width by ``n``), a run is byte-equal to the
+        full-width per-element fold."""
+        rng = np.random.default_rng([n, *support])
+        dt = np.dtype(dtype)
+        for _ in range(6):
+            elems = _run_on_support(rng, support, int(rng.integers(2, 25)))
+            want = _reference_compose((None, None), elems, n, dt)
+            local = _local_support(elems, n)
+            assert len(local) < n
+            _assert_same_bytes(
+                _compose_on_support(elems, local, n, dt), want
+            )
+            _assert_same_bytes(_compose_elems((None, None), elems, n, dt), want)
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    @pytest.mark.parametrize("n,pair", [
+        (10, (0, 9)), (12, (7, 3)), (16, (3, 12)), (16, (15, 14)),
+    ])
+    def test_cancelling_cp_runs_on_wide_register(self, n, pair, dtype):
+        """Cancelling ``cp`` runs compose to ``src=None`` on their
+        support too, with the fold's phase."""
+        dt = np.dtype(dtype)
+        elems = _cp_run(*pair, 0.7) + _cp_run(pair[1], pair[0], -1.9)
+        want = _reference_compose((None, None), elems, n, dt)
+        assert want[0] is None
+        for got in (
+            _compose_on_support(elems, _local_support(elems, n), n, dt),
+            _compose_elems((None, None), elems, n, dt),
+        ):
+            assert got[0] is None
+            _assert_same_bytes(got, want)
+
+    def test_local_support_padding(self):
+        """Touched qubits, plus spare high qubits until every diagonal
+        leaves a qubit free, plus every qubit below 6 once the run
+        reaches below it."""
+        assert _local_support([_rz(12, 0.3), _rz(12, 0.1)], 16) == (12, 15)
+        ccp = DiagonalOp([("ccp", (8, 9, 15), (0.4,))])
+        assert _local_support([ccp, PermutationOp("x", (9,))], 16) == (
+            8, 9, 14, 15,
+        )
+        assert _local_support(_cp_run(2, 12, 0.5), 16) == (
+            0, 1, 2, 3, 4, 5, 12,
+        )
+
+    def test_walker_pieces_match_full_width(self, monkeypatch):
+        """At paper width the walker composes its pieces on their
+        support; the final states equal those of full-width pieces."""
+        import repro.sim.program as program_mod
+
+        inst = generate_instances("add", 8, 8, (1, 1), 1, 5)[0]
+        init = inst.initial_statevector()
+        program = build_compiled_program(
+            "add", 8, 8, None, "1q", 0.005, "qiskit"
+        )
+        runs = []
+        for min_qubits in (program_mod._SUPPORT_MIN_QUBITS, 64):
+            with monkeypatch.context() as mp:
+                mp.setattr(program_mod, "_SUPPORT_MIN_QUBITS", min_qubits)
+                local = []
+                real = program_mod._compose_on_support
+                mp.setattr(
+                    program_mod, "_compose_on_support",
+                    lambda *a: local.append(1) or real(*a),
+                )
+                reset_compile_caches()
+                states = _capture_final_states(mp)
+                eng = TrajectoryEngine(trajectories=16, seed=11)
+                counts = eng.run(program, shots=2048, initial_state=init)
+            runs.append((states, dict(counts.items()), len(local)))
+        (loc_states, loc_counts, n_local), (ref_states, ref_counts, n_ref) = runs
+        assert n_local > 0 and n_ref == 0
+        assert loc_states and loc_states == ref_states
+        assert loc_counts == ref_counts
+
     @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_matches_per_element_fold_bitwise(self, n, dtype):
@@ -683,6 +831,34 @@ class TestComposer:
         ]
         assert (len(segs), len(permuting)) == (17, 15)
         assert sum(s.full(n)[0] is None for s in permuting) == 15
+
+
+class TestDenseOp:
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    @pytest.mark.parametrize("n,q", [
+        (16, 6), (16, 9), (16, 15), (12, 6), (12, 11), (9, 8),
+    ])
+    def test_row_wise_matches_batched_matmul(self, n, q, dtype):
+        """Blocks of rows through a one-block scratch (one row at a time
+        at 16 qubits, 4 rows and a shorter last block at 12, the whole
+        batch at 9) are byte-equal to the single ``(B, 2**n)`` matmul
+        they replaced."""
+        B = 17
+        rng = np.random.default_rng(q)
+        state = (
+            rng.normal(size=(B, 1 << n)) + 1j * rng.normal(size=(B, 1 << n))
+        ).astype(dtype)
+        state.real[:, ::11] = -0.0
+        for name in ("h", "sx"):
+            op = DenseOp((name, (q,), ()))
+            U = G.make_gate(name).matrix
+            want = state.copy()
+            s = want.reshape(B << (n - 1 - q), 2, 1 << q)
+            s[...] = np.matmul(U, s)
+            got = state.copy()
+            op.apply(got, n)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
 
 def _capture_final_states(monkeypatch):
