@@ -39,7 +39,7 @@ N_HOLD = 56  # > the 50-in-flight acceptance bar
 N_BURST = 120
 DISTINCT = 8  # distinct request contents inside the burst
 
-# Mixed-tenant fusion profile.
+# Mixed-tenant queue profile.
 N_TENANTS = 4
 CELLS_PER_TENANT = 12
 N_ONE_OFFS = 8
@@ -179,17 +179,16 @@ def test_service_load_smoke(artifact_dir, monkeypatch):
 
 
 def test_service_fusion_mixed_tenants(artifact_dir, monkeypatch):
-    """Mixed-tenant load through the one queue: hit rate + fairness.
+    """Mixed-tenant load through the one queue: fairness.
 
     ``N_TENANTS`` tenants sweep the same circuit family at (disjoint)
     error-rate grids while an interactive tenant interleaves one-off
-    ideal-noise requests that never fuse.  The server has one executor
-    slot and every scheduler pass is slowed by ``SLOW_BATCH_S``, so the
-    slot is busy whenever a sweeping tenant's next cell arrives: most
-    cells queue behind a running batch and must execute fused (hit
-    rate >= 0.5), and deficit round robin must keep per-tenant latency
-    balanced: no tenant's p99 beyond ``FAIRNESS_K`` x the median tenant
-    p99.
+    ideal-noise requests that skip the trajectory scheduler.  The
+    server has one executor slot and every scheduler pass is slowed by
+    ``SLOW_BATCH_S``, so the slot is busy whenever a sweeping tenant's
+    next cell arrives: most cells queue behind a running request, and
+    deficit round robin must keep per-tenant latency balanced: no
+    tenant's p99 beyond ``FAIRNESS_K`` x the median tenant p99.
     """
     real = executor_mod.run_request_tasks
 
@@ -224,7 +223,7 @@ def test_service_fusion_mixed_tenants(artifact_dir, monkeypatch):
             tenant = f"team-{idx}"
             for c in range(CELLS_PER_TENANT):
                 # Disjoint per-tenant grids: nothing coalesces, every
-                # cell is real fusable work.
+                # cell is real scheduler work.
                 rate = 0.001 * (c + 1) + 0.0001 * (idx + 1)
                 timed(
                     client,
@@ -234,8 +233,8 @@ def test_service_fusion_mixed_tenants(artifact_dir, monkeypatch):
 
         def interactive():
             for k in range(N_ONE_OFFS):
-                # Ideal-noise one-offs are not fusion-eligible: they
-                # always take the slot alone and must stay interactive.
+                # Ideal-noise one-offs skip the trajectory scheduler
+                # and must stay interactive.
                 timed(
                     client,
                     "interactive",
@@ -260,11 +259,6 @@ def test_service_fusion_mixed_tenants(artifact_dir, monkeypatch):
 
     totals = fusion_stats()
     assert totals["executed"] == N_TENANTS * CELLS_PER_TENANT
-    assert totals["hit_rate"] >= 0.5, (
-        f"fusion hit rate {totals['hit_rate']:.2f} < 0.5 "
-        f"(batches={totals['batches']}, "
-        f"occupancy={totals['batch_occupancy']:.1f})"
-    )
     # Every sweeping tenant shows up in the DRR accounting.
     for i in range(N_TENANTS):
         assert f"team-{i}" in totals["tenants"]
@@ -283,12 +277,10 @@ def test_service_fusion_mixed_tenants(artifact_dir, monkeypatch):
     )
 
     lines = [
-        "service fusion mixed-tenant profile",
+        "service mixed-tenant queue profile",
         f"  tenants            {N_TENANTS} x {CELLS_PER_TENANT} cells "
         f"+ {N_ONE_OFFS} interactive one-offs",
-        f"  fusion hit rate    {totals['hit_rate']:.2%} (bar: >= 50%)",
-        f"  batches            {totals['batches']} "
-        f"(occupancy {totals['batch_occupancy']:.1f})",
+        f"  executed           {totals['executed']}",
         f"  tenant p99 (s)     "
         + " ".join(
             f"{t}={p99[t] * 1000:.0f}ms" for t in sorted(p99)

@@ -5,11 +5,11 @@ Boots an in-process server, drives the blocking client through a QFA
 request round trip (miss -> hit), checks the determinism contract, and
 scrapes ``/healthz``, ``/stats`` and ``/metrics``.  A noisy 6-qubit
 ``auto`` request must be answered by the exact PTM engine.  A noisy
-trajectory request must return identical counts when it runs alone at
-an idle server and when it queues behind a busy slot and runs fused
-with a neighbour.  A one-slot server then exercises the ``/v1/sweep``
-streaming path (per-cell partials consumed as they complete; the cells
-queued behind the first fuse) and the mid-stream disconnect contract
+trajectory request must return identical counts when it runs at an
+idle server and when it queues behind a busy slot next to a neighbour.
+A one-slot server then exercises the ``/v1/sweep`` streaming path
+(per-cell partials consumed as they complete) and the mid-stream
+disconnect contract
 (the server withdraws orphaned queued cells without poisoning shared
 state).  Exits non-zero on any violated expectation — this is the
 ``service-smoke`` CI lane.
@@ -95,7 +95,7 @@ def main() -> int:
             fail(f"noisy 6-qubit auto request ran {exact.method!r}, not 'ptm'")
         print("[smoke] noisy 6-qubit auto request answered by ptm")
 
-    _fusion_parity_smoke(dict(request))
+    _queued_parity_smoke(dict(request))
     _sweep_streaming_smoke(dict(request))
     _disconnect_smoke(dict(request))
     print("[smoke] service smoke passed")
@@ -103,8 +103,8 @@ def main() -> int:
 
 
 def _one_slot_server() -> "object":
-    """A server with one executor slot: whatever queues behind a
-    running batch leaves together, fused."""
+    """A server with one executor slot: requests queue behind the
+    running one."""
     from repro.service import (
         ArithmeticService,
         ResultCache,
@@ -150,8 +150,8 @@ def _wait_for(predicate, what: str, timeout: float = 15.0) -> None:
         time.sleep(0.02)
 
 
-def _fusion_parity_smoke(request: dict) -> None:
-    """Alone at an idle server and fused under load: identical counts."""
+def _queued_parity_smoke(request: dict) -> None:
+    """At an idle server and queued behind a busy slot: identical counts."""
     from repro.service import ServiceClient, SimRequest
 
     with _one_slot_server() as srv:
@@ -173,7 +173,7 @@ def _fusion_parity_smoke(request: dict) -> None:
         threads[0].start()
         _wait_for(lambda: srv.service.fusion.slots_in_use == 1,
                   "the blocker to take the slot")
-        for name, payload in (("fused", request), ("neighbour", neighbour)):
+        for name, payload in (("queued", request), ("neighbour", neighbour)):
             threads.append(
                 threading.Thread(target=send, args=(name, dict(payload)))
             )
@@ -183,24 +183,22 @@ def _fusion_parity_smoke(request: dict) -> None:
         release.set()
         for t in threads:
             t.join(timeout=120)
-    fused = results.get("fused")
-    if fused is None:
+    queued = results.get("queued")
+    if queued is None:
         fail("the request queued behind the busy slot never returned")
-    if (plain.cache, fused.cache) != ("miss", "fused"):
-        fail(f"expected miss/fused, got {plain.cache!r}/{fused.cache!r}")
-    if plain.counts != fused.counts:
-        fail("fused counts differ from the request run alone")
-    print("[smoke] fusion parity: alone and fused counts bit-identical")
+    if (plain.cache, queued.cache) != ("miss", "miss"):
+        fail(f"expected miss/miss, got {plain.cache!r}/{queued.cache!r}")
+    if plain.counts != queued.counts:
+        fail("queued counts differ from the request run at an idle server")
+    print("[smoke] queue parity: idle and queued counts bit-identical")
 
 
 def _sweep_streaming_smoke(request: dict) -> None:
-    """Consume a fused ``/v1/sweep`` stream cell by cell."""
-    from repro.service import ServiceClient, reset_fusion_stats
+    """Consume a ``/v1/sweep`` stream cell by cell."""
+    from repro.service import ServiceClient
 
     rates = [0.001, 0.002, 0.004, 0.008]
-    reset_fusion_stats()
-    # One slot: the first cell runs alone, the rest queue behind it and
-    # leave together as one fused batch.
+    # One slot: the first cell runs at once, the rest queue behind it.
     with _one_slot_server() as srv:
         client = ServiceClient(*srv.address, timeout=120)
         seen = []
@@ -212,15 +210,7 @@ def _sweep_streaming_smoke(request: dict) -> None:
             seen.append(part.error_rate)
         if sorted(seen) != rates:
             fail(f"sweep delivered {sorted(seen)}, wanted {rates}")
-        stats = client.stats()
-        totals = stats["fusion"]["totals"]
-        if totals["batches"] < 1 or totals["hit_rate"] < 0.5:
-            fail(f"sweep cells did not fuse: {totals}")
-        print(
-            f"[smoke] /v1/sweep: {len(seen)} cells streamed, "
-            f"fusion hit rate {totals['hit_rate']:.0%} "
-            f"({totals['batches']} batch(es))"
-        )
+        print(f"[smoke] /v1/sweep: {len(seen)} cells streamed")
 
 
 def _disconnect_smoke(request: dict) -> None:

@@ -37,8 +37,7 @@ Each cut edge expands into the textbook identity-channel decomposition
 the cut wire in the Z/X/Y bases, the downstream fragment runs once per
 prep state |0>, |1>, |+>, |i>.  Prep states enter through
 ``initial_state`` — never as gates — so **every prep variant of a
-fragment shares one compiled program** (and therefore one
-``fusion_key``); basis rotations append ``h``/``sdg`` gates, which
+fragment shares one compiled program**; basis rotations append ``h``/``sdg`` gates, which
 carry no noise under the paper's models (enforced).
 """
 
@@ -787,8 +786,8 @@ def run_variant_job(job: VariantJob) -> np.ndarray:
     """Distributions (one per prep combo) of one basis-variant circuit.
 
     Every prep combo runs the *same* compiled program (prep enters via
-    ``initial_state``), so the compile cache sees one lowering and the
-    fused scheduler would see one ``fusion_key`` for the whole family.
+    ``initial_state``), so the compile cache sees one lowering for the
+    whole family.
     """
     program = compile_circuit(job.circuit, job.noise)
     dim = 1 << job.width

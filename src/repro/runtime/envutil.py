@@ -1,8 +1,8 @@
-"""Strict environment-variable parsing shared by the cache/batch knobs.
+"""Strict environment-variable parsing shared by the cache/budget knobs.
 
 Every numeric knob in the repo (``REPRO_KERNEL_CACHE_MB``,
 ``REPRO_RESULT_CACHE_MB``, ``REPRO_RESULT_CACHE_TTL``,
-``REPRO_BATCH_MB``) goes through :func:`env_float`, which rejects
+``REPRO_CUT_MB``) goes through :func:`env_float`, which rejects
 non-numeric and out-of-range values with an error that names the
 variable — instead of crashing deep inside ``float()`` or silently
 building a cache with a nonsense (e.g. negative) budget.

@@ -14,11 +14,8 @@ runtime retry/timeout semantics — as a long-lived asyncio service:
   **request coalescing** (concurrent identical requests collapse into
   one simulation) and admission control with 429 backpressure;
 * :mod:`repro.service.fusion` — the one work-conserving queue: at most
-  ``concurrency`` executor batches in flight, and a free slot takes
-  what is waiting at once — a deficit-round-robin head plus its
-  circuit family's waiting requests, executed as one fused
-  :mod:`repro.sim.batch` pass, bit-identical per request to running
-  alone;
+  ``concurrency`` requests in flight, and a free slot takes the next
+  request at once, chosen by deficit round robin over tenants;
 * :mod:`repro.service.executor` — the worker tier (in-process threads
   or a process pool) reusing
   :func:`repro.experiments.runner.build_compiled_program` and the

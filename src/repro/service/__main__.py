@@ -11,9 +11,8 @@ A process-pool deployment with tighter admission control::
     repro-serve --workers 4 --max-queue 64 --timeout 30 --max-attempts 3
 
 Requests wait in one work-conserving queue: at most ``--concurrency``
-executor batches run at once, a free slot takes what is waiting at
-once, and near-identical requests that queued together run as one
-fused micro-batch.
+requests run at once, and a free slot takes the next waiting request
+at once.
 
 Tuning knobs also honour the environment: ``REPRO_RESULT_CACHE_MB``,
 ``REPRO_RESULT_CACHE_TTL``, ``REPRO_SERVICE_MAX_QUBITS``,
@@ -48,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--concurrency",
         type=int,
         default=4,
-        help="executor batches in flight at once (queue slots)",
+        help="requests in flight at once (queue slots)",
     )
     parser.add_argument(
         "--max-queue",

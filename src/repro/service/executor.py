@@ -1,10 +1,10 @@
 """The service's worker tier: compiled-program execution with retries.
 
-Every request runs through one function, :func:`_execute_fused_batch`;
-a solo request is a batch of one.  Noisy trajectory requests become
-:class:`~repro.sim.batch.TrajectoryTask`\\ s and share one
-:func:`~repro.sim.batch.run_request_tasks` pass; every other request
-runs :func:`repro.experiments.runner.build_compiled_program` (two-level
+Every request runs alone through one function, :func:`_execute_payload`.
+A noisy trajectory request becomes one
+:class:`~repro.sim.batch.TrajectoryTask` for
+:func:`~repro.sim.batch.run_request_tasks`; every other request runs
+:func:`repro.experiments.runner.build_compiled_program` (two-level
 compile cache + kernel cache underneath) feeding
 :func:`repro.sim.engines.simulate_counts`.  One retry ladder wraps it
 with the runtime supervisor's recovery semantics: bounded attempts
@@ -26,7 +26,7 @@ from concurrent.futures import Executor as _FuturesExecutor
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from functools import lru_cache
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 import numpy as np
 
@@ -108,14 +108,14 @@ def lint_gate(request: SimRequest) -> None:
 
 
 def fusion_eligible(request: SimRequest) -> bool:
-    """Whether a request may ride the cross-request fusion tier.
+    """Whether a request goes to the trajectory scheduler.
 
     Cheap, request-shape-only screen used at admission and again inside
-    the batch executor before anything is compiled: noisy trajectory
-    work (explicit, or what ``method="auto"`` will resolve to once the
-    width rules out the exact PTM engine).  The batch executor re-checks
-    survivors against the *compiled program* (Pauli-only sites,
-    resolved method) and runs any that turn out not to fit through
+    the executor before anything is compiled: noisy trajectory work
+    (explicit, or what ``method="auto"`` will resolve to once the width
+    rules out the exact PTM engine).  The executor re-checks survivors
+    against the *compiled program* (Pauli-only sites, resolved method)
+    and runs any that turn out not to fit through
     :func:`~repro.sim.engines.simulate_counts` instead — eligibility
     here may over-approximate, never under-deliver.
     """
@@ -129,8 +129,8 @@ def fusion_eligible(request: SimRequest) -> bool:
     )
 
 
-def _fused_task_for(request: SimRequest) -> Optional[TrajectoryTask]:
-    """Build the request's scheduler task, or ``None`` if not fusable.
+def _scheduler_task_for(request: SimRequest) -> Optional[TrajectoryTask]:
+    """Build the request's scheduler task, or ``None`` if it has none.
 
     ``None`` means the compiled program refused the trajectory
     scheduler (non-Pauli noise, no noise sites, or ``auto`` resolving
@@ -190,7 +190,7 @@ def _response(
     }
 
 
-def _run_alone(request: SimRequest) -> Dict[str, Any]:
+def _run_engine(request: SimRequest) -> Dict[str, Any]:
     """One request through :func:`~repro.sim.engines.simulate_counts`.
 
     Everything the trajectory scheduler does not take: exact methods,
@@ -245,92 +245,54 @@ def _run_alone(request: SimRequest) -> Dict[str, Any]:
     )
 
 
-def _execute_fused_batch(payloads: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """Run one micro-batch of requests (top level: picklable for pools).
-
-    The service's one execution function; a solo request is a batch of
-    one.  All fusable requests share a single
-    :func:`repro.sim.batch.run_request_tasks` pass — one chunked state
-    buffer per fusion group, kernel caches and error-configuration
-    dedup shared across tenants — while every other request runs alone
-    through :func:`_run_alone` inside the same call.  Returns
-    ``{"results": [...]}`` with one response-shaped payload per request
-    in input order; batch-level sanitizer events ride home under
-    ``"sanitizer_events"``.
-
-    Per-request results are bit-identical whether a request ran alone
-    or fused with neighbours: every task draws from its own
-    ``(seed, content_key)`` stream in a fixed order, so batch
-    membership and chunk geometry never leak into results.
-    """
+def _run_request(request: SimRequest) -> Dict[str, Any]:
+    t0 = time.perf_counter()
+    # Screen before compiling: a cut request must never build the
+    # full-width program it exists to avoid, and exact methods have no
+    # scheduler task to compile for.
+    task = _scheduler_task_for(request) if fusion_eligible(request) else None
+    if task is None:
+        with sanitizer.trace_scope(request.content_key()):
+            return _run_engine(request)
+    t_compile = time.perf_counter()
+    counts = run_request_tasks([task])[task.key].counts
+    t_sim = time.perf_counter()
+    counts.method = "trajectory"
     if sanitizer.enabled():
-        with sanitizer.capture() as events:
-            results = _run_batch(payloads)
-        return {
-            "results": results,
-            "sanitizer_events": [list(e) for e in events],
-        }
-    return {"results": _run_batch(payloads)}
+        # The same ``counts`` event simulate_counts records for a
+        # request it runs, keyed by the request's content key.
+        sanitizer.record(
+            "counts",
+            {
+                "data": dict(counts.items()),
+                "num_qubits": counts.num_qubits,
+                "method": counts.method,
+            },
+            key=request.content_key(),
+        )
+    return _response(
+        request,
+        counts,
+        task.program.fingerprint,
+        t_compile - t0,
+        t_sim - t_compile,
+    )
 
 
 def _execute_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Run one request end to end: :func:`_execute_fused_batch` of one.
+    """Run one request end to end (top level: picklable for pools).
 
-    Returns the request's result payload, carrying the batch's
-    sanitizer events (if any) under ``"sanitizer_events"``.
+    The service's one execution function.  Returns the request's
+    response-shaped payload; when the sanitizer is on, the request's
+    trace events ride home under ``"sanitizer_events"``.
     """
-    doc = _execute_fused_batch([payload])
-    result = doc["results"][0]
-    if "sanitizer_events" in doc:
-        result["sanitizer_events"] = doc["sanitizer_events"]
+    request = SimRequest.from_dict(payload)
+    if not sanitizer.enabled():
+        return _run_request(request)
+    with sanitizer.capture() as events:
+        result = _run_request(request)
+    result["sanitizer_events"] = [list(e) for e in events]
     return result
-
-
-def _run_batch(payloads: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    t0 = time.perf_counter()
-    requests = [SimRequest.from_dict(p) for p in payloads]
-    results: List[Dict[str, Any]] = [{} for _ in requests]
-    fused: List[Tuple[int, SimRequest, TrajectoryTask]] = []
-    for i, request in enumerate(requests):
-        # Screen before compiling: a cut request must never build the
-        # full-width program it exists to avoid, and exact methods have
-        # no scheduler task to compile for.
-        task = _fused_task_for(request) if fusion_eligible(request) else None
-        if task is None:
-            with sanitizer.trace_scope(request.content_key()):
-                results[i] = _run_alone(request)
-        else:
-            fused.append((i, request, task))
-    if not fused:
-        return results
-    t_compile = time.perf_counter()
-    task_results = run_request_tasks([task for _, _, task in fused])
-    t_sim = time.perf_counter()
-    for i, request, task in fused:
-        counts = task_results[task.key].counts
-        counts.method = "trajectory"
-        if sanitizer.enabled():
-            # The same ``counts`` event simulate_counts records for a
-            # request run alone, keyed by the request's content key.
-            sanitizer.record(
-                "counts",
-                {
-                    "data": dict(counts.items()),
-                    "num_qubits": counts.num_qubits,
-                    "method": counts.method,
-                },
-                key=request.content_key(),
-            )
-        # Batch-level costs: compile covers task construction for the
-        # whole batch, simulate the shared scheduler pass.
-        results[i] = _response(
-            request,
-            counts,
-            task.program.fingerprint,
-            t_compile - t0,
-            t_sim - t_compile,
-        )
-    return results
 
 
 class SimulationExecutor:
@@ -381,39 +343,31 @@ class SimulationExecutor:
         }
 
     async def run(self, request: SimRequest) -> Dict[str, Any]:
-        """Execute ``request`` with retries: a batch of one."""
-        return (await self.run_batch([request]))[0]
+        """Execute ``request`` with the retry ladder; returns its
+        result payload.
 
-    async def run_batch(
-        self, requests: List[SimRequest]
-    ) -> List[Dict[str, Any]]:
-        """Execute a micro-batch with the retry ladder; returns one
-        result payload per request, in order.
-
-        The whole batch is one unit of work (that is the point — the
-        scheduler pass is shared), so the whole batch retries together;
-        determinism makes the replay bit-identical per request.
+        Determinism makes every retry replay bit-identically.
         """
-        payloads = [request.to_dict() for request in requests]
+        payload = request.to_dict()
         loop = asyncio.get_running_loop()
         last_error = "unknown"
         for attempt in range(1, self.retry.max_attempts + 1):
             try:
                 future = loop.run_in_executor(
-                    self._pool, _execute_fused_batch, payloads
+                    self._pool, _execute_payload, payload
                 )
                 if self.retry.timeout is not None:
-                    doc = await asyncio.wait_for(future, self.retry.timeout)
+                    result = await asyncio.wait_for(future, self.retry.timeout)
                 else:
-                    doc = await future
+                    result = await future
                 # Worker-side sanitizer events ride home on the result
                 # (that is how they cross the process boundary); fold
                 # them into the parent trace and keep the response
-                # payloads tier-independent.
-                events = doc.get("sanitizer_events")
+                # payload tier-independent.
+                events = result.pop("sanitizer_events", None)
                 if events:
                     sanitizer.merge_events(events)
-                return list(doc["results"])
+                return result
             except (RequestValidationError, ValueError):
                 # Deterministic input errors cannot succeed on retry.
                 raise
@@ -430,6 +384,13 @@ class SimulationExecutor:
             if attempt < self.retry.max_attempts:
                 await asyncio.sleep(self.retry.backoff(attempt))
         raise ExecutionFailed(self.retry.max_attempts, last_error)
+
+    async def run_batch(
+        self, requests: List[SimRequest]
+    ) -> List[Dict[str, Any]]:
+        """Execute ``requests`` one after another through :meth:`run`;
+        one result payload per request, in order."""
+        return [await self.run(request) for request in requests]
 
     def _respawn(self) -> None:
         """Replace a broken process pool; degrade to threads past budget."""

@@ -1,48 +1,30 @@
-"""The service's one queue: work-conserving, fused, multi-tenant.
+"""The service's one queue: work-conserving, multi-tenant, one request
+per take.
 
-The paper's workload at fleet scale is many near-identical requests —
-the same QFA/QFM circuit family at different error rates — and
-:mod:`repro.sim.batch` already fuses such work into shared state
-buffers when it arrives as one call.  Every admitted request that is
-not a result-cache hit or a coalesced duplicate waits here, and at most
-``concurrency`` executor batches are in flight.  Whenever a slot is
-free it takes what is waiting, at once — there is no hold timer:
+Every admitted request that is not a result-cache hit or a coalesced
+duplicate waits here, and at most ``concurrency`` requests execute at
+once.  Whenever a slot is free it takes the next request at once —
+there is no hold timer — and runs it alone through
+:meth:`SimulationExecutor.run`.
 
-* an idle server runs a request immediately, as a batch of one
-  (through :meth:`SimulationExecutor.run`);
-* a busy server batches whatever queued behind it: a freed slot takes
-  the head chosen by the tenant rotation plus the waiting requests of
-  that head's circuit family (from every tenant), as one
-  :meth:`SimulationExecutor.run_batch` call capped at
-  :data:`MAX_BATCH` requests.  Requests that cannot fuse
-  (see :func:`repro.service.executor.fusion_eligible`) go alone.
-
-Correctness contract: fusion is **bit-invisible per request**.  Every
-request's task draws from its own ``(seed, content_key)`` stream in
-the scheduler's fixed per-task order, so the counts a request receives
-are identical whether it ran alone or fused with a hundred neighbours
-— batch membership and chunk geometry never leak into results.
-
-Fairness: the head of each take is chosen by deficit round robin (DRR)
-over tenants.  A tenant's turn credits it :data:`QUANTUM`
-cost units (cost = requested shots) and its head request goes when it
-fits the tenant's deficit; a tenant whose queue was empty goes before
-the tenants that stayed backlogged, so an interactive request waits
-for the next free slot, not behind a sweep.  Within a tenant, order is
-priority, then FIFO, and a take never mixes priority classes of one
-tenant.  The head's tenant fills the take up to its deficit; every
-other tenant's riders add at most what the head's tenant put in (and
-one quantum), so a small interactive request never waits on large
-sweep cells.  Every request in a take is charged to its own tenant's
-deficit; a tenant that empties its queue forfeits its balance
-(standard DRR), and a progress guard serves the oldest head when no
-deficit suffices.
+Fairness: each take is chosen by deficit round robin (DRR) over
+tenants.  A tenant's turn credits it :data:`QUANTUM` cost units (cost =
+requested shots) and its head request goes when it fits the tenant's
+deficit; a tenant whose queue was empty goes before the tenants that
+stayed backlogged, so an interactive request waits for the next free
+slot, not behind a sweep.  Within a tenant, order is priority, then
+FIFO.  A tenant that empties its queue forfeits its balance (standard
+DRR), and a progress guard serves the oldest head when no deficit
+suffices.
 
 The waiting backlog is bounded by ``max_queue`` (``--max-queue``);
 past it :class:`FusionSaturated` becomes HTTP 429 with ``Retry-After``.
-The ``fusion.*`` counters of :func:`fusion_stats` count fusion-eligible
-requests only, so the hit rate is the share of fusable requests that
-shared a batch.
+The ``fusion.*`` counters of :func:`fusion_stats` count requests bound
+for the trajectory scheduler only (see
+:func:`repro.service.executor.fusion_eligible`).  Every take holds one
+request, so ``fused_requests`` and ``hit_rate`` read 0 and
+``batch_occupancy`` reads 1; they keep the shape ``/stats`` readers
+expect.
 """
 
 from __future__ import annotations
@@ -66,13 +48,11 @@ __all__ = [
     "reset_fusion_stats",
 ]
 
-#: Requests per take (one executor batch).
-MAX_BATCH = 64
 #: DRR credit per tenant turn, in cost units (shots).
 QUANTUM = 4096.0
 
 #: Per-sample clamp feeding the execution-time EWMA: one pathological
-#: batch (a hang that eventually returned, a cold compile) must not drag
+#: request (a hang that eventually returned, a cold compile) must not drag
 #: the average — and with it every Retry-After estimate — to minutes.
 _AVG_EXEC_SAMPLE_CAP = 30.0
 #: Ceiling on the advertised Retry-After: beyond this the estimate is
@@ -122,14 +102,13 @@ def reset_fusion_stats() -> None:
     obs.reset("fusion.")
 
 
-def _note_batch(size: int, failed: bool = False) -> None:
-    """Count one executed batch of ``size`` fusion-eligible requests."""
+def _note_executed(failed: bool = False) -> None:
+    """Count one executed fusion-eligible request (a take of one)."""
     obs.add({
         "fusion.batches": 1,
-        "fusion.batch_requests": size,
-        "fusion.executed": size,
-        "fusion.fused_requests": size if size > 1 else 0,
-        "fusion.failures": size if failed else 0,
+        "fusion.batch_requests": 1,
+        "fusion.executed": 1,
+        "fusion.failures": 1 if failed else 0,
     })
 
 
@@ -141,8 +120,8 @@ class _Entry:
     """One waiting request."""
 
     __slots__ = (
-        "request", "key", "tenant", "group", "priority", "cost", "future",
-        "enqueued_at", "waiters", "seq",
+        "request", "key", "tenant", "eligible", "priority", "cost",
+        "future", "enqueued_at", "waiters", "seq",
     )
 
     def __init__(
@@ -150,27 +129,11 @@ class _Entry:
         request: SimRequest,
         future: "asyncio.Future[Tuple[Dict[str, Any], str]]",
         seq: int,
-        eligible: bool,
     ) -> None:
         self.request = request
         self.key = request.content_key()
         self.tenant = request.tenant
-        # Coarse circuit-family proxy, None for requests that cannot
-        # fuse; the batch executor regroups by the exact
-        # CompiledProgram.fusion_key, so a proxy that over-merges costs
-        # nothing and never contaminates results.
-        self.group: Optional[tuple] = (
-            (
-                request.operation,
-                request.n,
-                request.m,
-                request.depth,
-                request.error_axis,
-                request.convention,
-            )
-            if eligible
-            else None
-        )
+        self.eligible = fusion_eligible(request)
         self.priority = request.priority
         self.cost = float(max(1, request.shots))
         self.future = future
@@ -184,7 +147,7 @@ class _Entry:
 
 def _consume_exception(future: "asyncio.Future[Any]") -> None:
     # Results may outlive their waiters (a client that disconnected
-    # after its batch started); retrieving the exception here keeps
+    # after its request started); retrieving the exception here keeps
     # asyncio's "exception was never retrieved" warning out of the logs.
     if not future.cancelled():
         future.exception()
@@ -206,7 +169,6 @@ class FusionGate:
         cache: Optional[ResultCache] = None,
         concurrency: Optional[int] = None,
         max_queue: int = 256,
-        max_batch: Optional[int] = None,
         quantum: Optional[float] = None,
     ) -> None:
         self.executor = executor
@@ -216,12 +178,11 @@ class FusionGate:
             1, executor.concurrency if concurrency is None else concurrency
         )
         self.max_queue = max_queue
-        self.max_batch = MAX_BATCH if max_batch is None else int(max_batch)
         self.quantum = QUANTUM if quantum is None else float(quantum)
-        #: Called with each entry's content key once its batch settles;
+        #: Called with each entry's content key once its run settles;
         #: the scheduler registers its inflight-map cleanup here.
         self.done_hooks: List[Callable[[str], None]] = []
-        #: EWMA of batch execution seconds, seeds the Retry-After estimate.
+        #: EWMA of execution seconds, seeds the Retry-After estimate.
         self.avg_exec = 0.05
         self._queues: Dict[str, List[_Entry]] = {}
         self._deficit: Dict[str, float] = {}
@@ -231,15 +192,13 @@ class FusionGate:
         self._by_key: Dict[str, _Entry] = {}
         self._depth = 0
         self._seq = 0
-        self._slots_busy = 0
-        self._running = 0
-        self._batches: "Set[asyncio.Task[None]]" = set()
+        self._runs: "Set[asyncio.Task[None]]" = set()
 
     # -- lifecycle --------------------------------------------------------
     async def stop(self) -> None:
         """Wait until every admitted request has run."""
-        while self._batches:
-            await asyncio.gather(*list(self._batches), return_exceptions=True)
+        while self._runs:
+            await asyncio.gather(*list(self._runs), return_exceptions=True)
 
     # -- introspection ----------------------------------------------------
     def depth(self) -> int:
@@ -248,12 +207,12 @@ class FusionGate:
 
     @property
     def running(self) -> int:
-        """Requests inside executing batches."""
-        return self._running
+        """Requests executing (one per busy slot)."""
+        return len(self._runs)
 
     @property
     def slots_in_use(self) -> int:
-        return self._slots_busy
+        return len(self._runs)
 
     def tenant_deficits(self) -> Dict[str, float]:
         """Live DRR deficits of the backlogged tenants."""
@@ -261,7 +220,7 @@ class FusionGate:
 
     def retry_after(self) -> float:
         """Rough drain time of the current backlog, in [1, cap] seconds."""
-        backlog = self._depth + self._slots_busy
+        backlog = self._depth + len(self._runs)
         return min(
             _RETRY_AFTER_CAP,
             max(1.0, backlog * self.avg_exec / self.concurrency),
@@ -270,12 +229,11 @@ class FusionGate:
     def describe(self) -> Dict[str, Any]:
         return {
             "concurrency": self.concurrency,
-            "slots_in_use": self._slots_busy,
+            "slots_in_use": self.slots_in_use,
             "max_queue": self.max_queue,
-            "max_batch": self.max_batch,
             "quantum": self.quantum,
             "pending": self._depth,
-            "running": self._running,
+            "running": self.running,
             "tenant_pending": {
                 t: len(q) for t, q in sorted(self._queues.items())
             },
@@ -286,21 +244,18 @@ class FusionGate:
     def enqueue(
         self, request: SimRequest
     ) -> "asyncio.Future[Tuple[Dict[str, Any], str]]":
-        """Queue one request; resolves with ``(payload, source)``.
+        """Queue one request; resolves with ``(payload, "miss")``.
 
-        ``source`` is ``"fused"`` when the request shared its batch and
-        ``"miss"`` when it ran alone.  Raises :class:`FusionSaturated`
-        when every slot is busy and the waiting bound is full.  The
-        caller owns one waiter reference; coalescers add theirs via
-        :meth:`retain` and everyone returns them via :meth:`release` on
-        cancellation.
+        Raises :class:`FusionSaturated` when every slot is busy and the
+        waiting bound is full.  The caller owns one waiter reference;
+        coalescers add theirs via :meth:`retain` and everyone returns
+        them via :meth:`release` on cancellation.
         """
-        eligible = fusion_eligible(request)
         if (
-            self._slots_busy >= self.concurrency
+            len(self._runs) >= self.concurrency
             and self._depth >= self.max_queue
         ):
-            if eligible:
+            if fusion_eligible(request):
                 obs.add({"fusion.rejected": 1})
             raise FusionSaturated(self._depth)
         future: "asyncio.Future[Tuple[Dict[str, Any], str]]" = (
@@ -308,7 +263,7 @@ class FusionGate:
         )
         future.add_done_callback(_consume_exception)
         self._seq += 1
-        entry = _Entry(request, future, self._seq, eligible)
+        entry = _Entry(request, future, self._seq)
         queue = self._queues.get(entry.tenant)
         if queue is None:
             queue = self._queues[entry.tenant] = []
@@ -316,7 +271,7 @@ class FusionGate:
         bisect.insort(queue, entry)
         self._by_key[entry.key] = entry
         self._depth += 1
-        if eligible:
+        if entry.eligible:
             obs.add({"fusion.admitted": 1})
             self.metrics.inc("fusion_requests_total")
         self._dispatch()
@@ -335,9 +290,9 @@ class FusionGate:
 
         An entry whose last waiter cancels while it still waits is
         removed from the queue and its future cancelled — nobody wants
-        the result, so no batch carries it.  Once taken, the entry is
-        out of :attr:`_by_key` and this is a no-op: running batches
-        always complete (their results are cached for the retry the
+        the result, so no slot runs it.  Once taken, the entry is out
+        of :attr:`_by_key` and this is a no-op: running requests always
+        complete (their results are cached for the retry the
         disconnected client will send).
         """
         entry = self._by_key.get(key)
@@ -354,7 +309,7 @@ class FusionGate:
             self._retire(entry.tenant)
         if not entry.future.done():
             entry.future.cancel()
-        if entry.group is not None:
+        if entry.eligible:
             obs.add({"fusion.cancelled": 1})
         self.metrics.inc("requests_withdrawn_total")
         return True
@@ -384,120 +339,70 @@ class FusionGate:
         self._deficit[oldest.tenant] = oldest.cost
         return oldest.tenant
 
-    def _take(self) -> List[_Entry]:
-        """The next batch: a DRR-chosen head plus its family's riders."""
+    def _take(self) -> _Entry:
+        """The next request: the head of the DRR-chosen tenant."""
         tenant = self._next_tenant()
-        head = self._queues[tenant][0]
-        taken = [head]
-        if head.group is not None:
-            # The head's tenant fills the take up to its deficit; every
-            # other tenant rides with at most what the head's tenant put
-            # in (and one quantum), so a small request never waits on
-            # large ones.
-            self._add_riders(tenant, self._deficit[tenant] - head.cost, taken)
-            share = min(self.quantum, sum(entry.cost for entry in taken))
-            for other in (*self._new, *self._old):
-                self._add_riders(other, share, taken)
-        for entry in taken:
-            queue = self._queues[entry.tenant]
-            queue.remove(entry)
-            self._deficit[entry.tenant] = (
-                self._deficit.get(entry.tenant, 0.0) - entry.cost
-            )
-            del self._by_key[entry.key]
-        self._depth -= len(taken)
-        for t in {entry.tenant for entry in taken}:
-            if not self._queues[t]:
-                self._retire(t)
-        if tenant in self._queues:
-            self._old.append(tenant)
-        return taken
-
-    def _add_riders(
-        self, tenant: str, budget: float, taken: List[_Entry]
-    ) -> None:
-        """Append ``tenant``'s waiting entries of the head's family, in
-        its top priority class, while they fit ``budget`` and the cap."""
-        head = taken[0]
         queue = self._queues[tenant]
-        priority = queue[0].priority
-        for entry in queue:
-            if len(taken) >= self.max_batch:
-                return
-            if entry is head or entry.priority != priority:
-                continue
-            if entry.group != head.group or entry.cost > budget:
-                continue
-            budget -= entry.cost
-            taken.append(entry)
+        entry = queue.pop(0)
+        self._deficit[tenant] -= entry.cost
+        del self._by_key[entry.key]
+        self._depth -= 1
+        if queue:
+            self._old.append(tenant)
+        else:
+            self._retire(tenant)
+        return entry
 
     def _dispatch(self) -> None:
         """Fill every free slot with what is waiting."""
-        while self._depth and self._slots_busy < self.concurrency:
-            entries = self._take()
-            self._slots_busy += 1
-            self._running += len(entries)
-            task = asyncio.get_running_loop().create_task(self._run(entries))
-            self._batches.add(task)
+        while self._depth and len(self._runs) < self.concurrency:
+            task = asyncio.get_running_loop().create_task(
+                self._run(self._take())
+            )
+            self._runs.add(task)
             task.add_done_callback(self._settled)
 
     def _settled(self, task: "asyncio.Task[None]") -> None:
-        """A batch finished: its slot takes what is waiting."""
-        self._batches.discard(task)
-        self._slots_busy -= 1
+        """A request finished: its slot takes what is waiting."""
+        self._runs.discard(task)
         self._dispatch()
 
-    async def _run(self, entries: List[_Entry]) -> None:
+    async def _run(self, entry: _Entry) -> None:
         started = time.monotonic()
-        for entry in entries:
-            self.metrics.observe("queue_wait", started - entry.enqueued_at)
-            if entry.group is not None:
-                obs.add(
-                    {"fusion.served_requests": 1.0,
-                     "fusion.served_cost": entry.cost},
-                    tenant=entry.tenant,
-                )
-        fusable = entries[0].group is not None
-        try:
-            if len(entries) == 1:
-                results = [await self.executor.run(entries[0].request)]
-            else:
-                results = await self.executor.run_batch(
-                    [entry.request for entry in entries]
-                )
-        except asyncio.CancelledError:
-            for entry in entries:
-                if not entry.future.done():
-                    entry.future.cancel()
-            raise
-        except Exception as exc:  # noqa: BLE001 — surfaced via futures
-            if fusable:
-                _note_batch(len(entries), failed=True)
-            self.metrics.inc(
-                "jobs_failed_total",
-                len(entries),
-                labels={"error": type(exc).__name__},
+        self.metrics.observe("queue_wait", started - entry.enqueued_at)
+        if entry.eligible:
+            obs.add(
+                {"fusion.served_requests": 1.0,
+                 "fusion.served_cost": entry.cost},
+                tenant=entry.tenant,
             )
-            for entry in entries:
-                if not entry.future.done():
-                    entry.future.set_exception(exc)
+        try:
+            payload = await self.executor.run(entry.request)
+        except asyncio.CancelledError:
+            if not entry.future.done():
+                entry.future.cancel()
+            raise
+        except Exception as exc:  # noqa: BLE001 — surfaced via the future
+            if entry.eligible:
+                _note_executed(failed=True)
+            self.metrics.inc(
+                "jobs_failed_total", labels={"error": type(exc).__name__}
+            )
+            if not entry.future.done():
+                entry.future.set_exception(exc)
         else:
             elapsed = time.monotonic() - started
             self.avg_exec = 0.8 * self.avg_exec + 0.2 * min(
                 elapsed, _AVG_EXEC_SAMPLE_CAP
             )
             self.metrics.observe("execute", elapsed)
-            self.metrics.inc("jobs_executed_total", len(entries))
-            if fusable:
-                _note_batch(len(entries))
-            source = "fused" if len(entries) > 1 else "miss"
-            for entry, payload in zip(entries, results):
-                if self.cache is not None:
-                    self.cache.put(entry.key, payload)
-                if not entry.future.done():
-                    entry.future.set_result((payload, source))
+            self.metrics.inc("jobs_executed_total")
+            if entry.eligible:
+                _note_executed()
+            if self.cache is not None:
+                self.cache.put(entry.key, payload)
+            if not entry.future.done():
+                entry.future.set_result((payload, "miss"))
         finally:
-            self._running -= len(entries)
-            for entry in entries:
-                for hook in self.done_hooks:
-                    hook(entry.key)
+            for hook in self.done_hooks:
+                hook(entry.key)

@@ -109,7 +109,7 @@ class SimRequest:
     values given uniform amplitude (order-1 tuples are classical
     operands).  ``priority`` orders the queue (0 = most urgent) and
     ``tenant`` labels the request for fair-share accounting in the
-    fusion tier; both affect scheduling, never results, so both are
+    queue; both affect scheduling, never results, so both are
     excluded from the content key.
     """
 
@@ -245,7 +245,9 @@ class SimRequest:
             errors.append(
                 f"tenant: label exceeds {MAX_TENANT_LENGTH} characters"
             )
-        if self.n >= 1 and self.m >= 1:
+        # Operand bounds are 2**width: check them only at widths the
+        # service could run, never build a huge int for a huge width.
+        if 1 <= min(self.n, self.m) <= max(self.n, self.m) <= service_max_qubits():
             errors.extend(self._validate_operands())
         if errors:
             raise RequestValidationError(
@@ -355,8 +357,7 @@ class SimResponse:
     """The service's answer to one :class:`SimRequest`.
 
     ``cache`` records how the result was obtained: ``"miss"`` (executed
-    alone for this request), ``"fused"`` (executed in a batch shared
-    with other requests), ``"coalesced"`` (attached to an identical
+    for this request), ``"coalesced"`` (attached to an identical
     in-flight request), or ``"hit"`` (served from the result cache).
     ``timings_ms`` carries per-stage latencies; cached stages report the
     *original* compile/simulate cost alongside this request's own
@@ -400,11 +401,8 @@ class SweepRequest:
     """A multi-cell rate sweep over one circuit family (``/v1/sweep``).
 
     ``base`` carries every :class:`SimRequest` field except the error
-    rate; ``rates`` names the cells.  All cells share the base's
-    fusion-relevant shape (operation, widths, depth, axis), which is
-    exactly what makes a sweep the fusion tier's best customer: its
-    cells land in one micro-batch window and ride shared chunks.
-    ``tenant``/``priority`` on the sweep override the base's.
+    rate; ``rates`` names the cells.  Every cell is queued and run as
+    its own request.  ``tenant``/``priority`` on the sweep override the base's.
     """
 
     base: SimRequest

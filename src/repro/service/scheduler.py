@@ -15,11 +15,10 @@ The scheduler sits between the HTTP layer and the one queue
    (drain time at the observed execution rate), which the server
    surfaces as HTTP 429 + ``Retry-After``.
 
-The queue runs at most ``concurrency`` executor batches at once and
-fills a free slot the moment one opens: priority, tenant fairness and
-fusion are its business (see :mod:`repro.service.fusion`).  A request
-that ran alone answers ``cache="miss"``, one that shared its batch
-``cache="fused"``.
+The queue runs at most ``concurrency`` requests at once and fills a
+free slot the moment one opens: priority and tenant fairness are its
+business (see :mod:`repro.service.fusion`).  A request it ran answers
+``cache="miss"``.
 
 Draining: :meth:`close` stops admission (503 upstream) while
 :meth:`drain` lets already-admitted jobs finish, so a graceful shutdown
@@ -124,7 +123,7 @@ class JobScheduler:
         """Resolve one admitted request.
 
         Returns ``(payload, source)`` with ``source`` in
-        ``{"hit", "coalesced", "fused", "miss"}``.  Raises
+        ``{"hit", "coalesced", "miss"}``.  Raises
         :class:`AdmissionError` on a full queue and ``RuntimeError``
         when the scheduler is closed.
         """
@@ -163,9 +162,8 @@ class JobScheduler:
             return await asyncio.shield(future)
         except asyncio.CancelledError:
             # Last waiter gone while the entry still waits: withdraw it
-            # so no batch carries orphaned rows.  Once taken this is a
-            # no-op — running batches always complete and cache their
-            # results.
+            # so no slot runs an orphan.  Once taken this is a no-op —
+            # running requests always complete and cache their results.
             if self.fusion.release(key):
                 self._inflight.pop(key, None)
             raise

@@ -21,7 +21,7 @@ Endpoints
     early-stoppers can act on partials.  Pre-stream failures use the
     same status codes as ``/v1/simulate``; per-cell failures ride the
     stream as ``error`` lines.  A mid-stream client disconnect cancels
-    the not-yet-executed cells without touching batches already
+    the not-yet-executed cells without touching cells already
     running.
 ``GET /healthz``  — liveness and drain state.
 ``GET /stats``    — JSON: queue, executor, result-cache, compile-cache,
@@ -533,11 +533,9 @@ class ArithmeticService:
             await writer.drain()
         except (ConnectionResetError, BrokenPipeError, OSError):
             # Mid-stream disconnect: withdraw the cells nobody is
-            # waiting for.  Cells already fused into a running batch
-            # complete anyway (the batch is shared; its results are
-            # cached for the client's retry) — cancellation only
-            # removes still-queued work, so an orphaned sweep can
-            # never poison neighbours' batches.
+            # waiting for.  Cells already running complete anyway
+            # (their results are cached for the client's retry) —
+            # cancellation only removes still-queued work.
             self.metrics.inc("sweep_disconnects_total")
             for task in pending:
                 task.cancel()

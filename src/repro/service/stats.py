@@ -28,14 +28,14 @@ def cache_stats_snapshot(
       :func:`repro.experiments.runner.build_compiled_program`;
     * ``ptm_cache`` — the PTM engine's bound-plan cache;
     * ``backend`` — the :mod:`repro.sim.backend` tier ``REPRO_BACKEND``
-      selects (name, kernel tag, dtype, and the value requested),
+      selects (name, kernel tag and dtype),
       plus ``blas``: the OpenBLAS library basename and its thread
       count in this process (``None`` when no OpenBLAS is found);
     * ``cut`` — the circuit-cutting subsystem's counters (plans found,
       fragments compiled, variants evaluated, job routing);
     * ``fusion`` — the service queue's process-wide counters over
-      fusion-eligible requests (admitted / fused / batches / hit rate /
-      per-tenant served cost);
+      requests bound for the trajectory scheduler (admitted / executed
+      / failures / per-tenant served cost);
     * ``result_cache`` — the service's content-addressed response
       cache, when one is supplied.
     """
@@ -67,7 +67,6 @@ def cache_stats_snapshot(
         "name": name,
         "tag": dtype_tag(dtype),
         "complex_dtype": str(np.dtype(dtype)),
-        "requested": name,
         "blas": blas_info(),
     }
     snapshot: Dict[str, Any] = {

@@ -1,19 +1,13 @@
-"""Batched trajectory scheduling for service requests: fusion, dedup.
+"""Trajectory scheduling for service requests: dedup, clean-prefix sharing.
 
 Every noisy trajectory request the service runs goes through this
-module, a solo request as a batch of one.
+module, one request per scheduler pass.
 
-Concurrent service requests often share one compiled circuit skeleton
-(a rate-only sweep streamed as requests), and at the paper's sparse
-noise most sampled trajectories are the clean one or repeat a
-one-error configuration.  This module turns both observations into
-wall-clock:
+At the paper's sparse noise most sampled trajectories are the clean one
+or repeat a one-error configuration, and every erred trajectory shares
+the clean prefix up to its first fire.  This module turns both
+observations into wall-clock:
 
-* **Cross-task fusion** — trajectory rows from every task (one request's
-  instance and budget) whose :attr:`~repro.sim.program.CompiledProgram.fusion_key`
-  matches are packed into one ``(B, 2**n)`` state buffer, so each
-  boundary gate kernel and each kernel-cached monomial gather is paid
-  once per *chunk* instead of once per request.
 * **Error-configuration dedup** — each trajectory's full Pauli insertion
   pattern is sampled up front and canonicalised to a tuple of
   ``(site ordinal, label)`` events; only *distinct* configurations are
@@ -23,6 +17,13 @@ wall-clock:
   to all configurations and is **exact**: identical configurations
   produce bit-identical states, so merging them changes nothing but the
   amount of simulation work.
+* **Clean-prefix sharing** — an erred row starts from a copy of the
+  clean reference row at the segment of its first fire, so prefix gate
+  work is paid once per chunk instead of once per row.
+
+A task's distinct rows are evolved in chunks of at most
+:data:`BATCH_BYTES` of live state, so a 65,536-trajectory, 16-qubit
+request never holds all of its rows at once.
 
 Sweeps do not use this module: every sweep cell runs through
 :func:`repro.experiments.runner.run_point` and the per-cell
@@ -37,18 +38,17 @@ per site), then outcome sampling (shot spreading, one multinomial per
 trajectory row, readout flips) — and per-row state arithmetic never
 depends on which other rows share a buffer (firing rows advance through
 kernel-cached *partial* monomials split at their own fire positions
-only).  Consequently batch membership, the reference
+only).  Consequently the other tasks of a call, the reference
 ``dedup=False`` mode and chunk geometry are bit-invisible.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..runtime import obs, sanitizer
-from ..runtime.envutil import env_mb_bytes
 from ..runtime.health import check_norms, norm_tolerance
 from .backend import resolve_complex_dtype
 from .ops import BitCache, apply_pauli_string_rows, probabilities
@@ -56,6 +56,10 @@ from .program import CompiledProgram, _mono_apply_rows
 from .result import Counts
 from .statevector import zero_state
 from .trajectories import apply_readout, multinomial_outcomes, sample_outcomes
+
+#: Live-state byte bound of one simulation chunk (state, scratch and
+#: float64 probabilities of every row in it).
+BATCH_BYTES = 256 * 1024 * 1024
 
 __all__ = [
     "TrajectoryTask",
@@ -102,8 +106,7 @@ class TrajectoryTask:
     """One unit of trajectory work: a (program, instance, budget) triple.
 
     ``rng`` is consumed exclusively by this task, in a fixed draw order,
-    so a task's result is independent of which other tasks ride the same
-    fused batch.
+    so a task's result is independent of the other tasks of a call.
     """
 
     __slots__ = (
@@ -190,10 +193,7 @@ class _TaskPlan:
 # ---------------------------------------------------------------------------
 
 class FusedTrajectoryScheduler:
-    """Executes :class:`TrajectoryTask`\\ s with fusion and dedup.
-
-    Rows of tasks whose programs share a ``fusion_key`` are packed into
-    shared state buffers.
+    """Executes :class:`TrajectoryTask`\\ s one at a time, with dedup.
 
     Parameters
     ----------
@@ -201,23 +201,10 @@ class FusedTrajectoryScheduler:
         Simulate each distinct error configuration once per task.
         ``False`` simulates every trajectory row; it is the reference
         the bit-invariance tests compare against.
-    max_batch_rows:
-        Chunk-height ceiling; default derives from the ``REPRO_BATCH_MB``
-        byte budget (256 MB) and the state width.
     """
 
-    def __init__(
-        self,
-        dedup: bool = True,
-        max_batch_rows: Optional[int] = None,
-        dtype=None,
-    ) -> None:
-        if max_batch_rows is not None and max_batch_rows < 1:
-            raise ValueError(
-                f"max_batch_rows must be >= 1, got {max_batch_rows}"
-            )
+    def __init__(self, dedup: bool = True, dtype=None) -> None:
         self.dedup = bool(dedup)
-        self.max_batch_rows = max_batch_rows
         self.dtype = resolve_complex_dtype(dtype)
         self._bits = BitCache()
         self._chunks_run = 0
@@ -225,39 +212,33 @@ class FusedTrajectoryScheduler:
 
     # ------------------------------------------------------------------
     def run(self, tasks: Sequence[TrajectoryTask]) -> Dict[object, TaskResult]:
-        """Execute every task; returns ``{task.key: TaskResult}``.
+        """Execute every task alone, in input order; returns
+        ``{task.key: TaskResult}``.
 
-        Tasks are processed in input order within every phase, so
-        results are independent of grouping and chunk geometry.
+        Each task samples, simulates and draws its outcomes in its own
+        buffers before the next one starts, so a task's result does not
+        depend on the other tasks of the call.
         """
-        all_plans = [_TaskPlan(t) for t in tasks]
         self._chunks_run = 0
         self._chunk_rows_run = 0
-        for group in self._group(all_plans):
-            for p in group:
-                self._sample_configs(p)
-            plans = [p for p in group if p.rows]
-            self._simulate(plans)
-            for p in plans:
-                self._sample_outcomes(p)
-        results = {p.task.key: p.result() for p in all_plans}
+        results: Dict[object, TaskResult] = {}
+        sampled = simulated = 0
+        for task in tasks:
+            plan = _TaskPlan(task)
+            self._sample_configs(plan)
+            self._simulate(plan)
+            self._sample_outcomes(plan)
+            results[task.key] = plan.result()
+            sampled += plan.trajectories_sampled
+            simulated += plan.rows_simulated
         obs.add({
-            "batch.tasks": len(all_plans),
-            "batch.trajectories_sampled": sum(
-                p.trajectories_sampled for p in all_plans
-            ),
-            "batch.rows_simulated": sum(p.rows_simulated for p in all_plans),
+            "batch.tasks": len(tasks),
+            "batch.trajectories_sampled": sampled,
+            "batch.rows_simulated": simulated,
             "batch.chunks": self._chunks_run,
             "batch.chunk_rows": self._chunk_rows_run,
         })
         return results
-
-    # ------------------------------------------------------------------
-    def _group(self, plans: List[_TaskPlan]) -> List[List[_TaskPlan]]:
-        groups: Dict[tuple, List[_TaskPlan]] = {}
-        for p in plans:
-            groups.setdefault(p.task.program.fusion_key, []).append(p)
-        return list(groups.values())
 
     # ------------------------------------------------------------------
     # Phase A: configuration sampling (all of a task's "which errors
@@ -327,153 +308,116 @@ class FusedTrajectoryScheduler:
         plan.rows_simulated = sum(1 for r in plan.rows if r is not None)
 
     # ------------------------------------------------------------------
-    # Phase B: batched simulation of the distinct rows
+    # Phase B: chunked simulation of the distinct rows
     # ------------------------------------------------------------------
-    def _auto_rows(self, n: int) -> int:
-        budget = env_mb_bytes("REPRO_BATCH_MB", 256)
-        per_row = (1 << n) * np.dtype(self.dtype).itemsize
+    def _simulate(self, plan: _TaskPlan) -> None:
+        n = plan.task.program.num_qubits
         # state + scratch + float64 probabilities live at once
-        return max(1, budget // max(1, per_row * 3))
-
-    def _simulate(self, plans: List[_TaskPlan]) -> None:
-        if not plans:
-            return
-        n = plans[0].task.program.num_qubits
-        cap = self.max_batch_rows or self._auto_rows(n)
-        # Greedy in-order chunking; a plan's rows may span chunks (the
-        # per-row arithmetic is chunk-invariant, so this is free).
-        pending: List[Tuple[_TaskPlan, int]] = [
-            (p, r) for p in plans for r in range(len(p.rows))
-        ]
-        for p in plans:
-            p.probs = np.empty((len(p.rows), 1 << n))
-        for lo in range(0, len(pending), cap):
-            chunk = pending[lo:lo + cap]
-            self._simulate_chunk(chunk, n)
+        per_row = (1 << n) * np.dtype(self.dtype).itemsize * 3
+        cap = max(1, BATCH_BYTES // per_row)
+        plan.probs = np.empty((len(plan.rows), 1 << n))
+        # In-order chunking; the per-row arithmetic is chunk-invariant.
+        for lo in range(0, len(plan.rows), cap):
+            rows = list(range(lo, min(lo + cap, len(plan.rows))))
+            self._simulate_chunk(plan, rows, n)
             self._chunks_run += 1
-            self._chunk_rows_run += len(chunk)
+            self._chunk_rows_run += len(rows)
 
-    def _simulate_chunk(
-        self, chunk: List[Tuple[_TaskPlan, int]], n: int
-    ) -> None:
-        """Evolve one chunk of rows with clean-prefix sharing.
+    def _simulate_chunk(self, plan: _TaskPlan, rows: List[int], n: int) -> None:
+        """Evolve one chunk of a task's rows with clean-prefix sharing.
 
-        Every plan's rows in a chunk are contiguous (``pending`` lists
-        plans in order), forming a *block*.  Each block carries one
-        clean **reference** row — the plan's clean row when it rides
-        this chunk, a synthetic extra row otherwise — and every erred
-        row stays *dead* until the segment holding its first fire, at
-        which point it copies the reference and walks piecewise from
-        there.  Because every kernel involved (boundary gate, full/
-        partial monomial, Pauli scatter) is row-local, the inherited
-        prefix is bit-identical to the row having idled through those
-        segments itself — the determinism contract is untouched while
-        prefix gate work is paid once per block instead of once per
-        row.  Sorting a block's rows by first-fire ordinal keeps the
-        live rows a contiguous prefix, so boundary unitaries apply to
-        views, never to rows that have not started.
+        The chunk carries one clean **reference** row in buffer row 0 —
+        the task's clean row when it rides this chunk, a synthetic
+        extra row otherwise — and every erred row stays *dead* until
+        the segment holding its first fire, at which point it copies
+        the reference and walks piecewise from there.  Because every
+        kernel involved (boundary gate, full/partial monomial, Pauli
+        scatter) is row-local, the inherited prefix is bit-identical to
+        the row having idled through those segments itself — the
+        determinism contract is untouched while prefix gate work is
+        paid once per chunk instead of once per row.  Sorting the rows
+        by first-fire ordinal keeps the live rows a contiguous prefix,
+        so boundary unitaries apply to views, never to rows that have
+        not started.
         """
         dim = 1 << n
-        # -- carve the chunk into per-plan blocks -----------------------
-        blocks: List[Tuple[_TaskPlan, List[int]]] = []
-        for plan, r in chunk:
-            if blocks and blocks[-1][0] is plan:
-                blocks[-1][1].append(r)
-            else:
-                blocks.append((plan, [r]))
-        layouts = []  # (plan, start, ref_plan_row, sorted_event_rows)
-        height = 0
-        for plan, rows in blocks:
-            empty = [r for r in rows if not plan.rows[r]]
-            eventful = sorted(
-                (r for r in rows if plan.rows[r]),
-                key=lambda r: plan.rows[r][0][0],
-            )
-            ref = empty[0] if empty else None
-            layouts.append((plan, height, ref, eventful))
-            height += 1 + len(eventful)
+        empty = [r for r in rows if not plan.rows[r]]
+        eventful = sorted(
+            (r for r in rows if plan.rows[r]),
+            key=lambda r: plan.rows[r][0][0],
+        )
+        ref = empty[0] if empty else None
+        height = 1 + len(eventful)
 
         buf = np.empty((height, dim), dtype=self.dtype)
-        events: List[tuple] = [()] * height
-        for plan, start, _ref, eventful in layouts:
-            init = plan.task.initial_state
-            if init is None:
-                buf[start] = zero_state(n, 1, self.dtype)[0]
-            else:
-                vec = np.asarray(init, dtype=self.dtype).reshape(-1)
-                if vec.shape[0] != dim:
-                    raise ValueError("initial state has wrong dimension")
-                buf[start] = vec
-            for j, r in enumerate(eventful):
-                events[start + 1 + j] = plan.rows[r]
+        init = plan.task.initial_state
+        if init is None:
+            buf[0] = zero_state(n, 1, self.dtype)[0]
+        else:
+            vec = np.asarray(init, dtype=self.dtype).reshape(-1)
+            if vec.shape[0] != dim:
+                raise ValueError("initial state has wrong dimension")
+            buf[0] = vec
+        events: List[tuple] = [()] + [plan.rows[r] for r in eventful]
         cursor = [0] * height
-        live = [0] * len(layouts)  # activated erred rows per block
+        live = 0  # activated erred rows
         row_scratch = np.empty(dim, dtype=self.dtype)
-        stream = chunk[0][0].task.program.exec_stream()
         ordinal_base = 0
-        for tag, item in stream:
+        for tag, item in plan.task.program.exec_stream():
             if tag == "op":
-                # Boundary unitaries (dense gates) apply to each
-                # block's live prefix; Pauli-only programs have no
-                # other boundaries.  Dead rows inherit the op through
-                # their later reference-row copy.
-                for b, (_plan, start, _ref, _ev) in enumerate(layouts):
-                    item.apply(buf[start:start + 1 + live[b]], n)
+                # Boundary unitaries (dense gates) apply to the live
+                # prefix; Pauli-only programs have no other boundaries.
+                # Dead rows inherit the op through their later
+                # reference-row copy.
+                item.apply(buf[:1 + live], n)
                 continue
             seg = item
-            n_sites = len(seg.sites)
             n_elems = len(seg.elems)
-            hi = ordinal_base + n_sites
+            hi = ordinal_base + len(seg.sites)
             # elem position of each ordinal inside this segment
             pos_of = {
                 ordinal: elem_pos
                 for elem_pos, _op, ordinal in seg.sites
             }
-            idle: List[int] = []
-            for b, (plan, start, _ref, eventful) in enumerate(layouts):
-                k = live[b]
-                # Rows whose first fire lands here copy the reference
-                # (still at segment start) and join the walk.
-                while k < len(eventful) and events[start + 1 + k][0][0] < hi:
-                    buf[start + 1 + k] = buf[start]
-                    k += 1
-                live[b] = k
-                idle.append(start)  # the reference row never fires
-                for j in range(k):
-                    i = start + 1 + j
-                    evs = events[i]
-                    c = cursor[i]
-                    if c >= len(evs) or evs[c][0] >= hi:
-                        idle.append(i)
-                        continue
-                    # Walk this row alone, splitting at its own fires
-                    # only: the composed pieces depend on nothing but
-                    # the row's configuration, which keeps fusion and
-                    # dedup bit-invisible.
-                    pos = 0
-                    while c < len(evs) and evs[c][0] < hi:
-                        ordinal, qubits, label = evs[c]
-                        p = pos_of[ordinal]
-                        if p > pos:
-                            _mono_apply_rows(
-                                buf, (i,),
-                                seg.partial(n, pos, p, buf.dtype),
-                                row_scratch,
-                            )
-                            pos = p
-                        apply_pauli_string_rows(
-                            buf, label, qubits, np.array([i]), n,
-                            self._bits,
-                        )
-                        c += 1
-                    cursor[i] = c
-                    if pos < n_elems:
+            # Rows whose first fire lands here copy the reference
+            # (still at segment start) and join the walk.
+            while live < len(eventful) and events[1 + live][0][0] < hi:
+                buf[1 + live] = buf[0]
+                live += 1
+            idle = [0]  # the reference row never fires
+            for i in range(1, 1 + live):
+                evs = events[i]
+                c = cursor[i]
+                if c >= len(evs) or evs[c][0] >= hi:
+                    idle.append(i)
+                    continue
+                # Walk this row alone, splitting at its own fires only:
+                # the composed pieces depend on nothing but the row's
+                # configuration, which keeps dedup and chunking
+                # bit-invisible.
+                pos = 0
+                while c < len(evs) and evs[c][0] < hi:
+                    ordinal, qubits, label = evs[c]
+                    p = pos_of[ordinal]
+                    if p > pos:
                         _mono_apply_rows(
                             buf, (i,),
-                            seg.partial(n, pos, n_elems, buf.dtype),
+                            seg.partial(n, pos, p, buf.dtype),
                             row_scratch,
                         )
-            if n_elems and idle:
+                        pos = p
+                    apply_pauli_string_rows(
+                        buf, label, qubits, np.array([i]), n, self._bits,
+                    )
+                    c += 1
+                cursor[i] = c
+                if pos < n_elems:
+                    _mono_apply_rows(
+                        buf, (i,),
+                        seg.partial(n, pos, n_elems, buf.dtype),
+                        row_scratch,
+                    )
+            if n_elems:
                 _mono_apply_rows(
                     buf, idle, seg.full(n, buf.dtype), row_scratch
                 )
@@ -483,20 +427,19 @@ class FusedTrajectoryScheduler:
             atol=norm_tolerance(self.dtype),
         )
         p = probabilities(buf)
-        for plan, start, ref, eventful in layouts:
-            if ref is not None:
-                plan.probs[ref] = p[start]
-            for j, r in enumerate(eventful):
-                plan.probs[r] = p[start + 1 + j]
+        if ref is not None:
+            plan.probs[ref] = p[0]
+        for j, r in enumerate(eventful):
+            plan.probs[r] = p[1 + j]
         if sanitizer.enabled():
-            # Geometry-tagged (chunk height varies with the batch's
-            # membership and REPRO_BATCH_MB), so this stage is excluded from
-            # cross-path comparison; it localises a divergence to the
-            # first differing evolution when the portable stages split.
+            # Geometry-tagged (chunk height varies with BATCH_BYTES and
+            # the row count), so this stage is excluded from cross-path
+            # comparison; it localises a divergence to the first
+            # differing evolution when the portable stages split.
             sanitizer.record(
                 "chunk",
                 {"height": height, "probs": p},
-                key=repr(sorted({repr(pl.task.key) for pl, _ in chunk})),
+                key=repr(plan.task.key),
             )
 
     # ------------------------------------------------------------------
@@ -520,9 +463,9 @@ class FusedTrajectoryScheduler:
         outcomes = apply_readout(rng, outcomes, task.program.readout)
         if sanitizer.enabled():
             # One portable event per task: the sampled outcome stream
-            # plus the RNG state it left behind.  Identical across fused
-            # and solo runs by the determinism contract — chunk
-            # geometry must never leak into draws.
+            # plus the RNG state it left behind.  Identical across
+            # chunk geometries and dedup modes by the determinism
+            # contract — neither may leak into draws.
             sanitizer.record(
                 "task",
                 {
@@ -536,27 +479,18 @@ class FusedTrajectoryScheduler:
 
 
 # ---------------------------------------------------------------------------
-# Service entry: one pass over heterogeneous request-owned tasks
+# Service entry
 # ---------------------------------------------------------------------------
 
 def run_request_tasks(
     tasks: Sequence[TrajectoryTask],
 ) -> Dict[object, TaskResult]:
-    """Execute a micro-batch of *request-owned* tasks in one scheduler pass.
+    """Execute *request-owned* tasks, each alone, in one scheduler call.
 
-    This is the group-of-groups entry the service runs every noisy
-    trajectory request through: ``tasks`` may mix fusion keys, shot
-    budgets, trajectory counts and initial states — the scheduler
-    regroups by exact
-    :attr:`~repro.sim.program.CompiledProgram.fusion_key` internally, so
-    callers may batch on any coarser proxy (e.g. circuit family) without
-    risking cross-key contamination.  Tasks whose keys collide must be
-    identical requests; later results overwrite earlier ones, which is
-    then a no-op by the determinism contract.
-
-    Per-request results are bit-identical whether a request was fused
-    with neighbours or ran alone as a batch of one: each task's draws
-    come from its own stream in a fixed order.
+    ``tasks`` may mix programs, shot budgets, trajectory counts and
+    initial states.  Tasks whose keys collide must be identical
+    requests; later results overwrite earlier ones, which is then a
+    no-op by the determinism contract.
     """
     if not tasks:
         return {}

@@ -921,7 +921,7 @@ class CompiledProgram:
         "noise_fingerprint",
     )
 
-    __slots__ = _PICKLE_SLOTS + ("_stream", "_fusion_key")
+    __slots__ = _PICKLE_SLOTS + ("_stream",)
 
     def __init__(
         self,
@@ -942,7 +942,6 @@ class CompiledProgram:
             op.is_pauli for op in ops if op.kind == "noise"
         ) and not any(op.kind == "reset" for op in ops)
         self._stream = None
-        self._fusion_key = None
 
     # -- pickling (slots class) -----------------------------------------
     def __getstate__(self):
@@ -952,44 +951,11 @@ class CompiledProgram:
         for s, v in zip(self._PICKLE_SLOTS, state):
             object.__setattr__(self, s, v)
         self._stream = None
-        self._fusion_key = None
 
     # -- introspection ---------------------------------------------------
     @property
     def num_noise_sites(self) -> int:
         return sum(1 for op in self.ops if op.kind == "noise")
-
-    @property
-    def fusion_key(self) -> tuple:
-        """The fusion compatibility key of this program.
-
-        Two programs with equal fusion keys lower from the same circuit
-        skeleton and share an identical :meth:`exec_stream` layout —
-        same segment boundaries, same Pauli-site ordinals — differing
-        only in channel weights.  The batched trajectory scheduler may
-        therefore pack their rows into one state buffer: every shared
-        unitary/monomial kernel applies to all rows at once, while
-        per-row Pauli fires are drawn from each task's own channel
-        tables.  Rate-only sweeps (the paper's figures) satisfy this by
-        construction; a 1q-axis and a 2q-axis program of the same
-        circuit do *not* (different sites carry weight).
-        """
-        key = self._fusion_key
-        if key is None:
-            layout = tuple(
-                (op.qubits, op.is_pauli, bool(op.e))
-                for op in self.ops
-                if op.kind == "noise"
-            )
-            key = (
-                "fuse",
-                self.circuit_fingerprint,
-                self.num_qubits,
-                layout,
-                self.pauli_only,
-            )
-            self._fusion_key = key
-        return key
 
     def pauli_sites(self) -> List[Tuple[int, NoiseOp]]:
         """(op index, NoiseOp) for every Pauli noise site with weight."""

@@ -308,10 +308,9 @@ def test_stats_snapshot_has_backend_sections(monkeypatch):
     monkeypatch.setenv(BACKEND_ENV, "NumPy32")
     snap = cache_stats_snapshot()
     assert set(snap["backend"]) == {
-        "name", "tag", "complex_dtype", "requested", "blas",
+        "name", "tag", "complex_dtype", "blas",
     }
     assert snap["backend"]["name"] == "numpy32"
-    assert snap["backend"]["requested"] == "numpy32"
     assert snap["backend"]["tag"] == "c64"
     assert snap["backend"]["complex_dtype"] == "complex64"
     assert set(snap["kernel_cache"]) == {

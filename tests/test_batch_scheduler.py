@@ -2,10 +2,11 @@
 
 The load-bearing claims, each pinned here:
 
-* **Bitwise invariance** — fusion, dedup and chunk geometry change how
-  much simulation work runs, never its results: for identical task RNG
-  streams, a batch of one, a fused batch, any chunk height and the
-  ``dedup=False`` reference all yield identical ``Counts``.
+* **Bitwise invariance** — the other tasks of a call, dedup and chunk
+  geometry change how much simulation work runs, never its results:
+  for identical task RNG streams, a call of one task, a call of many,
+  any chunk height and the ``dedup=False`` reference all yield
+  identical ``Counts``.
 * **Sweep integration** — sweeps never use the scheduler: every cell is
   exactly :func:`~repro.experiments.runner.run_point`, and documents
   written with the retired sweep-scheduler keys still load.
@@ -16,6 +17,7 @@ The load-bearing claims, each pinned here:
 import numpy as np
 import pytest
 
+import repro.sim.batch as batch_mod
 from repro.experiments.config import SweepConfig
 from repro.experiments.results import sweep_from_dict, sweep_to_dict
 from repro.experiments.runner import build_compiled_program, run_point
@@ -65,19 +67,27 @@ class TestBitwiseInvariance:
             (True, True, 1),
         ],
     )
-    def test_knobs_do_not_change_counts(self, fuse, dedup, max_rows):
+    def test_knobs_do_not_change_counts(
+        self, monkeypatch, fuse, dedup, max_rows
+    ):
         program = _program()
         # Reference: each task alone, every trajectory row simulated.
         reference = FusedTrajectoryScheduler(dedup=False)
         baseline = {}
         for t in _tasks(program):
             baseline.update(reference.run([t]))
+        if max_rows is not None:
+            # Chunks of ``max_rows`` rows: the byte bound of that many
+            # rows' state, scratch and probabilities.
+            per_row = (1 << program.num_qubits) * np.dtype(
+                FusedTrajectoryScheduler().dtype
+            ).itemsize * 3
+            monkeypatch.setattr(batch_mod, "BATCH_BYTES", max_rows * per_row)
         if fuse:
-            got = FusedTrajectoryScheduler(
-                dedup=dedup, max_batch_rows=max_rows
-            ).run(_tasks(program))
+            # Every task in one scheduler call.
+            got = FusedTrajectoryScheduler(dedup=dedup).run(_tasks(program))
         else:
-            # Unfused: one scheduler pass per task, a batch of one.
+            # One scheduler call per task.
             got = {}
             for t in _tasks(program):
                 got.update(
@@ -86,10 +96,9 @@ class TestBitwiseInvariance:
         assert _counts_maps(got) == _counts_maps(baseline)
 
     def test_fusion_across_rates_is_invisible(self):
-        """Tasks of different error rates fused into one batch produce
+        """Tasks of different error rates in one scheduler call produce
         exactly what each produces alone."""
         progs = [_program(rate=r) for r in (0.001, 0.004, 0.008)]
-        assert len({p.fusion_key for p in progs}) == 1
         solo = {}
         for j, p in enumerate(progs):
             t = TrajectoryTask(
@@ -110,11 +119,6 @@ class TestBitwiseInvariance:
             assert dict(mixed[j].counts.items()) == dict(
                 solo[j].counts.items()
             )
-
-    def test_different_axes_do_not_fuse(self):
-        p1 = build_compiled_program("add", 4, 3, None, "1q", 0.002, "qiskit")
-        p2 = build_compiled_program("add", 4, 3, None, "2q", 0.002, "qiskit")
-        assert p1.fusion_key != p2.fusion_key
 
     def test_dedup_counts_match_statistics(self):
         """Dedup'd sampling stays faithful to the trajectory ensemble."""
@@ -157,8 +161,12 @@ class TestBitwiseInvariance:
             )
 
     def test_invalid_params(self):
-        with pytest.raises(ValueError, match="max_batch_rows"):
-            FusedTrajectoryScheduler(max_batch_rows=0)
+        program = _program()
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="shots"):
+            TrajectoryTask(0, program, shots=0, trajectories=4, rng=rng)
+        with pytest.raises(ValueError, match="trajectories"):
+            TrajectoryTask(0, program, shots=8, trajectories=0, rng=rng)
 
 
 class TestEngineAndSimulateCounts:

@@ -116,10 +116,9 @@ class TestConsumersHonourEnv:
         with pytest.raises(ValueError, match="REPRO_RESULT_CACHE_MB"):
             ResultCache()
 
-    def test_batch_chunk_budget(self, monkeypatch):
-        from repro.sim.batch import FusedTrajectoryScheduler
+    def test_cut_budget_rejects_garbage(self, monkeypatch):
+        from repro.cut.reconstruct import output_budget_bytes
 
-        monkeypatch.setenv("REPRO_BATCH_MB", "not-a-size")
-        sched = FusedTrajectoryScheduler()
-        with pytest.raises(ValueError, match="REPRO_BATCH_MB"):
-            sched._auto_rows(4)
+        monkeypatch.setenv("REPRO_CUT_MB", "not-a-size")
+        with pytest.raises(ValueError, match="REPRO_CUT_MB"):
+            output_budget_bytes()

@@ -13,7 +13,7 @@ import pytest
 
 from repro.runtime import obs
 from repro.service import cache_stats_snapshot, fusion_stats, reset_fusion_stats
-from repro.service.fusion import _note_batch
+from repro.service.fusion import _note_executed
 from repro.sim.batch import scheduler_stats
 
 
@@ -58,22 +58,22 @@ def test_snapshot_never_sees_a_half_done_add(churn):
 
     def write():
         for _ in range(1500):
-            _note_batch(3)
+            _note_executed()
         stop.set()
 
     def read():
         while not stop.is_set():
             s = fusion_stats()
             if not (
-                s["batch_requests"] == s["executed"] == 3 * s["batches"]
-                and s["fused_requests"] == s["executed"]
+                s["batch_requests"] == s["executed"] == s["batches"]
+                and s["fused_requests"] == 0
             ):
                 torn.append(s)
 
     _run_threads([write, write, read, read])
     assert torn == []
     final = fusion_stats()
-    assert final["batches"] == 3000 and final["batch_requests"] == 9000
+    assert final["batches"] == 3000 and final["batch_requests"] == 3000
     reset_fusion_stats()
 
 
@@ -115,7 +115,7 @@ def _key_tree(doc, data_keyed=("tenants",)):
 CACHE_STATS_KEYS = {
     "backend", "backend.blas", "backend.blas.library",
     "backend.blas.threads", "backend.complex_dtype", "backend.name",
-    "backend.requested", "backend.tag",
+    "backend.tag",
     "circuit_lru", "circuit_lru.entries", "circuit_lru.hits",
     "circuit_lru.maxsize", "circuit_lru.misses",
     "compile_cache", "compile_cache.bind_hits", "compile_cache.binds",

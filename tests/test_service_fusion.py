@@ -1,16 +1,17 @@
-"""The one service queue: slots, fusion, fairness, streaming sweeps.
+"""The one service queue: slots, one request per take, fairness,
+streaming sweeps.
 
 The acceptance contract under test:
 
-* the queue is work-conserving: at most ``concurrency`` executor
-  batches run at once, a request at an idle server starts with no
-  timer, and whatever queued behind busy slots leaves together when a
-  slot frees, one batch per circuit family;
-* per-request results are bit-identical across batch geometries and
-  to the same request run alone (a batch of one), with sanitizer-trace
-  parity on every portable stage — over HTTP, a request answered solo
-  at an idle server and fused under load are the same bytes;
-* the batch executor screens before compiling: a ``cut`` request never
+* the queue is work-conserving: at most ``concurrency`` requests run at
+  once, a request at an idle server starts with no timer, and every
+  executor call carries one request;
+* per-request results are bit-identical across chunk geometries, to
+  the same task sharing a scheduler call with other tasks, and over
+  HTTP between a request answered at an idle server and one that
+  queued behind a busy slot — with sanitizer-trace parity on every
+  portable stage;
+* the executor screens before compiling: a ``cut`` request never
   lowers the full-width program;
 * deficit round robin keeps a heavy tenant from holding back a light
   one, priority order holds within a tenant, the waiting bound rejects,
@@ -28,6 +29,7 @@ import time
 import pytest
 
 import repro.service.executor as executor_mod
+import repro.sim.batch as batch_mod
 from repro.runtime import sanitizer
 from repro.runtime.supervisor import RetryPolicy
 from repro.service import (
@@ -47,8 +49,9 @@ from repro.service import (
     fusion_stats,
     reset_fusion_stats,
 )
-from repro.service.executor import _execute_fused_batch, _execute_payload
+from repro.service.executor import _execute_payload, _scheduler_task_for
 from repro.service.fusion import _RETRY_AFTER_CAP, FusionSaturated
+from repro.sim.batch import run_request_tasks
 
 REQ = dict(
     operation="add", n=2, m=2, x=[1], y=[2],
@@ -63,8 +66,8 @@ def payloads_for(rates=RATES, **overrides):
     return [dict(REQ, error_rate=r, **overrides) for r in rates]
 
 
-def fused_server(concurrency=1, **gate_kwargs):
-    """A server whose single slot makes queued requests fuse."""
+def one_slot_server(concurrency=1, **gate_kwargs):
+    """A server whose single slot makes requests queue behind each other."""
     executor = SimulationExecutor(
         workers=0, concurrency=concurrency, retry=RetryPolicy(max_attempts=2)
     )
@@ -88,38 +91,42 @@ def _poll(predicate, timeout=10.0, interval=0.01):
 
 
 class HeldExecutor(SimulationExecutor):
-    """Records every batch and holds it until the test releases it.
+    """Records every request it runs and holds it until the test
+    releases it.
 
     Create it inside the running loop (its events bind to that loop).
     """
 
     def __init__(self, concurrency):
         super().__init__(workers=0, concurrency=concurrency)
-        self.calls = []  # [(requests, release event)]
+        self.calls = []  # [(request, release event)]
         self.in_flight = 0
         self.peak = 0
 
-    async def run_batch(self, requests):
+    async def run(self, request):
         release = asyncio.Event()
-        self.calls.append((list(requests), release))
+        self.calls.append((request, release))
         self.in_flight += 1
         self.peak = max(self.peak, self.in_flight)
         try:
             await release.wait()
         finally:
             self.in_flight -= 1
-        return [{"content_key": r.content_key()} for r in requests]
+        return {"content_key": request.content_key()}
 
-    def rates(self, call):
-        return sorted(r.error_rate for r in self.calls[call][0])
+    def rate(self, call):
+        return self.calls[call][0].error_rate
+
+    def tenant(self, call):
+        return self.calls[call][0].tenant
 
     async def release(self, call):
         self.calls[call][1].set()
-        for _ in range(5):  # let the batch settle and the slot refill
+        for _ in range(5):  # let the request settle and the slot refill
             await asyncio.sleep(0)
 
     async def finish(self, gate):
-        """Release every batch, present and future, until ``gate`` idles."""
+        """Release every request, present and future, until ``gate`` idles."""
         while gate.depth() or gate.slots_in_use:
             for _, release in self.calls:
                 release.set()
@@ -142,7 +149,7 @@ def test_fusion_eligibility_screen():
     assert not fusion_eligible(
         SimRequest.from_dict(dict(REQ, method="density"))
     )
-    # auto on a small register resolves to ptm — not fusable.
+    # auto on a small register resolves to ptm — not a scheduler task.
     assert not fusion_eligible(SimRequest.from_dict(dict(REQ, method="auto")))
 
 
@@ -150,49 +157,61 @@ def test_fusion_eligibility_screen():
 # Bit parity
 # ---------------------------------------------------------------------------
 
+def _shared_call(payloads):
+    """Every request's task in one scheduler call: ``{content key: counts}``."""
+    tasks = [_scheduler_task_for(SimRequest.from_dict(p)) for p in payloads]
+    results = run_request_tasks(tasks)
+    return {
+        task.key: {int(k): int(v) for k, v in results[task.key].counts.items()}
+        for task in tasks
+    }
+
+
 def test_fused_batch_bit_identical_to_dedup_path():
-    batch = _execute_fused_batch(payloads_for())["results"]
-    solo = [_execute_payload(p) for p in payloads_for()]
-    for fused, alone in zip(batch, solo):
-        assert fused["counts"] == alone["counts"]
-        assert fused["success"] == alone["success"]
-        assert fused["min_diff"] == alone["min_diff"]
-        assert fused["method"] == alone["method"] == "trajectory"
+    """A request's counts through the executor equal its task's counts
+    when it shares one scheduler call with other requests' tasks."""
+    shared = _shared_call(payloads_for())
+    for payload in payloads_for():
+        alone = _execute_payload(payload)
+        assert alone["counts"] == shared[alone["content_key"]]
+        assert alone["method"] == "trajectory"
 
 
-def test_fused_batch_geometry_invariant():
-    whole = _execute_fused_batch(payloads_for())["results"]
-    parts = (
-        _execute_fused_batch(payloads_for()[:2])["results"]
-        + _execute_fused_batch(payloads_for()[2:])["results"]
-    )
-    for a, b in zip(whole, parts):
-        assert a["counts"] == b["counts"]
-        assert a["content_key"] == b["content_key"]
+def _bytes(result):
+    d = dict(result)
+    d.pop("timings_ms")  # wall-clock, legitimately varies
+    return json.dumps(d, sort_keys=True)
 
 
-def test_fused_batch_sanitizer_trace_parity():
+def test_fused_batch_geometry_invariant(monkeypatch):
+    """Chunk geometry never leaks into a response: with one row per
+    chunk every request answers the same bytes."""
+    default = [_bytes(_execute_payload(p)) for p in payloads_for()]
+    monkeypatch.setattr(batch_mod, "BATCH_BYTES", 1)
+    one_row = [_bytes(_execute_payload(p)) for p in payloads_for()]
+    assert one_row == default
+
+
+def test_fused_batch_sanitizer_trace_parity(monkeypatch):
     sanitizer.force(True)
     try:
-        whole = _execute_fused_batch(payloads_for())
-        split = _execute_fused_batch(payloads_for()[:3])
-        split2 = _execute_fused_batch(payloads_for()[3:])
-        # Portable stages compare equal across batch geometries.
-        problems = sanitizer.compare_traces(
-            whole["sanitizer_events"],
-            split["sanitizer_events"] + split2["sanitizer_events"],
-        )
-        assert problems == []
-        # And every portable stage (task and counts events, keyed by
-        # content key on both sides) matches the requests run alone.
-        solo_events = []
+        solo = []
         for p in payloads_for():
-            solo_events.extend(_execute_payload(p)["sanitizer_events"])
-        assert {e[0] for e in solo_events} >= {"task", "counts"}
-        problems = sanitizer.compare_traces(
-            whole["sanitizer_events"], solo_events
-        )
-        assert problems == []
+            solo.extend(_execute_payload(p)["sanitizer_events"])
+        assert {e[0] for e in solo} >= {"task", "counts"}
+        # Portable stages compare equal across chunk geometries...
+        monkeypatch.setattr(batch_mod, "BATCH_BYTES", 1)
+        one_row = []
+        for p in payloads_for():
+            one_row.extend(_execute_payload(p)["sanitizer_events"])
+        assert sanitizer.compare_traces(solo, one_row) == []
+        monkeypatch.undo()
+        # ...and every task event matches the tasks sharing one call.
+        with sanitizer.capture() as shared:
+            _shared_call(payloads_for())
+        assert sanitizer.compare_traces(
+            [list(e) for e in shared], solo, stages=("task",)
+        ) == []
     finally:
         sanitizer.force(None)
 
@@ -219,95 +238,86 @@ def _concurrent(client, payloads):
     return threads, results
 
 
-def _fused_under_load(monkeypatch):
-    """Every RATES request, queued behind a blocker holding the only
-    slot, so they leave together as one fused batch."""
+def _hold_first_call(monkeypatch):
+    """Make the first scheduler call wait; returns (started, release,
+    sizes) where ``sizes`` records the task count of every call."""
+    started = threading.Event()
     release = threading.Event()
+    sizes = []
     real = executor_mod.run_request_tasks
 
     def held(tasks):
-        if len(tasks) == 1:  # the blocker occupying the only slot
+        sizes.append([task.key for task in tasks])
+        if not started.is_set():  # the blocker occupying the only slot
+            started.set()
             release.wait(timeout=30)
         return real(tasks)
 
     monkeypatch.setattr(executor_mod, "run_request_tasks", held)
-    with fused_server() as srv:
+    return started, release, sizes
+
+
+def _queued_under_load(monkeypatch, payloads):
+    """``payloads``, queued behind a blocker holding the only slot;
+    returns (responses in payload order, per-call task keys)."""
+    started, release, calls = _hold_first_call(monkeypatch)
+    with one_slot_server() as srv:
         client = ServiceClient(*srv.address)
         blocker = threading.Thread(
             target=client.simulate, args=(dict(REQ, error_rate=0.03),)
         )
         blocker.start()
-        assert _poll(lambda: srv.service.fusion.slots_in_use == 1)
-        threads, fused = _concurrent(client, payloads_for())
-        assert _poll(lambda: srv.service.fusion.depth() == len(RATES))
+        assert started.wait(timeout=30)
+        threads, results = _concurrent(client, payloads)
+        assert _poll(lambda: srv.service.fusion.depth() == len(payloads))
         release.set()
         for t in threads + [blocker]:
             t.join(timeout=30)
-    monkeypatch.setattr(executor_mod, "run_request_tasks", real)
-    return [fused[i] for i in range(len(RATES))]
-
-
-def _unfused_under_load():
-    """The same requests at once, at a server whose batches are capped
-    at one: every request takes the per-request path."""
-    with fused_server(max_batch=1) as srv:
-        threads, results = _concurrent(
-            ServiceClient(*srv.address), payloads_for()
-        )
-        for t in threads:
-            t.join(timeout=30)
-    return [results[i] for i in range(len(RATES))]
-
-
-def test_knobs_off_byte_identical_to_per_request_path():
-    """Batching capped at one: even under concurrent load, every
-    response is the same bytes as a default server answering alone."""
-    gated = _unfused_under_load()
-    assert {r.cache for r in gated} == {"miss"}
-
-    executor = SimulationExecutor(workers=0, concurrency=2)
-    plain = ArithmeticService(
-        executor=executor, cache=ResultCache(ttl=0), lint_requests=False
-    )
-    with ServerThread(plain) as srv:
-        client = ServiceClient(*srv.address)
-        ungated = [client.simulate(p) for p in payloads_for()]
-    assert [_doc(r) for r in gated] == [_doc(r) for r in ungated]
-
-
-def test_fused_server_matches_unfused_dedup_server(monkeypatch):
-    """Fused under load == batches capped at one, request for request,
-    over HTTP."""
-    fused = _fused_under_load(monkeypatch)
-    unfused = _unfused_under_load()
-    assert {r.cache for r in fused} == {"fused"}
-    assert {r.cache for r in unfused} == {"miss"}
-    for f, u in zip(fused, unfused):
-        assert f.counts == u.counts
-        assert f.success == u.success
-        assert f.method == u.method == "trajectory"
+    monkeypatch.undo()
+    return [results[i] for i in range(len(payloads))], calls
 
 
 def test_solo_at_idle_server_byte_identical_to_fused_under_load(monkeypatch):
-    """Over HTTP: every request answered alone at an idle server is the
-    same bytes as when it queued behind a busy slot and ran fused."""
+    """Over HTTP: every request answered at an idle server is the same
+    bytes as when it queued behind a busy slot."""
     def doc(response):
         d = json.loads(_doc(response))
-        d.pop("cache")  # how it ran: the one thing allowed to differ
+        d.pop("cache")  # how it was served: allowed to differ
         return d
 
-    with fused_server() as srv:
+    with one_slot_server() as srv:
         client = ServiceClient(*srv.address)
         solo = [client.simulate(p) for p in payloads_for()]
     assert {r.cache for r in solo} == {"miss"}
 
-    fused = _fused_under_load(monkeypatch)
-    assert {r.cache for r in fused} == {"fused"}
-    assert [doc(r) for r in fused] == [doc(r) for r in solo]
+    queued, _ = _queued_under_load(monkeypatch, payloads_for())
+    assert [doc(r) for r in queued] == [doc(r) for r in solo]
+
+
+def test_one_request_per_take_alternates_tenants(monkeypatch):
+    """Queued requests of one circuit family from two tenants leave one
+    per executor call, the tenants take turns, and every response says
+    it ran as a plain miss."""
+    # Distinct rates: the tenant is not part of the content key, so
+    # equal requests from two tenants would coalesce.
+    payloads = [
+        dict(REQ, error_rate=r, tenant=t)
+        for t, rates in (("a", RATES[:3]), ("b", (0.003, 0.005, 0.007)))
+        for r in rates
+    ]
+    tenant_of = {
+        SimRequest.from_dict(p).content_key(): p["tenant"] for p in payloads
+    }
+    queued, calls = _queued_under_load(monkeypatch, payloads)
+    assert [len(keys) for keys in calls] == [1] * (1 + len(payloads))
+    tenants = [tenant_of[keys[0]] for keys in calls[1:]]
+    assert sorted(tenants) == ["a"] * 3 + ["b"] * 3
+    assert all(x != y for x, y in zip(tenants, tenants[1:]))
+    assert {r.cache for r in queued} == {"miss"}
 
 
 def test_cut_request_never_lowers_full_width_program():
-    """The batch executor screens before compiling: a 16-qubit ``cut``
+    """The executor screens before compiling: a 16-qubit ``cut``
     request lowers its fragments only, never the full-width program."""
     from repro.experiments.runner import (
         build_arithmetic_circuit,
@@ -339,19 +349,19 @@ def test_cut_request_never_lowers_full_width_program():
 
 
 # ---------------------------------------------------------------------------
-# The one queue: slots, batching, fairness, admission, cancellation
+# The one queue: slots, fairness, admission, cancellation
 # ---------------------------------------------------------------------------
 
 def test_idle_server_runs_a_request_at_once():
     """No hold timer: an idle slot starts the request on the next loop
-    turn, as a batch of one, and its caller learns it ran alone."""
+    turn."""
     async def scenario():
         executor = HeldExecutor(concurrency=2)
         gate = FusionGate(executor)
         future = gate.enqueue(req(0.001))
         assert gate.slots_in_use == 1 and gate.depth() == 0
         await asyncio.sleep(0)  # one loop turn: no timer can have fired
-        assert [len(requests) for requests, _ in executor.calls] == [1]
+        assert len(executor.calls) == 1
         await executor.release(0)
         payload, source = await future
         assert source == "miss"
@@ -377,91 +387,61 @@ def test_at_most_concurrency_batches_in_flight():
             call += 1
         await asyncio.gather(*futures)
         assert executor.peak == 2
-        assert sum(len(requests) for requests, _ in executor.calls) == 12
-
-    asyncio.run(scenario())
-
-
-def test_waiting_requests_leave_together_one_batch_per_family():
-    """Requests that queued behind busy slots leave together when a
-    slot frees: the head's circuit family from every tenant, one batch
-    per family."""
-    async def scenario():
-        executor = HeldExecutor(concurrency=2)
-        gate = FusionGate(executor)
-        gate.enqueue(req(0.030))
-        gate.enqueue(req(0.031))  # both slots busy
-        for rate, n, tenant in (
-            (0.001, 2, "t1"), (0.002, 2, "t2"), (0.003, 2, "t1"),
-            (0.004, 3, "t1"), (0.005, 3, "t2"),
-        ):
-            gate.enqueue(req(rate, n=n, tenant=tenant))
-        await asyncio.sleep(0)
-        assert len(executor.calls) == 2 and gate.depth() == 5
-        await executor.release(0)
-        assert executor.rates(2) == [0.001, 0.002, 0.003]
-        await executor.release(1)
-        assert executor.rates(3) == [0.004, 0.005]
-        assert gate.depth() == 0
-        await executor.finish(gate)
+        assert len(executor.calls) == 12
 
     asyncio.run(scenario())
 
 
 def test_drr_select_shares_flush_between_tenants():
-    """A take serves the head's tenant up to its deficit and every rider
-    tenant up to one quantum: the light tenant's whole backlog gets
-    through in the first batch despite queueing behind 20 heavy ones."""
+    """Each take is one request, and the tenants take turns: the light
+    tenant's whole backlog gets through in the first four takes despite
+    queueing behind 20 heavy ones."""
     async def scenario():
         executor = HeldExecutor(concurrency=1)
-        gate = FusionGate(executor, quantum=4 * REQ["shots"], max_batch=8)
+        gate = FusionGate(executor, quantum=4 * REQ["shots"])
         gate.enqueue(req(0.5, tenant="blocker"))
         for i in range(20):
             gate.enqueue(req(0.001 * (i + 1), tenant="heavy"))
         for i in range(2):
             gate.enqueue(req(0.03 + 0.001 * (i + 1), tenant="light"))
         await asyncio.sleep(0)
-        await executor.release(0)
-        by_tenant = {}
-        for request in executor.calls[1][0]:
-            by_tenant.setdefault(request.tenant, []).append(request)
+        for call in range(4):
+            await executor.release(call)
+        tenants = [executor.tenant(call) for call in range(1, 5)]
         described = gate.describe()
         await executor.finish(gate)
-        return by_tenant, described
+        return tenants, described
 
-    by_tenant, described = asyncio.run(scenario())
-    assert len(by_tenant["light"]) == 2
-    assert len(by_tenant["heavy"]) == 4
-    assert described["tenant_pending"] == {"heavy": 16}
+    tenants, described = asyncio.run(scenario())
+    assert tenants == ["heavy", "light", "heavy", "light"]
+    assert described["tenant_pending"] == {"heavy": 18}
     deficits = described["tenant_deficits"]
     assert "heavy" in deficits and "light" not in deficits
 
 
 def test_backlogged_tenant_cannot_hold_back_another_past_next_slot():
     """A batch tenant with 50 queued cells: another tenant's request
-    goes at the next free slot, not behind the backlog — and, though of
-    the same circuit family, it carries none of the larger cells."""
+    goes at the next free slot, not behind the backlog."""
     async def scenario():
         executor = HeldExecutor(concurrency=1)
         gate = FusionGate(executor)
         for i in range(51):
             gate.enqueue(req(0.001 * (i + 1), shots=2048, tenant="batch"))
         await asyncio.sleep(0)
-        await executor.release(0)  # the batch tenant's next take starts
-        assert gate.depth() == 48
+        await executor.release(0)  # the batch tenant's next cell starts
+        assert gate.depth() == 49
         gate.enqueue(req(0.0025, shots=512, tenant="interactive"))
         await executor.release(1)
-        assert [r.tenant for r in executor.calls[2][0]] == ["interactive"]
+        assert executor.tenant(2) == "interactive"
         await executor.release(2)
-        assert {r.tenant for r in executor.calls[3][0]} == {"batch"}
+        assert executor.tenant(3) == "batch"
         await executor.finish(gate)
 
     asyncio.run(scenario())
 
 
 def test_priority_order_holds_within_a_tenant():
-    """Lower priority value first, FIFO within a class, and a take never
-    carries a lower class along with a higher one."""
+    """Lower priority value first, FIFO within a class."""
     async def scenario():
         executor = HeldExecutor(concurrency=1)
         gate = FusionGate(executor)
@@ -471,12 +451,12 @@ def test_priority_order_holds_within_a_tenant():
         gate.enqueue(req(0.003, priority=0))
         gate.enqueue(req(0.004, n=3, priority=0))
         await asyncio.sleep(0)
-        for call in range(3):
+        for call in range(4):
             await executor.release(call)
         await executor.finish(gate)
-        return [executor.rates(call) for call in range(1, 4)]
+        return [executor.rate(call) for call in range(1, 5)]
 
-    assert asyncio.run(scenario()) == [[0.002, 0.004], [0.003], [0.001]]
+    assert asyncio.run(scenario()) == [0.002, 0.003, 0.004, 0.001]
 
 
 def test_gate_saturation_raises():
@@ -545,7 +525,7 @@ def test_cancelled_caller_withdraws_its_waiting_entry():
         await asyncio.gather(orphan, return_exceptions=True)
         assert scheduler.fusion.depth() == 1
         await executor.release(0)
-        assert executor.rates(1) == [0.003]
+        assert executor.rate(1) == 0.003
         await executor.release(1)
         await asyncio.gather(first, kept)
         assert scheduler.queue_stats()["inflight_keys"] == 0
@@ -573,10 +553,10 @@ def test_sweep_request_model_validation():
 
 
 def test_sweep_streams_partials_and_done():
-    # One slot: the first cell runs alone, the rest queue behind it and
-    # leave as one fused batch.
+    # One slot: the first cell runs at once, the rest queue behind it
+    # and leave one per take.
     reset_fusion_stats()
-    with fused_server() as srv:
+    with one_slot_server() as srv:
         client = ServiceClient(*srv.address)
         parts = list(client.submit_sweep(dict(REQ), RATES))
         assert len(parts) == len(RATES)
@@ -586,15 +566,16 @@ def test_sweep_streams_partials_and_done():
         for p in parts:
             assert sum(p.response.counts.values()) == REQ["shots"]
         stats = client.stats()
-        assert stats["fusion"]["totals"]["batches"] >= 1
+        assert stats["fusion"]["totals"]["batches"] == len(RATES)
         assert stats["metrics"]["counters"]["sweep_requests_total"] == 1
         assert stats["metrics"]["counters"]["sweep_cells_total"] == len(RATES)
     totals = fusion_stats()
-    assert totals["hit_rate"] > 0.5
+    assert totals["executed"] == totals["batch_requests"] == len(RATES)
+    assert totals["fused_requests"] == 0 and totals["hit_rate"] == 0.0
 
 
 def test_sweep_rejects_bad_spec_with_request_id():
-    with fused_server() as srv:
+    with one_slot_server() as srv:
         client = ServiceClient(*srv.address)
         with pytest.raises(RequestRejected) as err:
             list(client.submit_sweep(dict(REQ), [0.5, 1.5]))
@@ -615,7 +596,7 @@ def test_sweep_mid_stream_disconnect_cancels_pending(monkeypatch):
         return real(tasks)
 
     monkeypatch.setattr(executor_mod, "run_request_tasks", held)
-    with fused_server() as srv:
+    with one_slot_server() as srv:
         host, port = srv.address
         spec = {"base": dict(REQ), "rates": list(RATES)}
         body = json.dumps(spec).encode()
@@ -651,7 +632,7 @@ def test_sweep_mid_stream_disconnect_cancels_pending(monkeypatch):
 
 def test_fusion_metrics_and_stats_surfaces():
     reset_fusion_stats()
-    with fused_server() as srv:
+    with one_slot_server() as srv:
         client = ServiceClient(*srv.address)
         list(client.submit_sweep(dict(REQ, tenant="team-a"), RATES))
         text = client.metrics_text()
@@ -662,7 +643,9 @@ def test_fusion_metrics_and_stats_surfaces():
         assert "repro_latency_queue_wait_seconds_bucket" in text
         stats = client.stats()
         fusion = stats["fusion"]
-        assert {"enabled", "window_ms", "min_batch"}.isdisjoint(fusion)
+        assert {"enabled", "window_ms", "min_batch", "max_batch"}.isdisjoint(
+            fusion
+        )
         assert fusion["slots_in_use"] == 0 and fusion["concurrency"] == 1
         assert fusion["tenant_pending"] == {}
         assert fusion["totals"]["admitted"] == len(RATES)

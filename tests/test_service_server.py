@@ -53,6 +53,20 @@ def make_server(
     return ServerThread(service)
 
 
+def _post(address, path, doc):
+    """POST a raw JSON body (the client validates before it sends)."""
+    conn = http.client.HTTPConnection(*address, timeout=10)
+    try:
+        conn.request(
+            "POST", path, body=json.dumps(doc).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read().decode())
+    finally:
+        conn.close()
+
+
 def _poll(predicate, timeout=10.0, interval=0.01):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -275,23 +289,13 @@ def test_lint_gate_rejects_with_422(monkeypatch):
 def test_wide_density_request_gets_422_on_both_routes():
     # QFA 6+6 (12 qubits) through explicit density is refused at the
     # door with the engine's width-limit text, for /v1/simulate and for
-    # a /v1/sweep base alike; nothing reaches an executor slot.  Raw
-    # bodies, because the client validates before it sends.
+    # a /v1/sweep base alike; nothing reaches an executor slot.
     wide = dict(REQ, n=6, m=6, x=[3], y=[7], method="density")
     with make_server() as srv:
         host, port = srv.address
 
         def post(path: str, doc: dict):
-            conn = http.client.HTTPConnection(host, port, timeout=10)
-            try:
-                conn.request(
-                    "POST", path, body=json.dumps(doc).encode(),
-                    headers={"Content-Type": "application/json"},
-                )
-                resp = conn.getresponse()
-                return resp.status, json.loads(resp.read().decode())
-            finally:
-                conn.close()
+            return _post(srv.address, path, doc)
 
         status, doc = post("/v1/simulate", wide)
         assert status == 422 and doc["error"] == "width limit"
@@ -306,6 +310,27 @@ def test_wide_density_request_gets_422_on_both_routes():
         counters = ServiceClient(host, port).stats()["metrics"]["counters"]
         assert counters["requests_invalid_total"] == 2
         assert "sweep_requests_total" not in counters
+
+
+@pytest.mark.parametrize("field", ["n", "m"])
+def test_huge_register_width_is_4xx_on_both_routes(field):
+    # A width far past the service cap is refused before any 2**width
+    # operand bound is built (that raised OverflowError, a 500).
+    huge = dict(REQ, **{field: 10**20})
+    base = {k: v for k, v in huge.items() if k != "error_rate"}
+    with make_server() as srv:
+        for path, doc in (
+            ("/v1/simulate", huge),
+            ("/v1/sweep", {"base": base, "rates": [0.001]}),
+        ):
+            status, body = _post(srv.address, path, doc)
+            assert 400 <= status < 500, (path, status, body)
+            assert any("exceeds service cap" in d for d in body["details"])
+        counters = ServiceClient(*srv.address).stats()["metrics"]["counters"]
+    statuses = {
+        k for k in counters if k.startswith("http_requests_total")
+    }
+    assert statuses and not any("500" in k for k in statuses)
 
 
 def test_coalescing_collapses_identical_requests(monkeypatch):
@@ -524,9 +549,9 @@ def test_retry_after_estimate_is_capped():
     from repro.service.scheduler import JobScheduler
 
     class Blocked(SimulationExecutor):
-        async def run_batch(self, requests):
+        async def run(self, request):
             await self.release.wait()
-            return [{} for _ in requests]
+            return {}
 
     async def scenario():
         executor = Blocked(workers=0, concurrency=1)
