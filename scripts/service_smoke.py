@@ -13,10 +13,20 @@ disconnect contract
 (the server withdraws orphaned queued cells without poisoning shared
 state).  Exits non-zero on any violated expectation — this is the
 ``service-smoke`` CI lane.
+
+``--workers N`` runs the round trip and the sweep stream on N worker
+processes instead of threads; then ``/stats`` must show the kernel and
+compile counters the workers sent home.  The queue-parity and
+disconnect checks hold a simulation by patching this process, so they
+run on the thread tier only.
+
+    REPRO_SCALE=smoke PYTHONPATH=src python scripts/service_smoke.py
+    REPRO_SCALE=smoke PYTHONPATH=src python scripts/service_smoke.py --workers 2
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import json
 import socket
@@ -30,15 +40,25 @@ def fail(message: str) -> "None":
     sys.exit(1)
 
 
-def main() -> int:
-    from repro.service import ServerThread, ServiceClient
+def main(argv=None) -> int:
+    from repro.service import (
+        ArithmeticService,
+        ServerThread,
+        ServiceClient,
+        SimulationExecutor,
+    )
 
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workers", type=int, default=0,
+                        help="worker processes (0 = threads, the default)")
+    workers = parser.parse_args(argv).workers
     request = dict(
         operation="add", n=2, m=3, x=[1, 2], y=[5],
         shots=256, seed=20220131, error_axis="2q", error_rate=0.001,
         trajectories=16, method="trajectory",
     )
-    with ServerThread() as srv:
+    service = ArithmeticService(executor=SimulationExecutor(workers=workers))
+    with ServerThread(service) as srv:
         client = ServiceClient(*srv.address, timeout=120)
 
         health = client.health()
@@ -73,8 +93,16 @@ def main() -> int:
                 fail(f"/stats missing {section!r}")
         if stats["result_cache"]["hits"] < 1:
             fail("stats did not record the cache hit")
+        if stats["executor"]["mode"] != ("process" if workers else "thread"):
+            fail(f"executor mode {stats['executor']['mode']!r}")
+        kernels = stats["kernel_cache"]
+        if kernels["hits"] + kernels["misses"] == 0:
+            fail("/stats kernel counters read 0 after a noisy request")
+        if stats["compile_cache"]["lowerings"] == 0:
+            fail("/stats compile counters read 0 after a noisy request")
         print(
             f"[smoke] /stats: lowerings={stats['compile_cache']['lowerings']} "
+            f"kernel hits+misses={kernels['hits'] + kernels['misses']} "
             f"result-cache hits={stats['result_cache']['hits']}"
         )
 
@@ -95,14 +123,15 @@ def main() -> int:
             fail(f"noisy 6-qubit auto request ran {exact.method!r}, not 'ptm'")
         print("[smoke] noisy 6-qubit auto request answered by ptm")
 
-    _queued_parity_smoke(dict(request))
-    _sweep_streaming_smoke(dict(request))
-    _disconnect_smoke(dict(request))
-    print("[smoke] service smoke passed")
+    _sweep_streaming_smoke(dict(request), workers)
+    if not workers:
+        _queued_parity_smoke(dict(request))
+        _disconnect_smoke(dict(request))
+    print(f"[smoke] service smoke passed (workers={workers})")
     return 0
 
 
-def _one_slot_server() -> "object":
+def _one_slot_server(workers: int = 0) -> "object":
     """A server with one executor slot: requests queue behind the
     running one."""
     from repro.service import (
@@ -114,7 +143,7 @@ def _one_slot_server() -> "object":
 
     return ServerThread(
         ArithmeticService(
-            executor=SimulationExecutor(workers=0, concurrency=1),
+            executor=SimulationExecutor(workers=workers, concurrency=1),
             cache=ResultCache(ttl=0),
             concurrency=1,
             lint_requests=False,
@@ -193,13 +222,13 @@ def _queued_parity_smoke(request: dict) -> None:
     print("[smoke] queue parity: idle and queued counts bit-identical")
 
 
-def _sweep_streaming_smoke(request: dict) -> None:
+def _sweep_streaming_smoke(request: dict, workers: int) -> None:
     """Consume a ``/v1/sweep`` stream cell by cell."""
     from repro.service import ServiceClient
 
     rates = [0.001, 0.002, 0.004, 0.008]
     # One slot: the first cell runs at once, the rest queue behind it.
-    with _one_slot_server() as srv:
+    with _one_slot_server(min(workers, 1)) as srv:
         client = ServiceClient(*srv.address, timeout=120)
         seen = []
         for part in client.submit_sweep(request, rates):

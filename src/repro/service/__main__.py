@@ -2,17 +2,22 @@
 
 Examples
 --------
-Serve on the default port with in-process execution::
+Serve on the default port, one worker process per queue slot::
 
     repro-serve --port 8777
 
-A process-pool deployment with tighter admission control::
+Four slots with tighter admission control::
 
-    repro-serve --workers 4 --max-queue 64 --timeout 30 --max-attempts 3
+    repro-serve --concurrency 4 --max-queue 64 --timeout 30 --max-attempts 3
+
+Everything in this process, on threads (one set of caches; the
+trajectory walks then share one interpreter's GIL)::
+
+    repro-serve --workers 0
 
 Requests wait in one work-conserving queue: at most ``--concurrency``
 requests run at once, and a free slot takes the next waiting request
-at once.
+at once.  ``--workers`` defaults to ``--concurrency``.
 
 Tuning knobs also honour the environment: ``REPRO_RESULT_CACHE_MB``,
 ``REPRO_RESULT_CACHE_TTL``, ``REPRO_SERVICE_MAX_QUBITS``,
@@ -40,8 +45,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--workers",
         type=int,
-        default=0,
-        help="process-pool workers (0 = in-process threads, the default)",
+        default=None,
+        help="worker processes (default: one per --concurrency slot; "
+        "0 = run requests on threads of this process)",
     )
     parser.add_argument(
         "--concurrency",
@@ -85,6 +91,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def parse_args(argv: Optional[list] = None) -> argparse.Namespace:
+    """``repro-serve``'s arguments, ``--workers`` resolved."""
+    args = build_parser().parse_args(argv)
+    if args.workers is None:
+        args.workers = args.concurrency
+    return args
+
+
 async def _serve(args: argparse.Namespace) -> int:
     from ..runtime.supervisor import RetryPolicy
     from .executor import SimulationExecutor
@@ -112,7 +126,8 @@ async def _serve(args: argparse.Namespace) -> int:
     host, port = await service.start(args.host, args.port)
     print(
         f"repro-serve listening on http://{host}:{port} "
-        f"(executor={executor.mode}, concurrency={args.concurrency}, "
+        f"(executor={executor.mode}, workers={executor.workers}, "
+        f"concurrency={args.concurrency}, "
         f"max_queue={args.max_queue})",
         flush=True,
     )
@@ -149,7 +164,7 @@ def main(argv: Optional[list] = None) -> int:
     from ..runtime.blas import cap_blas_threads
 
     cap_blas_threads()
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     try:
         return asyncio.run(_serve(args))
     except KeyboardInterrupt:

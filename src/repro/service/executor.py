@@ -16,11 +16,18 @@ once the respawn budget is exhausted (mirroring
 Determinism: the RNG is rebuilt from the request's seed sequence inside
 every attempt, so a retried request replays bit-identically — the
 regression tests in ``tests/test_service_seed.py`` pin this.
+
+Observability: a process worker's counters (``program.*``, ``batch.*``,
+``ptm.*``, ``cut.*`` of :mod:`repro.runtime.obs`) ride home with each
+result as the deltas that request caused, and the parent merges them,
+so ``/stats`` reads the same on both tiers.  A failed or crashed
+attempt brings nothing home.
 """
 
 from __future__ import annotations
 
 import asyncio
+import os
 import time
 from concurrent.futures import Executor as _FuturesExecutor
 from concurrent.futures import ThreadPoolExecutor
@@ -32,11 +39,14 @@ import numpy as np
 
 from ..experiments.runner import build_compiled_program, noise_model_for
 from ..metrics.success import evaluate_instance
-from ..runtime import sanitizer
+from ..runtime import obs, sanitizer
 from ..runtime.blas import process_pool
+from ..runtime.faults import FaultPlan, FaultSpec, inject
 from ..runtime.supervisor import RetryPolicy
 from ..sim.batch import TrajectoryTask, run_request_tasks
 from ..sim.engines import EXACT_MAX_QUBITS, simulate_counts
+from ..sim.program import kernel_cache_stats
+from ..sim.ptm import ptm_cache_stats
 from ..sim.result import Counts
 from .model import RequestValidationError, SimRequest
 
@@ -279,29 +289,76 @@ def _run_request(request: SimRequest) -> Dict[str, Any]:
     )
 
 
-def _execute_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
+def _execute_payload(
+    payload: Dict[str, Any],
+    fault: Optional[FaultSpec] = None,
+    attempt: int = 1,
+) -> Dict[str, Any]:
     """Run one request end to end (top level: picklable for pools).
 
     The service's one execution function.  Returns the request's
     response-shaped payload; when the sanitizer is on, the request's
     trace events ride home under ``"sanitizer_events"``.
+
+    ``fault`` (keyed by content key, firing by ``attempt``) fires after
+    the request has run and before its result leaves, so the attempt's
+    whole work is lost; ``nan`` has nothing to poison here and does
+    nothing.
     """
     request = SimRequest.from_dict(payload)
     if not sanitizer.enabled():
-        return _run_request(request)
-    with sanitizer.capture() as events:
         result = _run_request(request)
-    result["sanitizer_events"] = [list(e) for e in events]
+    else:
+        with sanitizer.capture() as events:
+            result = _run_request(request)
+        result["sanitizer_events"] = [list(e) for e in events]
+    inject(fault, request.content_key(), attempt)
+    return result
+
+
+def _execute_in_worker(
+    payload: Dict[str, Any], fault: Optional[FaultSpec], attempt: int
+) -> Dict[str, Any]:
+    """Process-pool entry: :func:`_execute_payload`, plus the worker's
+    report under ``"worker_stats"`` — the counter deltas this request
+    caused and the worker's cache sizes.
+
+    A pool worker runs one payload at a time, so the ledger's movement
+    between the two snapshots is this request's alone.
+    """
+    before = obs.snapshot()
+    result = _execute_payload(payload, fault, attempt)
+    kernels = kernel_cache_stats()
+    result["worker_stats"] = {
+        "pid": os.getpid(),
+        "counters": obs.delta(before, obs.snapshot()),
+        "gauges": {
+            "kernel_cache": {
+                "entries": kernels["entries"],
+                "total_bytes": kernels["total_bytes"],
+            },
+            "ptm_cache": {"plans": ptm_cache_stats()["plans"]},
+        },
+    }
     return result
 
 
 class SimulationExecutor:
     """Async facade over the worker pool with the retry ladder.
 
-    ``workers=0`` executes in-process on a thread pool (sharing the
-    parent's compile/kernel caches — the right mode for tests and
-    small deployments); ``workers>0`` uses a process pool, where each
-    worker warms its own caches and survives crashes via respawn.
+    ``workers=0`` (the library default) executes in-process on a thread
+    pool: in-process embedders and the tests share the parent's
+    compile/kernel caches and can patch what runs.  ``workers>0`` uses
+    a process pool (``repro-serve``'s default, one worker per slot),
+    which runs the GIL-bound trajectory walks in parallel; each worker
+    warms its own caches, reports its counters home with every result
+    (merged into :mod:`repro.runtime.obs`; its cache sizes are kept per
+    worker, see :meth:`worker_gauges`) and is replaced by a respawn if
+    it dies.
+
+    ``fault_plan`` is a test seam, as on
+    :func:`~repro.experiments.sweep.run_sweep`: requests are keyed by
+    content key and the attempt number picks the firing attempts.
     """
 
     def __init__(
@@ -309,17 +366,26 @@ class SimulationExecutor:
         workers: int = 0,
         concurrency: int = 4,
         retry: Optional[RetryPolicy] = None,
+        fault_plan: Optional[FaultPlan] = None,
     ) -> None:
         self.workers = workers
         self.concurrency = concurrency
         self.retry = retry or RetryPolicy(max_attempts=2, timeout=None)
+        self.fault_plan = fault_plan or FaultPlan()
         self.pool_respawns = 0
         self.degraded = False
+        #: Latest cache sizes each live worker sent, by pid.
+        self._worker_gauges: Dict[int, Dict[str, Dict[str, int]]] = {}
         self._pool = self._make_pool()
 
     def _make_pool(self) -> _FuturesExecutor:
         if self.workers > 0 and not self.degraded:
-            return process_pool(self.workers)
+            pool = process_pool(self.workers)
+            # Forked workers start on the first submit: start them now,
+            # from the constructing thread, rather than from under a
+            # busy server's threads.
+            pool.submit(os.getpid)
+            return pool
         return ThreadPoolExecutor(
             max_workers=max(1, self.concurrency),
             thread_name_prefix="repro-exec",
@@ -342,6 +408,30 @@ class SimulationExecutor:
             "timeout": self.retry.timeout,
         }
 
+    def worker_gauges(self) -> Dict[str, Dict[str, int]]:
+        """Cache sizes summed over the live workers' latest reports
+        (``{section: {name: value}}``; empty on the thread tier)."""
+        total: Dict[str, Dict[str, int]] = {}
+        for report in self._worker_gauges.values():
+            for section, row in report.items():
+                into = total.setdefault(section, {})
+                for name, value in row.items():
+                    into[name] = into.get(name, 0) + value
+        return total
+
+    def _absorb(self, result: Dict[str, Any]) -> Dict[str, Any]:
+        """Fold what rode home on ``result`` into this process; return
+        the tier-independent response payload."""
+        # Sanitizer events: that is how they cross the process boundary.
+        events = result.pop("sanitizer_events", None)
+        if events:
+            sanitizer.merge_events(events)
+        report = result.pop("worker_stats", None)
+        if report is not None:
+            obs.merge(report["counters"])
+            self._worker_gauges[report["pid"]] = report["gauges"]
+        return result
+
     async def run(self, request: SimRequest) -> Dict[str, Any]:
         """Execute ``request`` with the retry ladder; returns its
         result payload.
@@ -349,31 +439,30 @@ class SimulationExecutor:
         Determinism makes every retry replay bit-identically.
         """
         payload = request.to_dict()
+        fault = self.fault_plan.for_cell(request.content_key())
         loop = asyncio.get_running_loop()
         last_error = "unknown"
         for attempt in range(1, self.retry.max_attempts + 1):
+            pool = self._pool
+            # Only a process worker reports counters: a thread's are
+            # already this process's own.
+            fn = _execute_in_worker if self.mode == "process" else _execute_payload
             try:
-                future = loop.run_in_executor(
-                    self._pool, _execute_payload, payload
-                )
+                future = loop.run_in_executor(pool, fn, payload, fault, attempt)
                 if self.retry.timeout is not None:
                     result = await asyncio.wait_for(future, self.retry.timeout)
                 else:
                     result = await future
-                # Worker-side sanitizer events ride home on the result
-                # (that is how they cross the process boundary); fold
-                # them into the parent trace and keep the response
-                # payload tier-independent.
-                events = result.pop("sanitizer_events", None)
-                if events:
-                    sanitizer.merge_events(events)
-                return result
+                return self._absorb(result)
             except (RequestValidationError, ValueError):
                 # Deterministic input errors cannot succeed on retry.
                 raise
             except BrokenProcessPool as exc:
                 last_error = f"BrokenProcessPool: {exc}"
-                self._respawn()
+                # One dead worker breaks every request in flight on its
+                # pool; the first to notice replaces it.
+                if pool is self._pool:
+                    self._respawn()
             except asyncio.TimeoutError:
                 last_error = (
                     f"timeout after {self.retry.timeout}s "
@@ -401,6 +490,8 @@ class SimulationExecutor:
         self.pool_respawns += 1
         if self.pool_respawns > self.retry.max_pool_respawns:
             self.degraded = True
+        # The old pool's workers are gone, and their cache sizes with them.
+        self._worker_gauges.clear()
         self._pool = self._make_pool()
 
     def shutdown(self, wait: bool = True) -> None:

@@ -9,13 +9,14 @@ there is no hold timer — and runs it alone through
 
 Fairness: each take is chosen by deficit round robin (DRR) over
 tenants.  A tenant's turn credits it :data:`QUANTUM` cost units (cost =
-requested shots) and its head request goes when it fits the tenant's
-deficit; a tenant whose queue was empty goes before the tenants that
-stayed backlogged, so an interactive request waits for the next free
-slot, not behind a sweep.  Within a tenant, order is priority, then
-FIFO.  A tenant that empties its queue forfeits its balance (standard
-DRR), and a progress guard serves the oldest head when no deficit
-suffices.
+requested shots) when its head request does not fit its deficit, and
+the head goes once it fits — so a balance never exceeds the larger of
+the quantum and the costliest head.  A tenant whose queue was empty
+goes before the tenants that stayed backlogged, so an interactive
+request waits for the next free slot, not behind a sweep.  Within a
+tenant, order is priority, then FIFO.  A tenant that empties its queue
+forfeits its balance (standard DRR), and a progress guard serves the
+oldest head when no deficit suffices.
 
 The waiting backlog is bounded by ``max_queue`` (``--max-queue``);
 past it :class:`FusionSaturated` becomes HTTP 429 with ``Retry-After``.
@@ -327,9 +328,13 @@ class FusionGate:
         """One DRR turn: the tenant whose head request goes next."""
         for _ in range(len(self._new) + len(self._old)):
             tenant = (self._new or self._old).popleft()
-            credit = self._deficit.get(tenant, 0.0) + self.quantum
-            self._deficit[tenant] = credit
-            if self._queues[tenant][0].cost <= credit:
+            head = self._queues[tenant][0].cost
+            credit = self._deficit.get(tenant, 0.0)
+            # Credit only a head that does not fit: a take charges one
+            # request, so crediting every turn would bank without bound.
+            if head > credit:
+                credit = self._deficit[tenant] = credit + self.quantum
+            if head <= credit:
                 return tenant
             self._old.append(tenant)
         # Progress guard: a request costlier than any deficit still goes

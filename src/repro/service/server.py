@@ -99,7 +99,13 @@ class _BadRequest(Exception):
 
 
 class ArithmeticService:
-    """The long-lived service: scheduler + executor + HTTP front end."""
+    """The long-lived service: scheduler + executor + HTTP front end.
+
+    Without an ``executor`` it runs requests on threads of this process
+    (``SimulationExecutor(workers=0)``): an embedding program and the
+    tests then share one set of caches.  ``repro-serve`` passes a
+    process-tier executor instead.
+    """
 
     def __init__(
         self,
@@ -145,8 +151,9 @@ class ArithmeticService:
         self.metrics.register_gauge(
             "inflight_requests", lambda: self._inflight_http
         )
-        # Batched-trajectory-scheduler efficiency (process-wide; only
-        # moves when executions run in-process or with dedup enabled).
+        # Trajectory-scheduler efficiency.  The ``batch.*`` counters are
+        # this process's ledger, which process workers' counters are
+        # merged into, so these read the same on both tiers.
         from ..sim.batch import scheduler_stats
 
         self.metrics.register_gauge(
@@ -609,8 +616,15 @@ class ArithmeticService:
         )
 
     def stats(self) -> Dict[str, Any]:
-        """The ``/stats`` document (shared shape with the CLI)."""
+        """The ``/stats`` document (shared shape with the CLI).
+
+        Counters include what process workers merged home; cache sizes
+        add each live worker's latest report to this process's own.
+        """
         snapshot = cache_stats_snapshot(result_cache=self.cache)
+        for section, row in self.executor.worker_gauges().items():
+            for name, value in row.items():
+                snapshot[section][name] += value
         snapshot.update(
             {
                 "uptime_seconds": time.monotonic() - self.started_at,
@@ -659,7 +673,10 @@ class ServerThread:
 
     The test suite, the load-smoke benchmark, and small embedded
     deployments all want a blocking handle: ``with ServerThread() as
-    srv: client = ServiceClient(*srv.address)``.
+    srv: client = ServiceClient(*srv.address)``.  :meth:`stop` drains
+    the service and shuts its executor down.  The default service runs
+    requests on threads of this process (``workers=0``), so everything
+    in the process shares one set of caches.
     """
 
     def __init__(self, service: Optional[ArithmeticService] = None,
@@ -711,6 +728,8 @@ class ServerThread:
         self._stopped.wait(timeout=timeout + 10)
         if self._thread is not None:
             self._thread.join(timeout=5)
+        # The drained service takes no more work: let its workers go.
+        self.service.executor.shutdown(wait=drain)
 
     def __enter__(self) -> "ServerThread":
         return self.start()

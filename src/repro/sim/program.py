@@ -62,7 +62,7 @@ import cmath
 import hashlib
 import threading
 import weakref
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -121,7 +121,10 @@ class KernelCache:
     gates anywhere — across ops, programs, engines — share one array.
     Dtype-dependent kernels carry their :func:`~repro.sim.backend.
     dtype_tag` in the key, so a float32 kernel can never collide with
-    a float64 one.
+    a float64 one.  Hits, misses and evictions are the
+    ``program.kernel_*`` counters of :mod:`repro.runtime.obs`, so they
+    travel home from a service worker with the rest of its counters;
+    ``total_bytes`` and the entry count are this cache's own.
     """
 
     def __init__(self, budget_bytes: Optional[int] = None) -> None:
@@ -132,9 +135,6 @@ class KernelCache:
         self._nbytes: Dict[tuple, int] = {}
         self._lock = threading.RLock()
         self.total_bytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
     def get(self, key: tuple, builder) -> object:
         # The whole read-modify-write (recency refresh, eviction loop,
@@ -145,17 +145,18 @@ class KernelCache:
         with self._lock:
             value = self._entries.get(key)
             if value is not None:
-                self.hits += 1
+                obs.add({"program.kernel_hits": 1})
                 # Refresh recency (dicts preserve insertion order).
                 del self._entries[key]
                 self._entries[key] = value
                 return value
-            self.misses += 1
+            obs.add({"program.kernel_misses": 1})
             value = builder()
             nbytes = sum(
                 getattr(a, "nbytes", 0)
                 for a in (value if isinstance(value, tuple) else (value,))
             )
+            evicted = 0
             while (
                 self.total_bytes + nbytes > self.budget_bytes
                 and self._entries
@@ -163,19 +164,21 @@ class KernelCache:
                 old_key = next(iter(self._entries))
                 self.total_bytes -= self._nbytes.pop(old_key)
                 del self._entries[old_key]
-                self.evictions += 1
+                evicted += 1
+            if evicted:
+                obs.add({"program.kernel_evictions": evicted})
             self._entries[key] = value
             self._nbytes[key] = nbytes
             self.total_bytes += nbytes
             return value
 
     def clear(self) -> None:
-        """Drop every entry and zero the hit/miss/eviction counters."""
+        """Drop every entry and zero the ``program.kernel_*`` counters."""
         with self._lock:
             self._entries.clear()
             self._nbytes.clear()
             self.total_bytes = 0
-            self.hits = self.misses = self.evictions = 0
+            obs.reset("program.kernel_")
 
 
 _KERNELS = KernelCache()
@@ -184,10 +187,11 @@ _KERNELS = KernelCache()
 def kernel_cache_stats() -> Dict[str, object]:
     """Hit/miss/byte counters of the process-wide kernel cache."""
     with _KERNELS._lock:
+        c = obs.snapshot("program.kernel_").get((), {})
         return {
-            "hits": _KERNELS.hits,
-            "misses": _KERNELS.misses,
-            "evictions": _KERNELS.evictions,
+            "hits": c.get("hits", 0),
+            "misses": c.get("misses", 0),
+            "evictions": c.get("evictions", 0),
             "total_bytes": _KERNELS.total_bytes,
             "entries": len(_KERNELS._entries),
         }
@@ -1099,7 +1103,8 @@ _COMPILE_LOCK = threading.RLock()
 
 def compile_cache_stats() -> CompileStats:
     """The process-wide compile-cache counters, read at one instant."""
-    return CompileStats(**obs.snapshot("program.").get((), {}))
+    c = obs.snapshot("program.").get((), {})
+    return CompileStats(**{f.name: c.get(f.name, 0) for f in fields(CompileStats)})
 
 
 def reset_compile_caches() -> None:

@@ -2,10 +2,12 @@
 
 Covers exact sums under forced GIL churn, atomicity of a multi-counter
 ``add`` against concurrent snapshots (through the service queue's real
-reader), prefix-scoped reset, labelled rows, and the key trees of the
-public readers, which must not change when their ledger moves.
+reader), prefix-scoped reset, labelled rows, deltas merged across a
+process boundary, and the key trees of the public readers, which must
+not change when their ledger moves.
 """
 
+import pickle
 import sys
 import threading
 
@@ -97,6 +99,27 @@ def test_labelled_counters_form_rows():
         (("tenant", "a"),): {"n": 1},
         (("tenant", "b"),): {"n": 2, "cost": 3.0},
         (): {"n": 7},
+    }
+    obs.reset("test_obs.")
+
+
+def test_delta_and_merge_carry_counters_across_processes():
+    """What a worker sends home (``delta`` of two snapshots, pickled)
+    adds onto the parent's ledger label set by label set."""
+    obs.reset("test_obs.")
+    obs.add({"test_obs.a": 1, "test_obs.still": 5})
+    before = obs.snapshot()
+    obs.add({"test_obs.a": 2, "test_obs.b": 0.5})
+    obs.add({"test_obs.n": 1}, tenant="t")
+    moved = obs.delta(before, obs.snapshot())
+    assert moved == {
+        (): {"test_obs.a": 2, "test_obs.b": 0.5},
+        (("tenant", "t"),): {"test_obs.n": 1},
+    }
+    obs.merge(pickle.loads(pickle.dumps(moved)))
+    assert obs.snapshot("test_obs.") == {
+        (): {"a": 5, "still": 5, "b": 1.0},
+        (("tenant", "t"),): {"n": 2},
     }
     obs.reset("test_obs.")
 

@@ -50,7 +50,7 @@ from repro.service import (
     reset_fusion_stats,
 )
 from repro.service.executor import _execute_payload, _scheduler_task_for
-from repro.service.fusion import _RETRY_AFTER_CAP, FusionSaturated
+from repro.service.fusion import _RETRY_AFTER_CAP, QUANTUM, FusionSaturated
 from repro.sim.batch import run_request_tasks
 
 REQ = dict(
@@ -438,6 +438,31 @@ def test_backlogged_tenant_cannot_hold_back_another_past_next_slot():
         await executor.finish(gate)
 
     asyncio.run(scenario())
+
+
+def test_backlogged_tenant_deficit_stays_bounded():
+    """A take charges one request, so a turn credits a tenant only when
+    its head does not fit: over 30 takes of a 128-shot backlog, next to
+    a tenant whose 4096-shot requests need a full quantum each, no
+    balance exceeds one quantum."""
+    async def scenario():
+        executor = HeldExecutor(concurrency=1)
+        gate = FusionGate(executor)
+        gate.enqueue(req(0.5, tenant="blocker"))
+        for i in range(40):
+            gate.enqueue(req(0.0001 * (i + 1), shots=128, tenant="small"))
+            gate.enqueue(req(0.1 + 0.001 * i, shots=4096, tenant="large"))
+        await asyncio.sleep(0)
+        peaks = []
+        for call in range(30):
+            await executor.release(call)
+            peaks.append(max(gate.tenant_deficits().values(), default=0.0))
+        await executor.finish(gate)
+        return peaks
+
+    peaks = asyncio.run(scenario())
+    assert max(peaks) <= QUANTUM
+    assert min(peaks) >= 0.0
 
 
 def test_priority_order_holds_within_a_tenant():

@@ -608,3 +608,15 @@ def test_cli_parses_the_benchmark_server_command():
     assert "--fusion-window-ms" not in parser.format_help()
     with pytest.raises(SystemExit):
         parser.parse_args(["--fusion-min-batch", "4"])
+
+
+def test_cli_serves_on_one_worker_process_per_slot():
+    """``repro-serve`` defaults ``--workers`` to ``--concurrency``;
+    ``--workers 0`` keeps requests on threads of the server process.
+    The library default stays on threads."""
+    from repro.service.__main__ import parse_args
+
+    assert parse_args(["--concurrency", "2", "--port", "0"]).workers == 2
+    assert parse_args([]).workers == parse_args([]).concurrency == 4
+    assert parse_args(["--concurrency", "2", "--workers", "0"]).workers == 0
+    assert SimulationExecutor().mode == "thread"
