@@ -12,10 +12,12 @@
 * What does composing a short piece of that segment on the few qubits
   it touches cost against composing it at full width, and is it still
   bit-identical to the fold?
+* What does a cold ideal QFA 8+8 run cost, the rate-0 cell a freshly
+  forked sweep worker runs, and does it stay under 1 MB of kernels?
 
-Timings honour ``REPRO_SCALE``, except the three segment benchmarks,
-which always use the paper-width (QFA 8+8) segment that ``paper-sweep``
-re-composes on every fork and applies to every idle row.
+Timings honour ``REPRO_SCALE``, except the three segment benchmarks
+and the ideal run, which always use the paper-width (QFA 8+8) program
+that ``paper-sweep`` runs.
 """
 
 import time
@@ -24,12 +26,15 @@ import numpy as np
 import pytest
 
 from repro.core import qfm_circuit
+from repro.experiments.instances import generate_instances
 from repro.experiments.runner import build_compiled_program
 from repro.noise import NoiseModel
 from repro.noise.ibm import P2Q_SWEEP
-from repro.sim import TrajectoryEngine
+from repro.sim import StatevectorEngine, TrajectoryEngine
 from repro.sim.program import (
+    _KERNELS,
     DiagonalOp,
+    _build_diag,
     _compose_elems,
     _compose_full,
     _local_support,
@@ -37,6 +42,7 @@ from repro.sim.program import (
     _perm_indices,
     compile_cache_stats,
     compile_circuit,
+    kernel_cache_stats,
     reset_compile_caches,
 )
 from repro.transpile import transpile
@@ -104,7 +110,7 @@ def _fold(elems, n):
     src = ph = None
     for op in elems:
         if isinstance(op, DiagonalOp):
-            d = op.diag(n)
+            d = _build_diag(n, op.terms)
             ph = d if ph is None else ph * d
             continue
         t = _perm_indices(n, op.name, op.qubits)
@@ -217,4 +223,26 @@ def test_compose_short_piece_paper_width(benchmark):
         f"\n[{len(piece)}-element piece on "
         f"{len(_local_support(piece, n))} qubits] full width best "
         f"{min(t_full) * 1e3:.2f} ms"
+    )
+
+
+def test_cold_ideal_qfa8_run(benchmark):
+    """One ideal QFA 8+8 statevector run on a cleared kernel cache, as
+    a freshly forked ``paper-sweep`` worker runs its rate-0 cell.  Its
+    fused diagonals are cached on the qubits they touch, so the run
+    leaves no ``2**16`` phase vector and under 1 MB of kernels."""
+    program = build_compiled_program("add", 8, 8, None, "1q", 0.0, "qiskit")
+    init = generate_instances("add", 8, 8, (1, 1), 1, 5)[0]
+    init = init.initial_statevector()
+    n = program.num_qubits
+    benchmark.pedantic(
+        lambda: StatevectorEngine().run(program, init),
+        setup=_KERNELS.clear, rounds=5, iterations=1,
+    )
+    stats = kernel_cache_stats()
+    assert not [k for k in _KERNELS._entries if k[:2] == ("diag", n)]
+    assert 0 < stats["total_bytes"] < 1 << 20, stats
+    print(
+        f"\n[cold ideal QFA 8+8] {stats['entries']} kernels, "
+        f"{stats['total_bytes'] / 1024:.0f} KB"
     )

@@ -6,7 +6,7 @@ typed ops with everything rate-independent hoisted out of the hot loop:
 
 * :class:`DiagonalOp` — a fused run of adjacent diagonal gates (``rz``,
   ``p``/``cp``/``ccp``, ``z``/``s``/``t``...), executed as one
-  precomputed ``2**n`` phase-vector multiply;
+  precomputed phase multiply;
 * :class:`PermutationOp` — ``x``/``cx``/``ccx``/``swap`` index
   permutations (``ccx`` precomputes its source/destination index pair);
 * :class:`DenseOp` — genuinely dense 1q gates (``h``, ``sx``) via a
@@ -33,13 +33,16 @@ circuit exactly once:
    circuit walk of kernels), so recompilation across error rates costs
    microseconds.
 
-Materialised kernels (full ``2**n`` diagonal vectors, ``ccx`` index
-pairs) are *not* stored on the ops — ops hold only compact picklable
-descriptors, and kernels build lazily into a process-wide content-keyed
-LRU (:class:`KernelCache`, budget via ``REPRO_KERNEL_CACHE_MB``).  Two
+Materialised kernels (fused phase tables, ``ccx`` index pairs) are
+*not* stored on the ops — ops hold only compact picklable descriptors,
+and kernels build lazily into a process-wide content-keyed LRU
+(:class:`KernelCache`, budget via ``REPRO_KERNEL_CACHE_MB``).  Two
 programs, or two thousand ``rz`` ops with the same angle, share one
 vector; shipping a program to a worker process pickles descriptors only.
-Every cached kernel is read-only.
+Every cached kernel is read-only.  On a register of 13 or more qubits a
+fused diagonal's table is built on the qubits it touches and broadcast
+over the state, so a paper-width program caches kilobytes of phase
+tables, not a ``2**n`` vector per fused run.
 
 Runs of diagonal and permutation ops are monomials, and one composer,
 :func:`_compose_elems`, folds any run of them into a single
@@ -64,21 +67,24 @@ import threading
 import weakref
 from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..circuits import gates as G
 from ..circuits.circuit import Instruction, QuantumCircuit
 from ..circuits.gates import is_diagonal_gate, phase_on_ones
-from ..noise.channels import PauliError, QuantumError, ResetError
+from ..noise.channels import PauliError, QuantumError
 from ..noise.model import NoiseModel
 from ..runtime import obs
 from ..runtime.envutil import env_mb_bytes
 from .backend import canonical_complex, dtype_tag
 from .ops import (
     _GLOBAL_BITS,
+    _apply_cx,
     _apply_phase_on_mask,
+    _apply_swap,
+    _apply_x,
     _split_1q,
     apply_instruction,
 )
@@ -291,15 +297,21 @@ def _perm_indices(n: int, name: str, qubits: Tuple[int, ...]) -> np.ndarray:
     )
 
 
+@lru_cache(maxsize=4096)
 def _rz_factors(lam: float, dtype) -> np.ndarray:
     """``[lo, hi]`` exactly as :func:`_build_diag` puts them in a vector.
 
     The vector starts at ``1+0j`` and is cast once for lower tiers, so
-    the factors go through the same multiply and the same cast.
+    the factors go through the same multiply and the same cast.  Cached
+    per ``(lam, dtype)`` and read-only.  ``0.0`` and ``-0.0`` share an
+    entry, which is safe: the multiply by ``1+0j`` turns both into the
+    same bytes.
     """
     f = np.ones(2, dtype=canonical_complex)
     f *= np.array([cmath.exp(-0.5j * lam), cmath.exp(0.5j * lam)])
-    return f.astype(dtype, copy=False)
+    f = f.astype(dtype, copy=False)
+    f.setflags(write=False)
+    return f
 
 
 def _compose_elems(cur, elems, n: int, dtype=None):
@@ -388,18 +400,15 @@ def _compose_on_support(elems, support: Tuple[int, ...], n: int, dtype):
     """
     local = {q: i for i, q in enumerate(support)}
     relabelled = [
-        DiagonalOp([
-            (name, tuple(local[q] for q in qubits), params)
-            for name, qubits, params in op.terms
-        ])
+        DiagonalOp(_relabel(op.terms, local))
         if isinstance(op, DiagonalOp)
         else PermutationOp(op.name, tuple(local[q] for q in op.qubits))
         for op in elems
     ]
     src_l, ph_l = _compose_full((None, None), relabelled, len(support), dtype)
-    full_shape, local_shape, dep = _support_layout(n, support)
-    src = ph = None
+    src = None
     if src_l is not None:
+        full_shape, local_shape, dep = _support_layout(n, support)
         delta = dep[src_l]
         delta -= dep
         src = np.empty(1 << n, dtype=src_l.dtype)
@@ -408,10 +417,49 @@ def _compose_on_support(elems, support: Tuple[int, ...], n: int, dtype):
             delta.reshape(local_shape),
             out=src.reshape(full_shape),
         )
-    if ph_l is not None:
-        ph = np.empty(1 << n, dtype=ph_l.dtype)
-        ph.reshape(full_shape)[...] = ph_l.reshape(local_shape)
+    ph = None if ph_l is None else _expand_phase(ph_l, support, n)
     return src, ph
+
+
+def _relabel(terms: Tuple[Term, ...], local: Dict[int, int]) -> Tuple[Term, ...]:
+    """``terms`` with each qubit ``q`` renamed ``local[q]``."""
+    return tuple(
+        (name, tuple(local[q] for q in qubits), params)
+        for name, qubits, params in terms
+    )
+
+
+def _expand_phase(ph_l: np.ndarray, support: Tuple[int, ...], n: int):
+    """The ``2**n`` phase vector whose entry ``j`` is ``ph_l[l]``, where
+    ``l`` collects the support bits of ``j``: a broadcast copy."""
+    full_shape, local_shape, _ = _support_layout(n, support)
+    ph = np.empty(1 << n, dtype=ph_l.dtype)
+    ph.reshape(full_shape)[...] = ph_l.reshape(local_shape)
+    return ph
+
+
+@lru_cache(maxsize=4096)
+def _diag_support(n: int, terms: Tuple[Term, ...]):
+    """Where a fused diagonal's kernel is built: ``(support, local
+    terms)``, or ``None`` for a full-width kernel.
+
+    On a register of at least ``_SUPPORT_MIN_QUBITS`` qubits the kernel
+    is built on the run's padded support (:func:`_local_support`), with
+    its terms relabelled onto local qubits as
+    :func:`_compose_on_support` relabels them.  Each entry is the
+    product of the same factors in the same order as at full width,
+    and the padding keeps every in-place multiply over two or more
+    entries, so the kernel expands to the bytes of
+    ``_build_diag(n, terms)``.  A support that spans the register keeps
+    the full-width kernel.
+    """
+    if n < _SUPPORT_MIN_QUBITS:
+        return None
+    support = _local_support([DiagonalOp(terms)], n)
+    if len(support) == n:
+        return None
+    local = {q: i for i, q in enumerate(support)}
+    return support, _relabel(terms, local)
 
 
 @lru_cache(maxsize=1024)
@@ -590,7 +638,10 @@ class DiagonalOp(ProgramOp):
     the common case at paper noise, where every gate carries a channel)
     replay the interpreter kernel directly instead of materialising and
     caching a ``2**n`` vector per gate; only genuinely fused runs pay
-    for (and amortise) a cached phase vector.
+    for (and amortise) a cached phase table.  On a wide register that
+    table covers only the run's padded support (:func:`_diag_support`)
+    and :meth:`apply` broadcasts it over the state, byte-equal to the
+    full-width multiply.
     """
 
     __slots__ = ("terms",)
@@ -599,12 +650,32 @@ class DiagonalOp(ProgramOp):
         self.terms = tuple(terms)
 
     def diag(self, n: int, dtype=None) -> np.ndarray:
-        tag = dtype_tag(canonical_complex if dtype is None else dtype)
+        """The op's read-only ``2**n`` phase vector.
+
+        A fused run whose kernel lives on its support is expanded into
+        a fresh vector; nothing full-size is cached for it.
+        """
         if len(self.terms) == 1:
             return _build_diag(n, self.terms, dtype)
-        return _KERNELS.get(
-            ("diag", n, self.terms, tag),
-            lambda: _build_diag(n, self.terms, dtype),
+        support, d = self._kernel(n, dtype)
+        if support is not None:
+            d = _expand_phase(d, support, n)
+            d.setflags(write=False)
+        return d
+
+    def _kernel(self, n: int, dtype):
+        """``(support, kernel)`` of a fused run, kernel-cached.
+
+        ``support`` is ``None`` for a full-width kernel; otherwise the
+        kernel is the ``2**len(support)`` table of
+        :func:`_diag_support`, keyed at that local width.
+        """
+        tag = dtype_tag(canonical_complex if dtype is None else dtype)
+        placed = _diag_support(n, self.terms)
+        support, terms = (None, self.terms) if placed is None else placed
+        k = n if support is None else len(support)
+        return support, _KERNELS.get(
+            ("diag", k, terms, tag), lambda: _build_diag(k, terms, dtype)
         )
 
     def apply(self, state: np.ndarray, n: int) -> None:
@@ -621,7 +692,17 @@ class DiagonalOp(ProgramOp):
             if phase is not None:
                 _apply_phase_on_mask(state, phase, qubits, n)
                 return
-        state *= self.diag(n, state.dtype)
+        support, d = self._kernel(n, state.dtype)
+        if support is None:
+            state *= d
+        elif state.flags.c_contiguous:
+            # Broadcast the local table over the support's layout: the
+            # same multiply per amplitude, with no 2**n temporary.
+            full_shape, local_shape, _ = _support_layout(n, support)
+            view = state.reshape((-1,) + full_shape)
+            view *= d.reshape(local_shape)
+        else:
+            state *= _expand_phase(d, support, n)
 
     def term_list(self) -> Tuple[Term, ...]:
         return self.terms
@@ -642,13 +723,10 @@ class PermutationOp(ProgramOp):
     def apply(self, state: np.ndarray, n: int) -> None:
         q = self.qubits
         if self.name == "x":
-            from .ops import _apply_x
             _apply_x(state, q[0], n)
         elif self.name == "cx":
-            from .ops import _apply_cx
             _apply_cx(state, q[0], q[1], n)
         elif self.name == "swap":
-            from .ops import _apply_swap
             _apply_swap(state, q[0], q[1], n)
         else:  # ccx with a cached index pair
             src, dst = _KERNELS.get(

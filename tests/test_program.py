@@ -34,7 +34,6 @@ from repro.lint import check_equivalence
 from repro.metrics import total_variation_distance
 from repro.noise import NoiseModel, PauliError
 from repro.sim import (
-    CompiledProgram,
     DensityMatrixEngine,
     PerturbativeEngine,
     StatevectorEngine,
@@ -45,20 +44,27 @@ from repro.sim import (
     simulate_counts,
     simulate_distribution,
 )
+from repro.sim.ops import probabilities
 from repro.sim.program import (
+    _KERNELS,
     DenseOp,
     DiagonalOp,
     MeasureSiteOp,
     NoiseOp,
     PermutationOp,
+    _build_diag,
     _compose_elems,
     _compose_on_support,
+    _diag_support,
     _local_support,
     _mono_apply_rows,
     _perm_indices,
+    _rz_factors,
     circuit_fingerprint,
     kernel_cache_stats,
 )
+from repro.sim.result import Distribution
+from repro.sim.statevector import Statevector
 from repro.transpile import transpile
 
 _SETTINGS = settings(
@@ -454,9 +460,10 @@ class TestResolvedMethod:
 def _reference_compose(cur, elems, n, dtype=None):
     """The per-element fold the in-place composer replaced (test oracle).
 
-    Every diagonal op multiplies in its full ``2**n`` vector and every
-    permutation gathers ``src`` and ``ph`` through its index map; no
-    array is ever written in place.  A gathered ``src`` that comes out
+    Every diagonal op multiplies in its full ``2**n`` vector, built by
+    :func:`_build_diag` at full width, and every permutation gathers
+    ``src`` and ``ph`` through its index map; no array is ever written
+    in place.  A gathered ``src`` that comes out
     as the identity map is returned as ``None``, the composer's
     canonical form, so the comparison stays exact.
     """
@@ -464,7 +471,7 @@ def _reference_compose(cur, elems, n, dtype=None):
     gathered = False
     for op in elems:
         if isinstance(op, DiagonalOp):
-            d = op.diag(n, dtype)
+            d = _build_diag(n, op.terms, dtype)
             ph = d if ph is None else ph * d
             continue
         t = _perm_indices(n, op.name, op.qubits)
@@ -831,6 +838,131 @@ class TestComposer:
         ]
         assert (len(segs), len(permuting)) == (17, 15)
         assert sum(s.full(n)[0] is None for s in permuting) == 15
+
+
+def _ideal_program(n):
+    return build_compiled_program("add", n, n, None, "1q", 0.0, "qiskit")
+
+
+def _touched(terms):
+    return {q for _, qubits, _ in terms for q in qubits}
+
+
+class TestFusedDiagonals:
+    """On registers of 13+ qubits a fused diagonal's kernel is a table
+    on its padded support, and every use of it is byte-equal to the
+    full-width vector of :func:`_build_diag`."""
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    @pytest.mark.parametrize("width", [8, 7])
+    def test_ideal_qfa_diagonals_match_full_build(self, width, dtype):
+        """Every fused op of the ideal QFA 8+8 and 7+7 programs lives
+        on a support narrower than the register, many of them padded
+        past the qubits they touch; expanded by ``diag`` and broadcast
+        by ``apply``, each is byte-equal to the full-width build."""
+        program = _ideal_program(width)
+        n, dt = program.num_qubits, np.dtype(dtype)
+        fused = [
+            op for op in program.ops
+            if isinstance(op, DiagonalOp) and len(op.terms) > 1
+        ]
+        assert len(fused) > 40
+        rng = np.random.default_rng(width)
+        state = (
+            rng.normal(size=(2, 1 << n)) + 1j * rng.normal(size=(2, 1 << n))
+        ).astype(dt)
+        state.imag[:, ::7] = -0.0
+        padded = 0
+        for op in fused:
+            support, _ = _diag_support(n, op.terms)
+            assert len(support) < n
+            padded += len(support) > len(_touched(op.terms))
+            want = _build_diag(n, op.terms, dt)
+            got = op.diag(n, dt)
+            assert got.dtype == want.dtype and not got.flags.writeable
+            assert got.tobytes() == want.tobytes()
+            applied = state.copy()
+            op.apply(applied, n)
+            assert applied.tobytes() == (state * want).tobytes()
+        assert padded > 0
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    def test_whole_register_support_keeps_full_width_kernel(self, dtype):
+        """A run whose padded support is the whole register (qubit 0
+        pulls in 0-5, the rest are touched) keeps one cached ``2**n``
+        vector, as below the threshold."""
+        reset_compile_caches()
+        n, dt = 13, np.dtype(dtype)
+        terms = (("rz", (0,), (0.3,)),) + tuple(
+            ("cp", (q, q + 1), (0.1 * q,)) for q in range(6, 12)
+        )
+        op = DiagonalOp(terms)
+        assert _diag_support(n, terms) is None
+        d = op.diag(n, dt)
+        assert d is op.diag(n, dt)
+        assert d.tobytes() == _build_diag(n, terms, dt).tobytes()
+        assert kernel_cache_stats()["total_bytes"] == d.nbytes
+
+    def test_strided_state_is_multiplied_in_place(self):
+        """A batch that is a strided view cannot be reshaped in place;
+        ``apply`` multiplies it by the expanded vector instead."""
+        n = 16
+        op = next(
+            op for op in _ideal_program(8).ops
+            if isinstance(op, DiagonalOp) and len(op.terms) > 1
+        )
+        rng = np.random.default_rng(0)
+        big = rng.normal(size=(4, 1 << n)) + 1j * rng.normal(size=(4, 1 << n))
+        want = big[::2] * _build_diag(n, op.terms)
+        view = big[::2]
+        assert not view.flags.c_contiguous
+        op.apply(view, n)
+        assert big[::2].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    def test_ideal_qfa8_run_caches_no_full_width_vector(self, dtype):
+        """An ideal QFA 8+8 statevector run caches no ``2**16`` phase
+        vector and under 1 MB of kernels in all, and its probabilities
+        equal those of an op-by-op run that multiplies each fused op's
+        full-width vector in."""
+        program = _ideal_program(8)
+        n, dt = program.num_qubits, np.dtype(dtype)
+        init = generate_instances("add", 8, 8, (1, 1), 1, 5)[0]
+        init = init.initial_statevector()
+        reset_compile_caches()
+        dist = StatevectorEngine(dtype=dt).distribution(program, init)
+        assert not [
+            key for key in _KERNELS._entries
+            if key[0] == "diag" and key[1] == n
+        ]
+        assert 0 < kernel_cache_stats()["total_bytes"] < 1 << 20
+
+        state = np.array(init, dtype=dt).reshape(1, -1)
+        for op in program.ops:
+            if op.kind != "unitary":
+                continue
+            if isinstance(op, DiagonalOp) and len(op.terms) > 1:
+                state *= _build_diag(n, op.terms, dt)
+            else:
+                op.apply(state, n)
+        # The engine's own read-out: Statevector, then the Born rule.
+        ref = Statevector(state[0], n).data.reshape(1, -1)
+        want = Distribution(probabilities(ref)[0], n)
+        assert dist.probs.tobytes() == want.probs.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    def test_rz_factors_are_cached_read_only(self, dtype):
+        dt = np.dtype(dtype)
+        """The rz factors are built once per ``(lam, dtype)``, read-only,
+        with :func:`_build_diag`'s bytes; ``-0.0`` shares ``0.0``'s
+        entry and bytes."""
+        f = _rz_factors(0.7, dt)
+        assert f is _rz_factors(0.7, dt) and not f.flags.writeable
+        assert f.tobytes() == _build_diag(1, (("rz", (0,), (0.7,)),), dt).tobytes()
+        assert (
+            _rz_factors(0.0, dt).tobytes() == _rz_factors(-0.0, dt).tobytes()
+            == _build_diag(1, (("rz", (0,), (-0.0,)),), dt).tobytes()
+        )
 
 
 class TestDenseOp:
