@@ -14,10 +14,8 @@ contracts the paper reproduction depends on:
   itself audited (unused, reason-less, over-budget).
 
 Run via ``repro-arith audit`` (``--strict`` in CI) or
-:func:`repro.audit.audit_paths`.  The runtime complement — trace-hash
-parity across execution tiers — lives in
-:mod:`repro.runtime.sanitizer` (kept in the runtime package so the
-simulation engines can hook it without importing the analyzer).
+:func:`repro.audit.audit_paths`.  Replay itself is checked by tests
+that compare outputs across execution paths directly.
 """
 
 from .budget import SUPPRESSION_BUDGET, budget_for

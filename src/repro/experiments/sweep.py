@@ -35,7 +35,6 @@ from ..runtime import (
     config_fingerprint,
     inject,
 )
-from ..runtime import sanitizer
 from ..sim.backend import dtype_tag, resolve_complex_dtype
 from .config import SweepConfig
 from .instances import ArithmeticInstance, generate_instances
@@ -276,10 +275,6 @@ def run_sweep(
     state = {"done": done_count}
 
     def on_result(key: CellKey, point: PointResult, attempts: int) -> None:
-        if sanitizer.enabled():
-            # The single choke point every fresh point passes through,
-            # whether it ran in a pool worker or in-process.
-            sanitizer.record("point", point_to_dict(point), key=repr(key))
         if journal is not None:
             journal.record(_journal_key(key), point_to_dict(point))
         state["done"] += 1

@@ -17,7 +17,7 @@ See ``docs/reliability.md`` for the end-to-end story.
 """
 
 from .checkpoint import CheckpointJournal, config_fingerprint, locked_append
-from .envutil import env_flag, env_float, env_mb_bytes
+from .envutil import env_float, env_mb_bytes
 from .errors import CellTimeoutError, NumericalHealthError, classify_retryable
 from .faults import FaultPlan, FaultSpec, InjectedFault, inject
 from .health import check_finite, check_norms, check_trace, norm_tolerance
@@ -47,7 +47,6 @@ __all__ = [
     "RetryPolicy",
     "Supervisor",
     "run_supervised",
-    "env_flag",
     "env_float",
     "env_mb_bytes",
 ]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 from typing import Optional
 
-__all__ = ["env_float", "env_int", "env_mb_bytes", "env_flag", "env_str"]
+__all__ = ["env_float", "env_int", "env_mb_bytes", "env_str"]
 
 
 def env_float(
@@ -84,19 +84,3 @@ def env_mb_bytes(name: str, default_mb: float) -> int:
     """A megabyte-denominated budget variable, returned in bytes."""
     return int(env_float(name, default_mb, minimum=0.0) * 1024 * 1024)
 
-
-def env_flag(name: str, default: bool = False) -> bool:
-    """A boolean variable: 1/true/yes/on (any case) is True, 0/false/no/
-    off is False; anything else raises :class:`ValueError`."""
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    norm = raw.strip().lower()
-    if norm in ("1", "true", "yes", "on"):
-        return True
-    if norm in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(
-        f"{name} must be a boolean (1/0/true/false/yes/no/on/off), "
-        f"got {raw!r}"
-    )

@@ -39,7 +39,7 @@ import numpy as np
 
 from ..experiments.runner import build_compiled_program, noise_model_for
 from ..metrics.success import evaluate_instance
-from ..runtime import obs, sanitizer
+from ..runtime import obs
 from ..runtime.blas import process_pool
 from ..runtime.faults import FaultPlan, FaultSpec, inject
 from ..runtime.supervisor import RetryPolicy
@@ -262,24 +262,11 @@ def _run_request(request: SimRequest) -> Dict[str, Any]:
     # scheduler task to compile for.
     task = _scheduler_task_for(request) if fusion_eligible(request) else None
     if task is None:
-        with sanitizer.trace_scope(request.content_key()):
-            return _run_engine(request)
+        return _run_engine(request)
     t_compile = time.perf_counter()
     counts = run_request_tasks([task])[task.key].counts
     t_sim = time.perf_counter()
     counts.method = "trajectory"
-    if sanitizer.enabled():
-        # The same ``counts`` event simulate_counts records for a
-        # request it runs, keyed by the request's content key.
-        sanitizer.record(
-            "counts",
-            {
-                "data": dict(counts.items()),
-                "num_qubits": counts.num_qubits,
-                "method": counts.method,
-            },
-            key=request.content_key(),
-        )
     return _response(
         request,
         counts,
@@ -297,8 +284,7 @@ def _execute_payload(
     """Run one request end to end (top level: picklable for pools).
 
     The service's one execution function.  Returns the request's
-    response-shaped payload; when the sanitizer is on, the request's
-    trace events ride home under ``"sanitizer_events"``.
+    response-shaped payload.
 
     ``fault`` (keyed by content key, firing by ``attempt``) fires after
     the request has run and before its result leaves, so the attempt's
@@ -306,12 +292,7 @@ def _execute_payload(
     nothing.
     """
     request = SimRequest.from_dict(payload)
-    if not sanitizer.enabled():
-        result = _run_request(request)
-    else:
-        with sanitizer.capture() as events:
-            result = _run_request(request)
-        result["sanitizer_events"] = [list(e) for e in events]
+    result = _run_request(request)
     inject(fault, request.content_key(), attempt)
     return result
 
@@ -422,10 +403,6 @@ class SimulationExecutor:
     def _absorb(self, result: Dict[str, Any]) -> Dict[str, Any]:
         """Fold what rode home on ``result`` into this process; return
         the tier-independent response payload."""
-        # Sanitizer events: that is how they cross the process boundary.
-        events = result.pop("sanitizer_events", None)
-        if events:
-            sanitizer.merge_events(events)
         report = result.pop("worker_stats", None)
         if report is not None:
             obs.merge(report["counters"])

@@ -91,7 +91,8 @@ def _as_int(value: Any, name: str, errors: List[str]) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         try:
             coerced = int(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
+            # OverflowError: JSON's ``1e999``/``Infinity`` decode to inf.
             errors.append(f"{name}: expected integer, got {value!r}")
             return 0
         if isinstance(value, float) and coerced != value:
@@ -313,7 +314,7 @@ class SimRequest:
         depth = None if depth_raw is None else _as_int(depth_raw, "depth", errors)
         try:
             rate = float(payload.get("error_rate", 0.0))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             errors.append("error_rate: expected number")
             rate = 0.0
         req = cls(
@@ -454,7 +455,7 @@ class SweepRequest:
         for i, raw in enumerate(rates_raw):
             try:
                 rate = float(raw)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 errors.append(f"rates[{i}]: expected number, got {raw!r}")
                 continue
             if not 0.0 <= rate < 1.0:

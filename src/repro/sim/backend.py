@@ -8,8 +8,8 @@ picked at a single seam.
 Two named tiers exist (:data:`BACKEND_NAMES`):
 
 * ``numpy64`` — the default: NumPy + ``complex128``.  The house
-  bit-identity contract (seeded RNG streams, sanitizer traces, parity
-  tests) is defined on this tier; every kernel builds here first.
+  bit-identity contract (seeded RNG streams, parity tests) is defined
+  on this tier; every kernel builds here first.
 * ``numpy32`` — NumPy + ``complex64``: half the memory and bandwidth
   at ~1e-7 per-gate amplitude error.  Kernels are built in
   ``complex128`` and cast once, so the low-precision tier rounds the

@@ -22,8 +22,12 @@ observations into wall-clock:
   work is paid once per chunk instead of once per row.
 
 A task's distinct rows are evolved in chunks of at most
-:data:`BATCH_BYTES` of live state, so a 65,536-trajectory, 16-qubit
-request never holds all of its rows at once.
+:data:`BATCH_BYTES` of live state.  That bounds the evolving state
+buffers only.  Every distinct row's float64 output distribution
+(``2**n`` doubles) is allocated before the first chunk and held until
+outcome sampling, so a 65,536-trajectory, 16-qubit request whose shots
+mostly err holds about 34 GB of distributions.  Bounding those too is
+ROADMAP item 3 ("Every admitted request fits in memory").
 
 Sweeps do not use this module: every sweep cell runs through
 :func:`repro.experiments.runner.run_point` and the per-cell
@@ -48,14 +52,19 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..runtime import obs, sanitizer
+from ..runtime import obs
 from ..runtime.health import check_norms, norm_tolerance
 from .backend import resolve_complex_dtype
 from .ops import BitCache, apply_pauli_string_rows, probabilities
 from .program import CompiledProgram, _mono_apply_rows
 from .result import Counts
 from .statevector import zero_state
-from .trajectories import apply_readout, multinomial_outcomes, sample_outcomes
+from .trajectories import (
+    apply_readout,
+    first_fire_law,
+    multinomial_outcomes,
+    sample_outcomes,
+)
 
 #: Live-state byte bound of one simulation chunk (state, scratch and
 #: float64 probabilities of every row in it).
@@ -249,13 +258,7 @@ class FusedTrajectoryScheduler:
         rng = task.rng
         shots = task.shots
         sites = task.program.pauli_sites()
-        es = np.array([op.e for _, op in sites])
-        one_minus = 1.0 - es
-        prefix_clean = np.ones(es.size)
-        if es.size > 1:
-            prefix_clean[1:] = np.cumprod(one_minus[:-1])
-        p0 = float(np.prod(one_minus)) if es.size else 1.0
-
+        es, p0, pfirst = first_fire_law(sites)
         n_clean = int(rng.binomial(shots, p0))
         n_err = shots - n_clean
         B = min(task.trajectories, n_err) if n_err else 0
@@ -266,11 +269,9 @@ class FusedTrajectoryScheduler:
         if not B:
             return
 
-        # First fire per trajectory: P(first = s) ∝ prefix_clean[s]*e_s,
-        # then independent fires at every later site — the same exact
-        # law as TrajectoryEngine's forking split.
-        pfirst = prefix_clean * es
-        pfirst = pfirst / pfirst.sum()
+        # First fire per trajectory from ``pfirst``, then independent
+        # fires at every later site — the same exact law as
+        # TrajectoryEngine's forking split.
         first = rng.choice(es.size, size=B, p=pfirst)
         u = rng.random((B, es.size))
         fires = u < es[None, :]
@@ -431,16 +432,6 @@ class FusedTrajectoryScheduler:
             plan.probs[ref] = p[0]
         for j, r in enumerate(eventful):
             plan.probs[r] = p[1 + j]
-        if sanitizer.enabled():
-            # Geometry-tagged (chunk height varies with BATCH_BYTES and
-            # the row count), so this stage is excluded from cross-path
-            # comparison; it localises a divergence to the first
-            # differing evolution when the portable stages split.
-            sanitizer.record(
-                "chunk",
-                {"height": height, "probs": p},
-                key=repr(plan.task.key),
-            )
 
     # ------------------------------------------------------------------
     # Phase C: outcome sampling (per task, fixed draw order)
@@ -461,20 +452,6 @@ class FusedTrajectoryScheduler:
             np.concatenate(outs) if outs else np.empty(0, dtype=int)
         )
         outcomes = apply_readout(rng, outcomes, task.program.readout)
-        if sanitizer.enabled():
-            # One portable event per task: the sampled outcome stream
-            # plus the RNG state it left behind.  Identical across
-            # chunk geometries and dedup modes by the determinism
-            # contract — neither may leak into draws.
-            sanitizer.record(
-                "task",
-                {
-                    "outcomes": outcomes,
-                    "rng": rng.bit_generator.state,
-                    "shots": task.shots,
-                },
-                key=repr(task.key),
-            )
         plan.outcomes = outcomes
 
 

@@ -15,7 +15,6 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ..runtime import sanitizer
 from ..circuits.circuit import QuantumCircuit
 from ..noise.model import NoiseModel
 from .density import DensityMatrixEngine
@@ -228,13 +227,4 @@ def simulate_counts(
         )
         counts = dist.sample(shots, rng)
         counts.method = dist.method
-    if sanitizer.enabled():
-        sanitizer.record(
-            "counts",
-            {
-                "data": dict(counts.items()),
-                "num_qubits": counts.num_qubits,
-                "method": counts.method,
-            },
-        )
     return counts

@@ -45,7 +45,7 @@ from ..circuits.circuit import QuantumCircuit
 from ..noise.channels import PauliError, QuantumError
 from ..noise.model import NoiseModel
 from ..noise.pauli import PAULI_CHARS, PAULI_MATRICES, pauli_matrix
-from ..runtime import obs, sanitizer
+from ..runtime import obs
 from ..runtime.errors import width_limit_error
 from ..runtime.health import NumericalHealthError, check_finite, norm_tolerance
 from .backend import (
@@ -370,11 +370,6 @@ class PTMEngine:
                 _apply_diag(state_t, arr, qubits, n)
         coeffs = np.ascontiguousarray(state_t).reshape(-1)
         self._check_trace(coeffs, n)
-        if sanitizer.enabled():
-            sanitizer.record(
-                "ptm",
-                {"fingerprint": program.fingerprint, "num_qubits": n},
-            )
         return coeffs
 
     def distribution(

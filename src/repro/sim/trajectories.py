@@ -39,7 +39,7 @@ success hinges on a handful of error-free shots — this makes a
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -55,7 +55,7 @@ from .backend import resolve_complex_dtype
 from .ops import (
     BitCache,
     apply_gate_matrix,
-    apply_pauli_rows,
+    apply_pauli_string_rows,
     probabilities,
 )
 from .program import CompiledProgram, as_program
@@ -65,9 +65,32 @@ from .statevector import zero_state
 __all__ = [
     "TrajectoryEngine",
     "apply_readout",
+    "first_fire_law",
     "multinomial_outcomes",
     "sample_outcomes",
 ]
+
+
+def first_fire_law(sites: Sequence) -> Tuple[np.ndarray, float, np.ndarray]:
+    """The split walk's closed-form law over Pauli ``sites``.
+
+    Returns ``(es, p0, pfirst)``: the per-site error probabilities, the
+    probability ``prod(1 - e_s)`` that no site fires, and the law of an
+    erred trajectory's first fire, ``P(first = s) ∝ prefix_clean[s] *
+    e_s`` with ``prefix_clean[s] = prod_{u < s}(1 - e_u)``.  ``pfirst``
+    is left unnormalised when no site can fire (then no row errs).
+    """
+    es = np.array([op.e for _, op in sites])
+    one_minus = 1.0 - es
+    prefix_clean = np.ones(es.size)
+    if es.size > 1:
+        prefix_clean[1:] = np.cumprod(one_minus[:-1])
+    p0 = float(np.prod(one_minus)) if es.size else 1.0
+    pfirst = prefix_clean * es
+    total = pfirst.sum()
+    if total > 0:
+        pfirst = pfirst / total
+    return es, p0, pfirst
 
 
 def multinomial_outcomes(
@@ -237,15 +260,7 @@ class TrajectoryEngine:
         first fire are therefore applied once instead of once per row —
         roughly halving gate work at paper noise levels.
         """
-        sites = program.pauli_sites()
-        es = np.array([op.e for _, op in sites])
-        one_minus = 1.0 - es
-        # prefix_clean[s] = prod_{u < s}(1 - e_u)
-        prefix_clean = np.ones(es.size)
-        if es.size > 1:
-            prefix_clean[1:] = np.cumprod(one_minus[:-1])
-        p0 = float(np.prod(one_minus)) if es.size else 1.0
-
+        es, p0, pfirst = first_fire_law(program.pauli_sites())
         n_clean = int(self.rng.binomial(shots, p0)) if p0 > 0 else 0
         n_err = shots - n_clean
         B = min(self.trajectories, n_err) if n_err else 0
@@ -255,8 +270,6 @@ class TrajectoryEngine:
         buf = self._initial_batch(initial_state, B + 1, n)
         counts_per_site = np.zeros(es.size, dtype=int)
         if B:
-            pfirst = prefix_clean * es
-            pfirst = pfirst / pfirst.sum()
             first = self.rng.choice(es.size, size=B, p=pfirst)
             counts_per_site = np.bincount(first, minlength=es.size)
 
@@ -400,13 +413,10 @@ class TrajectoryEngine:
         """Draw from a site's conditioned table and apply per label."""
         draws = self.rng.choice(len(op.labels), size=rows.size, p=op.cond)
         for idx in np.unique(draws):
-            label = op.labels[idx]
-            sub = rows[draws == idx]
-            for pos, ch in enumerate(label):
-                if ch != "I":
-                    apply_pauli_rows(
-                        state, ch, op.qubits[pos], sub, n, self._bits
-                    )
+            apply_pauli_string_rows(
+                state, op.labels[idx], op.qubits, rows[draws == idx], n,
+                self._bits,
+            )
 
     # ------------------------------------------------------------------
     # Clean-shot splitting
@@ -432,15 +442,10 @@ class TrajectoryEngine:
         if isinstance(err, PauliError):
             draws = err.sample(self.rng, B)
             for idx in np.unique(draws):
-                label = err.paulis[idx]
-                if set(label) == {"I"}:
-                    continue
-                rows = np.flatnonzero(draws == idx)
-                for pos, ch in enumerate(label):
-                    if ch != "I":
-                        apply_pauli_rows(
-                            state, ch, qubits[pos], rows, n, self._bits
-                        )
+                apply_pauli_string_rows(
+                    state, err.paulis[idx], qubits,
+                    np.flatnonzero(draws == idx), n, self._bits,
+                )
             return state
         if isinstance(err, ResetError):
             return self._apply_reset_error(state, err, qubits[0], n)

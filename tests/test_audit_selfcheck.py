@@ -46,7 +46,6 @@ def test_discovery_covers_the_package(audited):
         "repro.experiments.sweep",
         "repro.service.executor",
         "repro.service.server",
-        "repro.runtime.sanitizer",
         "repro.audit.engine",
     ):
         assert expected in names

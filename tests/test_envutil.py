@@ -12,7 +12,7 @@ below-minimum values with errors that name the offending variable.
 import numpy as np
 import pytest
 
-from repro.runtime.envutil import env_flag, env_float, env_mb_bytes
+from repro.runtime.envutil import env_float, env_mb_bytes
 
 
 class TestEnvFloat:
@@ -58,28 +58,6 @@ class TestEnvMbBytes:
         monkeypatch.setenv("REPRO_TEST_MB", "-1")
         with pytest.raises(ValueError, match="REPRO_TEST_MB"):
             env_mb_bytes("REPRO_TEST_MB", 64)
-
-
-class TestEnvFlag:
-    @pytest.mark.parametrize("raw", ["1", "true", "True", "yes", "on"])
-    def test_truthy(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_TEST_FLAG", raw)
-        assert env_flag("REPRO_TEST_FLAG") is True
-
-    @pytest.mark.parametrize("raw", ["0", "false", "no", "off", "OFF"])
-    def test_falsy(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_TEST_FLAG", raw)
-        assert env_flag("REPRO_TEST_FLAG", default=True) is False
-
-    def test_unset_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TEST_FLAG", raising=False)
-        assert env_flag("REPRO_TEST_FLAG") is False
-        assert env_flag("REPRO_TEST_FLAG", default=True) is True
-
-    def test_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TEST_FLAG", "maybe")
-        with pytest.raises(ValueError, match="REPRO_TEST_FLAG.*'maybe'"):
-            env_flag("REPRO_TEST_FLAG")
 
 
 class TestConsumersHonourEnv:

@@ -9,8 +9,7 @@ The acceptance contract under test:
 * per-request results are bit-identical across chunk geometries, to
   the same task sharing a scheduler call with other tasks, and over
   HTTP between a request answered at an idle server and one that
-  queued behind a busy slot — with sanitizer-trace parity on every
-  portable stage;
+  queued behind a busy slot;
 * the executor screens before compiling: a ``cut`` request never
   lowers the full-width program;
 * deficit round robin keeps a heavy tenant from holding back a light
@@ -30,7 +29,6 @@ import pytest
 
 import repro.service.executor as executor_mod
 import repro.sim.batch as batch_mod
-from repro.runtime import sanitizer
 from repro.runtime.supervisor import RetryPolicy
 from repro.service import (
     AdmissionError,
@@ -190,30 +188,6 @@ def test_fused_batch_geometry_invariant(monkeypatch):
     monkeypatch.setattr(batch_mod, "BATCH_BYTES", 1)
     one_row = [_bytes(_execute_payload(p)) for p in payloads_for()]
     assert one_row == default
-
-
-def test_fused_batch_sanitizer_trace_parity(monkeypatch):
-    sanitizer.force(True)
-    try:
-        solo = []
-        for p in payloads_for():
-            solo.extend(_execute_payload(p)["sanitizer_events"])
-        assert {e[0] for e in solo} >= {"task", "counts"}
-        # Portable stages compare equal across chunk geometries...
-        monkeypatch.setattr(batch_mod, "BATCH_BYTES", 1)
-        one_row = []
-        for p in payloads_for():
-            one_row.extend(_execute_payload(p)["sanitizer_events"])
-        assert sanitizer.compare_traces(solo, one_row) == []
-        monkeypatch.undo()
-        # ...and every task event matches the tasks sharing one call.
-        with sanitizer.capture() as shared:
-            _shared_call(payloads_for())
-        assert sanitizer.compare_traces(
-            [list(e) for e in shared], solo, stages=("task",)
-        ) == []
-    finally:
-        sanitizer.force(None)
 
 
 def _doc(response):

@@ -1,11 +1,16 @@
 """Schema validation and content addressing of the service model."""
 
+import copy
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.service.model import (
     RequestValidationError,
     SimRequest,
     SimResponse,
+    SweepRequest,
     service_max_qubits,
 )
 
@@ -176,3 +181,82 @@ class TestResponse:
         assert counts.shots == 256
         assert counts[13] == 200
         assert counts.method == "density"
+
+
+# -- fuzzing ---------------------------------------------------------------
+
+_VALID_SIM = dict(
+    operation="add", n=2, m=3, x=[1], y=[2, 5], depth=2, error_axis="2q",
+    error_rate=0.01, shots=64, trajectories=8, method="trajectory", seed=7,
+    convention="qiskit", priority=5, tenant="t",
+)
+_VALID_BASE = {k: v for k, v in _VALID_SIM.items() if k != "error_rate"}
+
+#: Values a JSON decoder can hand the model, edge cases first: huge and
+#: boundary ints, non-finite floats (``1e999``/``Infinity``/``NaN``).
+_JSON_SCALARS = st.one_of(
+    st.sampled_from([
+        10**400, -(10**400), 2**63, 2**63 - 1, -1, 0,
+        float("inf"), float("-inf"), float("nan"), 1e300, 0.5,
+    ]),
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=8),
+)
+_JSON = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    ),
+    max_leaves=6,
+)
+
+#: (parser, valid body, mutable paths): a path names a key, a key of
+#: ``base``, or element 0 of a list.
+_TARGETS = [
+    (SimRequest, _VALID_SIM, [(k,) for k in _VALID_SIM] + [("x", 0), ("y", 1)]),
+    (
+        SweepRequest,
+        {"base": _VALID_BASE, "rates": [0.001, 0.01], "tenant": "t",
+         "priority": 3},
+        [("base",), ("rates",), ("tenant",), ("priority",), ("rates", 0)]
+        + [("base", k) for k in _VALID_BASE]
+        + [("base", "x", 0)],
+    ),
+]
+
+
+def _mutated(body, path, value):
+    """``body`` with ``value`` at ``path``; unchanged when an earlier
+    mutation replaced the container the path runs through."""
+    body = copy.deepcopy(body)
+    holder = body
+    for step in path[:-1]:
+        holder = holder.get(step) if isinstance(holder, dict) else None
+    key = path[-1]
+    if (isinstance(holder, dict) and isinstance(key, str)) or (
+        isinstance(holder, list) and isinstance(key, int) and key < len(holder)
+    ):
+        holder[key] = value
+    return body
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_from_dict_returns_a_request_or_a_validation_error(data):
+    """Any JSON-shaped value in any field is either accepted or reported
+    as a :class:`RequestValidationError` (a 4xx), never another error."""
+    parser, body, paths = data.draw(st.sampled_from(_TARGETS))
+    # Outer keys before inner ones, so a replaced container is seen.
+    for path in sorted(data.draw(
+        st.lists(st.sampled_from(paths), min_size=1, max_size=3, unique=True)
+    ), key=len):
+        body = _mutated(body, path, data.draw(_JSON))
+    try:
+        parsed = parser.from_dict(body)
+    except RequestValidationError:
+        return
+    assert isinstance(parsed, parser)

@@ -333,6 +333,30 @@ def test_huge_register_width_is_4xx_on_both_routes(field):
     assert statuses and not any("500" in k for k in statuses)
 
 
+@pytest.mark.parametrize("literal", ["1e999", "-Infinity"])
+@pytest.mark.parametrize(
+    "path, field",
+    [("/v1/simulate", "n"), ("/v1/sweep", "seed")],
+)
+def test_overflowing_integer_field_is_400_on_both_routes(path, field, literal):
+    # JSON decodes these to +-inf, and int(inf) raises OverflowError.
+    doc = dict(REQ, **{field: "@"})
+    if path == "/v1/sweep":
+        doc.pop("error_rate")
+        doc = {"base": doc, "rates": [0.001]}
+    body = json.dumps(doc).replace('"@"', literal).encode()
+    head = (
+        f"POST {path} HTTP/1.1\r\nHost: test\r\n"
+        f"Content-Type: application/json\r\n"
+        f"Content-Length: {len(body)}\r\n\r\n"
+    ).encode("latin-1")
+    with make_server() as srv:
+        status, answer = _raw_exchange(srv.address, head + body)
+        assert status == 400, answer
+        assert any("expected integer" in d for d in answer["details"])
+        _assert_counted_once(srv, 400)
+
+
 def test_coalescing_collapses_identical_requests(monkeypatch):
     """N concurrent identical requests run exactly one simulation."""
     n_clients = 6

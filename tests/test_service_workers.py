@@ -5,7 +5,8 @@
   (``workers=1``): process workers send their counter deltas home with
   each result and the parent merges them;
 * responses are byte-identical across tiers (apart from how long they
-  took and how they were served);
+  took and how they were served), also with two workers answering
+  requests that are in flight at once;
 * a worker that dies on attempt 1 is replaced, attempt 2 answers with
   the same counts, and nothing the dead attempt counted is merged; one
   death replaces the pool once, however many requests it broke.
@@ -61,14 +62,16 @@ def _fresh_caches():
     build_arithmetic_circuit.cache_clear()
 
 
-def _service(workers, **executor_kwargs):
+def _service(workers, concurrency=1, **executor_kwargs):
     _fresh_caches()
     executor = SimulationExecutor(
-        workers=workers, concurrency=1, **executor_kwargs
+        workers=workers, concurrency=concurrency, **executor_kwargs
     )
     return ServerThread(
         ArithmeticService(
-            executor=executor, cache=ResultCache(ttl=0), concurrency=1
+            executor=executor,
+            cache=ResultCache(ttl=0),
+            concurrency=concurrency,
         )
     )
 
@@ -127,7 +130,25 @@ def test_mixed_requests_byte_identical_across_tiers():
         with _service(workers) as srv:
             client = ServiceClient(*srv.address, timeout=120)
             docs[workers] = [_doc(client.simulate(dict(r))) for r in MIXED]
+    # Two workers with every request sent at once.
+    with _service(2, concurrency=2) as srv:
+        client = ServiceClient(*srv.address, timeout=120)
+        responses = {}
+
+        def send(i):
+            responses[i] = client.simulate(dict(MIXED[i]))
+
+        senders = [
+            threading.Thread(target=send, args=(i,))
+            for i in range(len(MIXED))
+        ]
+        for t in senders:
+            t.start()
+        for t in senders:
+            t.join(timeout=120)
+        docs[2] = [_doc(responses[i]) for i in range(len(MIXED))]
     assert docs[1] == docs[0]
+    assert docs[2] == docs[0]
     assert {d["method"] for d in docs[0]} >= {
         "trajectory", "ptm", "density", "statevector",
     }
